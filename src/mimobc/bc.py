@@ -222,15 +222,15 @@ class BcSolution:
     """Complete downlink solution at one transmit power.
 
     Holds, per user, the precoder, the decorrelation basis, the positive
-    diagonal column scales, the duality scaling factors, the transmit
-    covariance, and the exact achieved rate.
+    diagonal column scales, the transmit covariance, and the exact achieved
+    rate.  The duality scaling factors equal (P / r) / column_scales; see
+    :func:`scaling_factors`.
     """
 
     total_power: float
     precoders: tuple[np.ndarray, ...] = field(repr=False)
     bases: tuple[np.ndarray, ...] = field(repr=False)
     column_scales: tuple[np.ndarray, ...] = field(repr=False)
-    scaling_factors: tuple[np.ndarray, ...] = field(repr=False)
     covariances: tuple[np.ndarray, ...] = field(repr=False)
     rates: tuple[float, ...]
 
@@ -249,7 +249,6 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
     bases = []
     scales = []
     precoders = []
-    factors = []
     covariances = []
     column_norm = sqrt(total_power / channel.profile.total_antennas)
     for k in range(num_users):
@@ -257,7 +256,6 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
         bases.append(basis)
         scales.append(scale)
         precoders.append(column_norm * directions / scale)
-        factors.append(scaling_factors(channel, total_power, k, basis))
         covariances.append(bc_covariance(channel, total_power, k))
     rates = tuple(bc_exact_user_rate(channel, precoders, k) for k in range(num_users))
     return BcSolution(
@@ -265,7 +263,6 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
         precoders=tuple(precoders),
         bases=tuple(bases),
         column_scales=tuple(scales),
-        scaling_factors=tuple(factors),
         covariances=tuple(covariances),
         rates=rates,
     )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
@@ -77,6 +78,8 @@ class SystemProfile:
             raise ValidationError(
                 f"{len(self.weights)} weights for {len(self.user_antennas)} users"
             )
+        if not all(isfinite(w) for w in self.weights):
+            raise ValidationError(f"weights must be finite, got {self.weights}")
         if any(w < 0 for w in self.weights):
             raise ValidationError(f"weights must be nonnegative, got {self.weights}")
         if not any(w > 0 for w in self.weights):
@@ -96,11 +99,6 @@ class SystemProfile:
     def total_antennas(self) -> int:
         """Total number of terminal antennas (column count of the composite channel)."""
         return sum(self.user_antennas)
-
-    @property
-    def total_streams(self) -> int:
-        """Total number of multiplexed data streams (one per terminal antenna)."""
-        return self.total_antennas
 
     @cached_property
     def block_slices(self) -> tuple[slice, ...]:
@@ -187,18 +185,6 @@ class CorrelationModel:
             for k, c in enumerate(self.blocks)
         )
 
-    @cached_property
-    def composite(self) -> np.ndarray:
-        """Block-diagonal r x r correlation matrix of the composite channel."""
-        total = sum(self.antennas)
-        out = np.zeros((total, total), dtype=complex)
-        offset = 0
-        for c in self.blocks:
-            size = c.shape[0]
-            out[offset : offset + size, offset : offset + size] = c
-            offset += size
-        return _readonly(out)
-
     def block_logdet2(self, user: int) -> float:
         """log2-determinant of one correlation block."""
         return logdet2_hpd(self.blocks[user])
@@ -229,15 +215,14 @@ class ChannelRealization:
                 raise ValidationError(
                     f"channel block {k} has shape {h.shape}, expected {expected}"
                 )
+            if not np.isfinite(h).all():
+                raise ValidationError(f"channel block {k} has non-finite entries")
             converted.append(_readonly(h))
         object.__setattr__(self, "blocks", tuple(converted))
 
     @classmethod
     def from_blocks(cls, profile: SystemProfile, blocks) -> "ChannelRealization":
         return cls(profile, tuple(blocks))
-
-    def block(self, user: int) -> np.ndarray:
-        return self.blocks[user]
 
     @cached_property
     def composite(self) -> np.ndarray:

@@ -15,6 +15,8 @@ import io
 import json
 import sys
 
+import numpy as np
+
 from .baseline import generate_curves
 from .channel import derive_seed, make_profile, sample_channel
 from .config import (
@@ -242,7 +244,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValidationError, DomainError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR
-    except (NumericalRankError, DegeneracyError) as exc:
+    except (NumericalRankError, DegeneracyError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL_ERROR
     except OSError as exc:

@@ -61,14 +61,6 @@ def digamma_int(n: int) -> float:
     return total
 
 
-def _require_feasible(base_antennas: int, total_antennas: int) -> None:
-    if base_antennas < total_antennas:
-        raise DomainError(
-            f"closed forms need at least as many base antennas ({base_antennas}) "
-            f"as terminal antennas in sum ({total_antennas})"
-        )
-
-
 def ergodic_dpc_logdet(
     profile: SystemProfile, correlation: CorrelationModel | None = None
 ) -> float:
@@ -79,7 +71,6 @@ def ergodic_dpc_logdet(
     """
     n = profile.base_antennas
     r = profile.total_antennas
-    _require_feasible(n, r)
     total = sum(digamma_int(n - el) for el in range(r)) / LN2
     if correlation is not None:
         total += sum(correlation.block_logdet2(k) for k in range(profile.num_users))
@@ -97,7 +88,6 @@ def ergodic_block_logdet(
     """
     n = profile.base_antennas
     r = profile.total_antennas
-    _require_feasible(n, r)
     if not 0 <= user < profile.num_users:
         raise IndexError(f"user index {user} out of range for {profile.num_users} users")
     r_k = profile.user_antennas[user]
@@ -109,7 +99,6 @@ def ergodic_block_logdet(
 
 def _rate_loss_closed_form(base_antennas: int, user_antennas) -> float:
     total = sum(user_antennas)
-    _require_feasible(base_antennas, total)
     loss = sum(digamma_int(base_antennas - el) for el in range(total))
     for r_k in user_antennas:
         loss -= sum(digamma_int(base_antennas - total + r_k - el) for el in range(r_k))
@@ -151,17 +140,7 @@ def ergodic_rate_loss_equal(num_users: int, antennas_each: int, base_antennas: i
 
 def ergodic_rate_loss_single(num_users: int, base_antennas: int) -> float:
     """Expected rate loss for K single-antenna users: (1/ln 2) sum_{l<K} l / (N - l)."""
-    if num_users < 1:
-        raise DomainError(f"need at least one user, got {num_users}")
-    if base_antennas < num_users:
-        raise DomainError(
-            f"closed forms need at least as many base antennas ({base_antennas}) "
-            f"as users ({num_users})"
-        )
-    total = 0.0
-    for el in range(1, num_users):
-        total += el / (base_antennas - el)
-    return total / LN2
+    return ergodic_rate_loss_equal(num_users, 1, base_antennas)
 
 
 def power_offset_db(rate_loss_bits: float, total_antennas: int) -> float:

@@ -1,25 +1,13 @@
-import numpy as np
 import pytest
 
 from mimobc import CorrelationModel, make_profile, sample_channel
-from mimobc._linalg import hermitize
+from mimobc.validation import random_hpd, run_all_checks  # noqa: F401  (random_hpd serves the test modules)
 
 
-def random_hpd(rng: np.random.Generator, size: int, ridge: float = 0.5) -> np.ndarray:
-    """Random Hermitian positive-definite matrix with a spectral floor."""
-    z = rng.standard_normal((size, size + 2)) + 1j * rng.standard_normal((size, size + 2))
-    return hermitize(z @ z.conj().T / (size + 2)) + ridge * np.eye(size)
-
-
-def random_profile(rng: np.random.Generator, max_base: int = 8):
-    """Random feasible profile with one to three users of one to three antennas."""
-    num_users = int(rng.integers(1, 4))
-    antennas = [int(rng.integers(1, 4)) for _ in range(num_users)]
-    total = sum(antennas)
-    if total > max_base:
-        return random_profile(rng, max_base)
-    slack = int(rng.integers(0, max_base - total + 1))
-    return make_profile(total + slack, antennas)
+@pytest.fixture(scope="session")
+def checks():
+    """Results of every invariant check of ``mimobc validate --trials 300 --seed 1``, by name."""
+    return {result.name: result for result in run_all_checks(trials=300, seed=1)}
 
 
 @pytest.fixture

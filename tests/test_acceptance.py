@@ -3,29 +3,22 @@
 Each test prints one pass line with the measured margin; run with
 ``pytest tests/test_acceptance.py -v -s`` to see them.  Monte Carlo
 criteria use frozen master seeds, so every run is a deterministic
-reproduction of a verified statistical outcome.
+reproduction of a verified statistical outcome.  Criteria that are
+invariant checks of ``mimobc.validation`` assert on that check's result.
 """
 
-import inspect
 import time
 
 import numpy as np
 import pytest
 
 from mimobc import (
-    ChannelRealization,
     CorrelationModel,
     MacCovarianceSet,
     asymptotic_weighted_sum_rate,
     derive_seed,
-    dual_mac_sum_capacity,
-    ergodic_rate_loss,
-    ergodic_rate_loss_equal,
-    ergodic_rate_loss_single,
     exact_user_rate,
-    exact_user_rate_gram_form,
     generate_curves,
-    instantaneous_rate_loss,
     make_profile,
     monte_carlo_rate_loss,
     power_offset_db,
@@ -34,12 +27,18 @@ from mimobc import (
     solve_bc,
 )
 
-from conftest import random_hpd, random_profile
 from reference_table import REFERENCE_RATE_LOSS
 
 
 def report(criterion: int, message: str) -> None:
     print(f"[criterion {criterion:2d}] PASS  {message}")
+
+
+def assert_checks(checks, criterion: int, *names: str) -> None:
+    for name in names:
+        result = checks[name]
+        assert result.passed, result.detail
+        report(criterion, f"{name}: {result.detail}")
 
 
 def test_criterion_01_reference_table_reproduction():
@@ -58,21 +57,9 @@ def test_criterion_01_reference_table_reproduction():
     report(1, f"{len(cells)} populated cells, worst error {worst:.2e} bits, {elapsed * 1e3:.0f} ms")
 
 
-def test_criterion_02_special_case_algebra():
+def test_criterion_02_special_case_algebra(checks):
     """Equal-antenna form matches the general form; single-antenna form is exact."""
-    worst = 0.0
-    exact_matches = 0
-    for num_users in range(1, 5):
-        for antennas_each in range(1, 4):
-            for base in range(num_users * antennas_each, 15):
-                general = ergodic_rate_loss(make_profile(base, [antennas_each] * num_users))
-                equal = ergodic_rate_loss_equal(num_users, antennas_each, base)
-                worst = max(worst, abs(general - equal))
-                if antennas_each == 1:
-                    assert ergodic_rate_loss_single(num_users, base) == equal
-                    exact_matches += 1
-    assert worst <= 1e-12
-    report(2, f"worst |general - equal| {worst:.2e}, {exact_matches} bit-exact single-antenna cases")
+    assert_checks(checks, 2, "ergodic_special_cases")
 
 
 def test_criterion_03_monte_carlo_vs_closed_form():
@@ -96,79 +83,14 @@ def test_criterion_03_monte_carlo_vs_closed_form():
     report(3, f"{count} cells x 1e4 trials, worst deviation {worst_z:.2f} stderr, {elapsed:.1f} s")
 
 
-def test_criterion_04_rate_identity_equivalence():
+def test_criterion_04_rate_identity_equivalence(checks):
     """The two uplink rate determinant forms agree on randomized instances."""
-    rng = np.random.default_rng(4)
-    worst = 0.0
-    instances = 0
-    while instances < 120:
-        profile = random_profile(rng)
-        channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-        covariances = MacCovarianceSet.from_covariances(
-            [float(rng.uniform(0.1, 10)) * random_hpd(rng, r, ridge=0.1)
-             for r in profile.user_antennas]
-        )
-        for k in range(profile.num_users):
-            worst = max(
-                worst,
-                abs(
-                    exact_user_rate(channel, covariances, k)
-                    - exact_user_rate_gram_form(channel, covariances, k)
-                ),
-            )
-        instances += 1
-    assert worst <= 1e-10
-    report(4, f"{instances} randomized instances, worst gap {worst:.2e} bits")
+    assert_checks(checks, 4, "mac_gram_form_equivalence")
 
 
-def test_criterion_05_duality_bd_construction():
+def test_criterion_05_duality_bd_construction(checks):
     """Downlink solution invariants on 1000 random channels with up to 8 antennas."""
-    rng = np.random.default_rng(5)
-    worst = {"bd": 0.0, "norm": 0.0, "spectrum": 0.0, "power": 0.0, "idempotent": 0.0}
-    for _ in range(1000):
-        profile = random_profile(rng, max_base=8)
-        channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-        power = float(10.0 ** rng.uniform(-1, 3))
-        solution = solve_bc(channel, power)
-        level = power / profile.total_antennas
-        for k, p in enumerate(solution.precoders):
-            for l, h in enumerate(channel.blocks):
-                if l != k:
-                    worst["bd"] = max(
-                        worst["bd"],
-                        np.linalg.norm(h.conj().T @ p)
-                        / (np.linalg.norm(h) * np.linalg.norm(p)),
-                    )
-            worst["norm"] = max(
-                worst["norm"],
-                float(np.max(np.abs(np.linalg.norm(p, axis=0) - np.sqrt(level))))
-                / max(1.0, np.sqrt(level)),
-            )
-            s = solution.covariances[k]
-            eigen = np.linalg.eigvalsh(s)
-            r_k = profile.user_antennas[k]
-            spectrum_error = float(np.max(np.abs(eigen[-r_k:] - level)))
-            if eigen.size > r_k:
-                spectrum_error = max(spectrum_error, float(np.max(np.abs(eigen[:-r_k]))))
-            worst["spectrum"] = max(worst["spectrum"], spectrum_error / max(1.0, level))
-            projector = s / level
-            worst["idempotent"] = max(
-                worst["idempotent"], float(np.linalg.norm(projector @ projector - projector))
-            )
-        worst["power"] = max(
-            worst["power"],
-            abs(solution.total_transmit_power - power) / max(1.0, power),
-        )
-    assert worst["bd"] <= 1e-9
-    assert worst["norm"] <= 1e-10
-    assert worst["spectrum"] <= 1e-8
-    assert worst["power"] <= 1e-8
-    assert worst["idempotent"] <= 1e-9
-    report(
-        5,
-        "1000 channels: bd {bd:.1e}, column norms {norm:.1e}, spectrum {spectrum:.1e}, "
-        "total power {power:.1e}, idempotency {idempotent:.1e}".format(**worst),
-    )
+    assert_checks(checks, 5, "bc_solution_invariants")
 
 
 def test_criterion_06_asymptotic_convergence():
@@ -220,60 +142,16 @@ def test_criterion_07_reference_curve_regime():
     )
 
 
-def test_criterion_08_inequality_properties():
+def test_criterion_08_inequality_properties(checks):
     """Rate loss never negative; DPC never below linear; waterfilling monotone."""
-    rng = np.random.default_rng(8)
-    lowest_loss = np.inf
-    worst_inferiority = -np.inf
-    worst_dip = 0.0
-    for _ in range(400):
-        profile = random_profile(rng)
-        channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-        lowest_loss = min(lowest_loss, instantaneous_rate_loss(channel))
-        power = float(10.0 ** rng.uniform(-1, 3))
-        result = dual_mac_sum_capacity(channel, power)
-        history = result.objective_history
-        if len(history) > 1:
-            worst_dip = max(
-                worst_dip, float(np.max(np.array(history[:-1]) - np.array(history[1:])))
-            )
-        linear = solve_bc(channel, power).sum_rate
-        worst_inferiority = max(worst_inferiority, linear - result.sum_rate_bits)
-    assert lowest_loss >= -1e-10
-    assert worst_inferiority <= 1e-9
-    assert worst_dip <= 0.0
-    report(
-        8,
-        f"min rate loss {lowest_loss:.2e}, max linear-above-DPC {worst_inferiority:.2e}, "
-        f"max objective dip {worst_dip:.2e} over 400 sampled channels",
-    )
+    assert_checks(checks, 8, "mac_rate_loss_nonnegative", "baseline_monotone_and_bounds")
 
 
-def test_criterion_09_correlation_invariance():
+def test_criterion_09_correlation_invariance(checks):
     """Shaping by any correlation leaves the instantaneous rate loss untouched."""
-    rng = np.random.default_rng(9)
-    worst = 0.0
-    for _ in range(300):
-        profile = random_profile(rng)
-        plain = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-        correlation = CorrelationModel.from_blocks(
-            [random_hpd(rng, r) for r in profile.user_antennas]
-        )
-        shaped = ChannelRealization.from_blocks(
-            profile,
-            [h @ root for h, root in zip(plain.blocks, correlation.sqrt_blocks)],
-        )
-        worst = max(
-            worst, abs(instantaneous_rate_loss(plain) - instantaneous_rate_loss(shaped))
-        )
-    assert worst <= 1e-9
-    # the ergodic loss accepts no correlation input at all
-    assert list(inspect.signature(ergodic_rate_loss).parameters) == ["profile"]
-    report(9, f"worst per-realization shift {worst:.2e} bits over 300 shaped channels")
+    assert_checks(checks, 9, "mac_correlation_invariance")
 
 
-def test_criterion_10_qualitative_antenna_tradeoff():
+def test_criterion_10_qualitative_antenna_tradeoff(checks):
     """Two three-antenna users lose about 65 percent of three two-antenna users."""
-    ratio = ergodic_rate_loss_equal(2, 3, 6) / ergodic_rate_loss_equal(3, 2, 6)
-    assert ratio == pytest.approx(0.65, abs=0.01)
-    report(10, f"loss ratio {ratio:.4f} (expected 0.65 +- 0.01)")
+    assert_checks(checks, 10, "ergodic_qualitative_ratio")

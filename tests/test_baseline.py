@@ -3,17 +3,12 @@ import pytest
 
 from mimobc import (
     ValidationError,
-    dpc_asymptotic_sum_rate,
     dual_mac_sum_capacity,
-    ergodic_rate_loss,
     generate_curves,
     make_profile,
     sample_channel,
-    solve_bc,
     waterfill,
 )
-
-from conftest import random_profile
 
 
 class TestWaterfill:
@@ -46,60 +41,20 @@ class TestWaterfill:
 
 
 class TestDualMacSumCapacity:
-    def test_single_user_matches_closed_form(self):
-        profile = make_profile(4, [3])
-        channel = sample_channel(profile, seed=23)
-        for power in (0.3, 3.0, 30.0):
-            result = dual_mac_sum_capacity(channel, power)
-            gains = np.linalg.eigvalsh(channel.gram)
-            powers = waterfill(gains, power)
-            reference = float(np.sum(np.log2(1.0 + powers * gains)))
-            assert result.sum_rate_bits == pytest.approx(reference, abs=1e-8)
-            assert result.converged
+    def test_single_user_matches_closed_form(self, checks):
+        assert checks["baseline_single_user_waterfilling"].passed
 
-    def test_uniform_allocation_is_a_lower_bound(self):
-        rng = np.random.default_rng(24)
-        for _ in range(25):
-            profile = random_profile(rng)
-            channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-            power = float(10.0 ** rng.uniform(-1, 3))
-            result = dual_mac_sum_capacity(channel, power)
-            h = channel.composite
-            uniform = float(
-                np.log2(
-                    np.abs(
-                        np.linalg.det(
-                            np.eye(profile.base_antennas)
-                            + power / profile.total_antennas * h @ h.conj().T
-                        )
-                    )
-                )
-            )
-            assert result.sum_rate_bits >= uniform - 1e-8
+    def test_uniform_allocation_is_a_lower_bound(self, checks):
+        assert checks["baseline_monotone_and_bounds"].passed
 
-    def test_reaches_the_high_power_asymptote(self):
-        channel = sample_channel(make_profile(5, [2, 2]), seed=3)
-        result = dual_mac_sum_capacity(channel, 1e6, tolerance=1e-10)
-        assert abs(result.sum_rate_bits - dpc_asymptotic_sum_rate(channel, 1e6)) < 1e-2
+    def test_reaches_the_high_power_asymptote(self, checks):
+        assert checks["baseline_high_power_asymptote"].passed
 
-    def test_objective_monotone_every_step(self):
-        rng = np.random.default_rng(25)
-        for _ in range(30):
-            profile = random_profile(rng)
-            channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-            power = float(10.0 ** rng.uniform(-1, 4))
-            history = dual_mac_sum_capacity(channel, power).objective_history
-            assert all(b >= a - 1e-10 for a, b in zip(history, history[1:]))
+    def test_objective_monotone_every_step(self, checks):
+        assert checks["baseline_monotone_and_bounds"].passed
 
-    def test_dominates_linear_filtering(self):
-        rng = np.random.default_rng(26)
-        for _ in range(25):
-            profile = random_profile(rng)
-            channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-            power = float(10.0 ** rng.uniform(-1, 3))
-            capacity = dual_mac_sum_capacity(channel, power).sum_rate_bits
-            linear = solve_bc(channel, power).sum_rate
-            assert capacity >= linear - 1e-9
+    def test_dominates_linear_filtering(self, checks):
+        assert checks["baseline_monotone_and_bounds"].passed
 
     def test_covariances_feasible_and_optimal(self):
         channel = sample_channel(make_profile(6, [2, 2, 1]), seed=27)
@@ -125,12 +80,8 @@ class TestDualMacSumCapacity:
 
 
 class TestGenerateCurves:
-    def test_affine_curves_are_parallel_with_the_rate_loss_gap(self, fig_setup):
-        profile, correlation = fig_setup
-        points = generate_curves(profile, correlation, [0.0, 10.0, 20.0], trials=2, seed=1)
-        loss = ergodic_rate_loss(profile)
-        for p in points:
-            assert p.dpc_affine - p.linear_affine == pytest.approx(loss, abs=1e-9)
+    def test_affine_curves_are_parallel_with_the_rate_loss_gap(self, checks):
+        assert checks["baseline_affine_parallel"].passed
 
     def test_affine_slope_per_db(self, fig_setup):
         profile, correlation = fig_setup

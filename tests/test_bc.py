@@ -10,7 +10,6 @@ from mimobc import (
     bc_precoder,
     decorrelation_basis,
     eigenbasis_optimality_check,
-    exact_user_rate,
     make_profile,
     mmse_receiver_exact,
     sample_channel,
@@ -18,8 +17,6 @@ from mimobc import (
     solve_bc,
 )
 from mimobc._linalg import haar_unitary, hermitize, logdet2_hpd
-
-from conftest import random_profile
 
 
 def identity_channel(antennas) -> ChannelRealization:
@@ -235,22 +232,8 @@ class TestBcCovariance:
             np.testing.assert_allclose(eigen[-2:], level, atol=1e-8)
             np.testing.assert_allclose(eigen[:-2], 0.0, atol=1e-8)
 
-    def test_basis_invariance(self):
-        # the covariance formula has no basis in it; any diagonalizing basis
-        # for the precoder reproduces it
-        rng = np.random.default_rng(18)
-        channel = sample_channel(make_profile(6, [2, 3]), seed=18)
-        power = 13.0
-        for k in range(2):
-            s = bc_covariance(channel, power, k)
-            basis = decorrelation_basis(channel, k)
-            r_k = basis.shape[0]
-            for _ in range(10):
-                permuted = basis[:, rng.permutation(r_k)] * np.exp(
-                    2j * np.pi * rng.uniform(size=r_k)
-                )
-                p = bc_precoder(channel, power, k, basis=permuted)
-                assert np.linalg.norm(p @ p.conj().T - s) < 1e-9
+    def test_basis_invariance(self, checks):
+        assert checks["bc_covariance_basis_invariance"].passed
 
 
 class TestBcExactUserRate:
@@ -275,17 +258,8 @@ class TestBcExactUserRate:
             assert all(b < a for a, b in zip(gaps, gaps[1:]))
             assert gaps[-1] < 1e-2
 
-    def test_sum_rate_meets_the_uplink(self):
-        profile = make_profile(5, [2, 2])
-        channel = sample_channel(profile, seed=3)
-        gaps = []
-        for power in (1e2, 1e3, 1e4, 1e6):
-            bd_sum = solve_bc(channel, power).sum_rate
-            uniform = MacCovarianceSet.uniform(profile, power)
-            mac_sum = sum(exact_user_rate(channel, uniform, k) for k in range(2))
-            gaps.append(abs(bd_sum - mac_sum))
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
-        assert gaps[-1] < 5e-2
+    def test_sum_rate_meets_the_uplink(self, checks):
+        assert checks["bc_duality_rate_preservation"].passed
 
 
 class TestEigenbasisOptimality:
@@ -303,45 +277,10 @@ class TestEigenbasisOptimality:
         assert passed
         assert abs(worst) < 1e-9
 
-    def test_random_bases_never_beat_the_eigenbasis(self):
-        channel = sample_channel(make_profile(6, [3, 2]), seed=21)
-        for k in range(2):
-            passed, worst = eigenbasis_optimality_check(channel, k, trials=100, seed=k)
-            assert passed
-            assert worst >= -1e-9
+    def test_random_bases_never_beat_the_eigenbasis(self, checks):
+        assert checks["bc_eigenbasis_optimality"].passed
 
 
 class TestBcSolutionInvariants:
-    def test_invariants_on_random_channels(self):
-        rng = np.random.default_rng(22)
-        for _ in range(200):
-            profile = random_profile(rng)
-            channel = sample_channel(profile, seed=int(rng.integers(0, 2**32)))
-            power = float(10.0 ** rng.uniform(-1, 3))
-            solution = solve_bc(channel, power)
-            level = power / profile.total_antennas
-            assert solution.total_transmit_power == pytest.approx(
-                power, abs=1e-8 * max(1.0, power)
-            )
-            for k, p in enumerate(solution.precoders):
-                np.testing.assert_allclose(
-                    np.linalg.norm(p, axis=0), np.sqrt(level), atol=1e-10
-                )
-                for l, h in enumerate(channel.blocks):
-                    if l != k:
-                        assert (
-                            np.linalg.norm(h.conj().T @ p)
-                            < 1e-9 * np.linalg.norm(h) * np.linalg.norm(p)
-                        )
-                s = solution.covariances[k]
-                r_k = profile.user_antennas[k]
-                eigen = np.linalg.eigvalsh(s)
-                np.testing.assert_allclose(
-                    eigen[-r_k:], level, atol=1e-8 * max(1.0, level)
-                )
-                if eigen.size > r_k:
-                    np.testing.assert_allclose(
-                        eigen[:-r_k], 0.0, atol=1e-8 * max(1.0, level)
-                    )
-                projector = s / level
-                assert np.linalg.norm(projector @ projector - projector) < 1e-9
+    def test_invariants_on_random_channels(self, checks):
+        assert checks["bc_solution_invariants"].passed

@@ -229,6 +229,23 @@ class TestExitCodes:
         assert main(["rate-loss", "--config", config, "--trials", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    def test_non_finite_weight(self, tmp_path):
+        config = write_config(
+            tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "weights": [1, float("nan")]}
+        )
+        out = tmp_path / "x.csv"
+        assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):
+        def fail(channel):
+            raise np.linalg.LinAlgError("Matrix is not positive definite")
+
+        monkeypatch.setattr("mimobc.cli.instantaneous_rate_loss", fail)
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        assert main(["rate-loss", "--config", config, "--trials", "2",
+                     "--out", str(tmp_path / "x.csv")]) == 3
+
 
 class TestModuleEntryPoint:
     def test_runs_as_a_module(self, tmp_path):
