@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ValidationError
 
@@ -36,8 +36,31 @@ def logdet2_hpd(a: np.ndarray) -> float:
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B with A Hermitian positive definite."""
-    return cho_solve(cho_factor(a), b)
+    """Solve A X = B with A Hermitian positive definite.
+
+    Calls LAPACK ``potrf``/``potrs`` directly (upper Cholesky factor, as
+    ``scipy.linalg.cho_factor``/``cho_solve`` do, with the same results)
+    because the scipy wrappers cost as much as the factorization on the
+    small matrices used here.  Raises ``ValueError`` for non-finite input and
+    ``numpy.linalg.LinAlgError`` when A is not positive definite.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    (potrf,) = get_lapack_funcs(("potrf",), (a,))
+    factor, info = potrf(a, lower=False, overwrite_a=False, clean=False)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal potrf")
+    (potrs,) = get_lapack_funcs(("potrs",), (factor, b))
+    x, info = potrs(factor, b, lower=False, overwrite_b=False)
+    if info < 0:
+        raise ValueError(f"illegal value in argument {-info} of internal potrs")
+    return x
 
 
 def hermitian_sqrt(a: np.ndarray, what: str = "matrix") -> np.ndarray:

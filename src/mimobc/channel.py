@@ -36,6 +36,16 @@ COND_LIMIT = 1e12
 _MASK64 = (1 << 64) - 1
 
 
+def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
+    """Full-rank test on ascending Gram eigenvalues along the last axis.
+
+    True where the smallest eigenvalue is positive and the largest is at most
+    ``COND_LIMIT`` times it; the one conditioning rule of the package.
+    """
+    smallest = eigenvalues[..., 0]
+    return (smallest > 0.0) & (eigenvalues[..., -1] <= COND_LIMIT * smallest)
+
+
 def derive_seed(master_seed: int, index: int) -> int:
     """Mix a master seed with a trial counter into an independent 64-bit seed.
 
@@ -236,19 +246,23 @@ class ChannelRealization:
         return _readonly(hermitize(h.conj().T @ h))
 
     @cached_property
+    def gram_eigenvalues(self) -> np.ndarray:
+        """Ascending eigenvalues of the Gram matrix."""
+        return _readonly(np.linalg.eigvalsh(self.gram))
+
+    @cached_property
     def gram_condition(self) -> float:
-        values = np.linalg.eigvalsh(self.gram)
-        smallest = float(values[0])
+        smallest = float(self.gram_eigenvalues[0])
         if smallest <= 0.0:
             return float("inf")
-        return float(values[-1]) / smallest
+        return float(self.gram_eigenvalues[-1]) / smallest
 
     def require_full_rank(self) -> None:
         """Raise unless the Gram matrix is numerically invertible."""
-        cond = self.gram_condition
-        if cond > COND_LIMIT:
+        if not _well_conditioned(self.gram_eigenvalues):
             raise NumericalRankError(
-                f"Gram matrix condition number {cond:.3e} exceeds limit {COND_LIMIT:.0e}"
+                f"Gram matrix condition number {self.gram_condition:.3e} "
+                f"exceeds limit {COND_LIMIT:.0e}"
             )
 
     @cached_property
@@ -275,18 +289,31 @@ class ChannelRealization:
         return hermitize(self.gram_inverse[sl, sl])
 
 
-def _standard_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    # unit variance per complex entry, split evenly across real and imaginary parts
-    return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * np.sqrt(0.5)
+def _draw(
+    rng: np.random.Generator, profile: SystemProfile, sqrt_blocks, count: int
+) -> list[np.ndarray]:
+    """Draw ``count`` channels from ``rng`` as per-user ``(count, N, r_k)`` stacks.
+
+    User by user, one ``(count, 2, N, r_k)`` block of standard normals gives
+    the real and then the imaginary parts of ``count`` raw matrices (unit
+    variance per complex entry), which are right-multiplied by the user's
+    correlation root.  With ``count == 1`` this is the stream of
+    ``sample_channel``.
+    """
+    n = profile.base_antennas
+    blocks = []
+    for k, r_k in enumerate(profile.user_antennas):
+        parts = rng.standard_normal((count, 2, n, r_k))
+        raw = (parts[:, 0] + 1j * parts[:, 1]) * np.sqrt(0.5)
+        if sqrt_blocks is not None:
+            raw = (raw.reshape(count * n, r_k) @ sqrt_blocks[k]).reshape(count, n, r_k)
+        blocks.append(raw)
+    return blocks
 
 
 def _sample_blocks(profile: SystemProfile, sqrt_blocks, seed: int) -> list[np.ndarray]:
     rng = np.random.default_rng(int(seed) & _MASK64)
-    blocks = []
-    for k, r_k in enumerate(profile.user_antennas):
-        raw = _standard_complex(rng, (profile.base_antennas, r_k))
-        blocks.append(raw if sqrt_blocks is None else raw @ sqrt_blocks[k])
-    return blocks
+    return [block[0] for block in _draw(rng, profile, sqrt_blocks, 1)]
 
 
 def sample_channel(

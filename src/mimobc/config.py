@@ -14,7 +14,7 @@ import numpy as np
 from .channel import CorrelationModel, SystemProfile, make_profile
 from .errors import ConfigurationError
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 _KINDS = ("table1", "rate-loss", "curves", "validate")
 

@@ -13,13 +13,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._linalg import LN2
+from ._linalg import LN2, hermitize
 from .channel import (
     CorrelationModel,
     SystemProfile,
-    COND_LIMIT,
     derive_seed,
-    _sample_blocks,
+    _draw,
+    _well_conditioned,
 )
 from .errors import DomainError, NumericalRankError, ValidationError
 from .mac import _batch_rate_loss
@@ -48,6 +48,9 @@ EULER_GAMMA = 0.57721566490153286060651209
 #: Fraction of Monte Carlo trials that may be discarded for numerical rank loss.
 _DISCARD_FRACTION = 1e-3
 
+#: Trials per Monte Carlo batch.  Part of the estimator's stream definition:
+#: batch b draws its trials from the Philox stream keyed derive_seed(seed, b),
+#: so changing the batch size changes every estimate for a given seed.
 _BATCH = 1024
 
 
@@ -209,11 +212,14 @@ def monte_carlo_rate_loss(
 ) -> MonteCarloEstimate:
     """Monte Carlo estimate of the expected instantaneous rate loss.
 
-    Trial t draws its channel from the stream seeded with
-    ``derive_seed(seed, t)``, so the estimate is reproducible and independent
-    of evaluation order; values are accumulated in trial order.  Draws whose
-    Gram matrix is numerically rank deficient are redrawn from reserve
-    streams, capped at 0.1% of the trial count.
+    Trials run in batches of ``_BATCH``: batch b draws its whole stack of
+    channels from one Philox stream keyed ``derive_seed(seed, b)``, so the
+    estimate is reproducible and does not depend on the order in which
+    batches are evaluated; values are accumulated in trial order.  Draws
+    whose Gram matrix is numerically rank deficient are redrawn, one at a
+    time in trial order, from a single reserve Philox stream keyed
+    ``derive_seed(seed, number_of_batches)``, capped at 0.1% of the trial
+    count.
     """
     if trials is None:
         trials = default_trials(profile)
@@ -231,21 +237,17 @@ def monte_carlo_rate_loss(
     max_discards = int(_DISCARD_FRACTION * trials)
     discarded = 0
     values = np.empty(trials, dtype=float)
-    n = profile.base_antennas
-    r = profile.total_antennas
+    batches = -(-trials // _BATCH)
+    reserve = None
 
-    for start in range(0, trials, _BATCH):
+    for batch in range(batches):
+        start = batch * _BATCH
         count = min(_BATCH, trials - start)
-        stack = np.empty((count, n, r), dtype=complex)
-        for i in range(count):
-            blocks = _sample_blocks(profile, roots, derive_seed(seed, start + i))
-            stack[i] = np.concatenate(blocks, axis=1)
-        grams = np.einsum("bij,bik->bjk", stack.conj(), stack)
-        grams = 0.5 * (grams + grams.conj().swapaxes(-1, -2))
-        eigen = np.linalg.eigvalsh(grams)
-        bad = (eigen[:, 0] <= 0.0) | (eigen[:, -1] > COND_LIMIT * eigen[:, 0])
-        for i in np.nonzero(bad)[0]:
-            # redraw from reserve streams indexed past the trial range
+        rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, batch)))
+        grams = _grams(_draw(rng, profile, roots, count))
+        for i in np.nonzero(~_well_conditioned(np.linalg.eigvalsh(grams)))[0]:
+            if reserve is None:
+                reserve = np.random.Generator(np.random.Philox(key=derive_seed(seed, batches)))
             while True:
                 discarded += 1
                 if discarded > max_discards:
@@ -253,21 +255,21 @@ def monte_carlo_rate_loss(
                         f"more than {max_discards} rank-deficient draws in "
                         f"{trials} trials"
                     )
-                blocks = _sample_blocks(
-                    profile, roots, derive_seed(seed, trials + discarded - 1)
-                )
-                composite = np.concatenate(blocks, axis=1)
-                gram = composite.conj().T @ composite
-                gram = 0.5 * (gram + gram.conj().T)
-                vals = np.linalg.eigvalsh(gram)
-                if vals[0] > 0.0 and vals[-1] <= COND_LIMIT * vals[0]:
-                    grams[i] = gram
+                gram = _grams(_draw(reserve, profile, roots, 1))
+                if _well_conditioned(np.linalg.eigvalsh(gram))[0]:
+                    grams[i] = gram[0]
                     break
         values[start : start + count] = _batch_rate_loss(grams, profile)
 
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(trials))
     return MonteCarloEstimate(mean, stderr, trials, int(seed), discarded)
+
+
+def _grams(blocks: list[np.ndarray]) -> np.ndarray:
+    """Hermitian Gram matrices of a stack of composite channels given per user."""
+    stack = np.concatenate(blocks, axis=-1)
+    return hermitize(stack.conj().swapaxes(-1, -2) @ stack)
 
 
 @dataclass(frozen=True)

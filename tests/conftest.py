@@ -5,9 +5,15 @@ from mimobc.validation import random_hpd, run_all_checks  # noqa: F401  (random_
 
 
 @pytest.fixture(scope="session")
-def checks():
-    """Results of every invariant check of ``mimobc validate --trials 300 --seed 1``, by name."""
-    return {result.name: result for result in run_all_checks(trials=300, seed=1)}
+def check_results():
+    """``run_all_checks(trials=300, seed=1)``, the checks of ``mimobc validate --trials 300 --seed 1``."""
+    return run_all_checks(trials=300, seed=1)
+
+
+@pytest.fixture(scope="session")
+def checks(check_results):
+    """The results of ``check_results`` by name."""
+    return {result.name: result for result in check_results}
 
 
 @pytest.fixture

@@ -12,6 +12,9 @@ from mimobc import (
     make_profile,
     sample_channel,
 )
+from mimobc.channel import _draw
+
+from conftest import random_hpd
 
 
 class TestMakeProfile:
@@ -108,6 +111,19 @@ class TestSampleChannel:
         channel = sample_channel(profile, correlation, seed=0)
         assert channel.composite.shape == (5, 4)
         assert channel.gram_condition < 1e12
+
+    def test_single_draw_is_the_sample_channel_stream(self):
+        # the batch sampler with count 1 reproduces sample_channel bit for bit
+        profile = make_profile(6, [1, 2, 3])
+        correlation = CorrelationModel.from_blocks(
+            [random_hpd(np.random.default_rng(k), r) for k, r in enumerate(profile.user_antennas)]
+        )
+        for seed in range(20):
+            drawn = _draw(np.random.default_rng(seed), profile, correlation.sqrt_blocks, 1)
+            blocks = sample_channel(profile, correlation, seed).blocks
+            for stack, block in zip(drawn, blocks):
+                assert stack.shape == (1,) + block.shape
+                assert stack[0].tobytes() == block.tobytes()
 
     def test_correlation_dimension_mismatch(self):
         profile = make_profile(5, [2, 2])

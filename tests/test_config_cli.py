@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mimobc.cli import main
-from mimobc.config import load_config, parse_grid
+from mimobc.config import SCHEMA_VERSION, load_config, parse_grid
 from mimobc.errors import ConfigurationError
 
 
@@ -97,7 +97,7 @@ class TestTable1Command:
         out = tmp_path / "table.json"
         assert main(["table1", "--out", str(out), "--format", "json"]) == 0
         payload = json.loads(out.read_text())
-        assert payload["schema_version"] == "1"
+        assert payload["schema_version"] == SCHEMA_VERSION
         assert payload["experiment"] == "table1"
         assert len(payload["rows"]) == 65
 
@@ -192,6 +192,15 @@ class TestCurvesCommand:
 
 
 class TestValidateCommand:
+    @pytest.fixture(autouse=True)
+    def reuse_check_results(self, monkeypatch, check_results):
+        # validate --trials 300 --seed 1 reports the results the fixture already computed
+        def run_all_checks(trials, seed):
+            assert (trials, seed) == (300, 1)
+            return check_results
+
+        monkeypatch.setattr("mimobc.cli.run_all_checks", run_all_checks)
+
     def test_default_properties_pass(self, tmp_path):
         out = tmp_path / "validate.csv"
         code = main(["validate", "--out", str(out), "--trials", "300", "--seed", "1"])
@@ -257,4 +266,4 @@ class TestModuleEntryPoint:
         )
         assert completed.returncode == 0, completed.stderr
         assert out.exists()
-        assert out.read_text().startswith("# schema_version=1\n")
+        assert out.read_text().startswith(f"# schema_version={SCHEMA_VERSION}\n")

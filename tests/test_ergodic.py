@@ -2,7 +2,10 @@ import numpy as np
 import pytest
 from scipy.special import digamma as scipy_digamma
 
+import mimobc.channel as channel_module
+import mimobc.ergodic as ergodic_module
 from mimobc import (
+    ChannelRealization,
     CorrelationModel,
     DomainError,
     EULER_GAMMA,
@@ -23,6 +26,7 @@ from mimobc import (
     rate_loss_grid,
     sample_channel,
 )
+from mimobc.channel import _draw
 
 from conftest import random_hpd
 from reference_table import REFERENCE_RATE_LOSS
@@ -183,38 +187,49 @@ class TestMonteCarloRateLoss:
         assert first.trials == 2
 
     def test_matches_per_trial_scalar_path(self):
+        # two batches: the second is keyed on batch index 1
         profile = make_profile(4, [1, 2])
-        trials = 64
+        trials = ergodic_module._BATCH + 64
         estimate = monte_carlo_rate_loss(profile, None, trials=trials, seed=5)
-        scalar = np.array(
-            [
-                instantaneous_rate_loss(sample_channel(profile, None, derive_seed(5, t)))
-                for t in range(trials)
+        scalar = []
+        for batch, count in enumerate((ergodic_module._BATCH, 64)):
+            rng = np.random.Generator(np.random.Philox(key=derive_seed(5, batch)))
+            blocks = _draw(rng, profile, None, count)
+            scalar += [
+                instantaneous_rate_loss(
+                    ChannelRealization.from_blocks(profile, [b[t] for b in blocks])
+                )
+                for t in range(count)
             ]
-        )
         assert estimate.mean == pytest.approx(float(np.mean(scalar)), abs=1e-12)
+
+    def test_batch_spanning_run_is_deterministic_and_seeded(self):
+        profile = make_profile(5, [2, 2])
+        first = monte_carlo_rate_loss(profile, None, trials=2500, seed=8)
+        second = monte_carlo_rate_loss(profile, None, trials=2500, seed=8)
+        other = monte_carlo_rate_loss(profile, None, trials=2500, seed=9)
+        assert first == second
+        assert other.mean != first.mean
+        assert other.stderr != first.stderr
 
     def test_rejects_too_few_trials(self):
         with pytest.raises(ValidationError):
             monte_carlo_rate_loss(make_profile(4, [2, 2]), trials=1)
 
     def test_discards_are_counted_and_deterministic(self, monkeypatch):
-        import mimobc.ergodic as ergodic_module
-
         # tighten the conditioning gate until a few draws get redrawn
-        monkeypatch.setattr(ergodic_module, "COND_LIMIT", 3e4)
+        monkeypatch.setattr(channel_module, "COND_LIMIT", 3e4)
         profile = make_profile(2, [1, 1])
         first = monte_carlo_rate_loss(profile, None, trials=10_000, seed=3)
         second = monte_carlo_rate_loss(profile, None, trials=10_000, seed=3)
-        assert first.discarded == 3
+        assert first.discarded == 1
         assert first == second
         assert np.isfinite(first.mean)
 
     def test_exhausted_redraw_budget_raises(self, monkeypatch):
-        import mimobc.ergodic as ergodic_module
         from mimobc import NumericalRankError
 
-        monkeypatch.setattr(ergodic_module, "COND_LIMIT", 1.0)
+        monkeypatch.setattr(channel_module, "COND_LIMIT", 1.0)
         with pytest.raises(NumericalRankError, match="rank-deficient"):
             monte_carlo_rate_loss(make_profile(4, [2, 2]), trials=5000, seed=1)
 
