@@ -38,7 +38,6 @@ from .channel import (
 )
 from .ergodic import (
     EULER_GAMMA,
-    ErgodicClosedForm,
     MonteCarloEstimate,
     RateLossCell,
     default_trials,
@@ -47,8 +46,6 @@ from .ergodic import (
     ergodic_dpc_logdet,
     ergodic_rate_loss,
     ergodic_rate_loss_equal,
-    ergodic_rate_loss_single,
-    ergodic_summary,
     monte_carlo_rate_loss,
     power_offset_db,
     rate_loss_grid,
@@ -90,7 +87,6 @@ __all__ = [
     "DegeneracyError",
     "DomainError",
     "EULER_GAMMA",
-    "ErgodicClosedForm",
     "MacAsymptoticSolution",
     "MacCovarianceSet",
     "MimoBcError",
@@ -120,8 +116,6 @@ __all__ = [
     "ergodic_dpc_logdet",
     "ergodic_rate_loss",
     "ergodic_rate_loss_equal",
-    "ergodic_rate_loss_single",
-    "ergodic_summary",
     "exact_rate_report",
     "exact_user_rate",
     "exact_user_rate_gram_form",

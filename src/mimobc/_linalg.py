@@ -1,6 +1,8 @@
-"""Shared complex linear-algebra helpers."""
+"""Shared complex linear-algebra helpers and the finiteness checks on inputs."""
 
 from __future__ import annotations
+
+from math import inf
 
 import numpy as np
 from scipy.linalg.lapack import get_lapack_funcs
@@ -14,6 +16,22 @@ HERMITIAN_TOL = 1e-12
 
 #: Eigenvalues of a nominally PSD matrix may undershoot zero by this much.
 PSD_CLAMP = 1e-12
+
+
+def positive_finite(value, what: str) -> float:
+    """``value`` as a float; ValidationError unless it is positive and finite (not NaN)."""
+    value = float(value)
+    if not 0.0 < value < inf:
+        raise ValidationError(f"{what} must be positive and finite, got {value}")
+    return value
+
+
+def finite_matrix(a, what: str) -> np.ndarray:
+    """``a`` as a complex array; ValidationError if any entry is NaN or infinite."""
+    out = np.asarray(a, dtype=complex)
+    if not np.isfinite(out).all():
+        raise ValidationError(f"{what} has non-finite entries")
+    return out
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:

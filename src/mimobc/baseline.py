@@ -17,7 +17,7 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import hermitize, logdet2_hpd, solve_hpd
+from ._linalg import hermitize, logdet2_hpd, positive_finite, solve_hpd
 from .bc import bc_exact_user_rate, solve_bc
 from .channel import (
     ChannelRealization,
@@ -128,9 +128,8 @@ def dual_mac_sum_capacity(
     improves it at all); hitting ``max_iterations`` returns the best iterate
     flagged as non-converged.
     """
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
-    if tolerance <= 0:
+    total_power = positive_finite(total_power, "transmit power")
+    if not tolerance > 0:
         raise ValidationError(f"tolerance must be positive, got {tolerance}")
     if max_iterations < 1:
         raise ValidationError(f"need at least one iteration, got {max_iterations}")

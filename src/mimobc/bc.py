@@ -20,6 +20,7 @@ from ._linalg import (
     hermitize,
     logdet2_hpd,
     normalize_eigenvector_phases,
+    positive_finite,
     solve_hpd,
 )
 from .channel import ChannelRealization, block_index_range
@@ -67,8 +68,7 @@ def asymptotic_receiver(
     pseudo-inverse, which zero-forces all other users exactly.
     """
     _check_user(channel, user)
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
+    total_power = positive_finite(total_power, "transmit power")
     sl = block_index_range(channel.profile, user)
     scale = sqrt(channel.profile.total_antennas / total_power)
     return scale * channel.pseudo_inverse[sl, :]
@@ -134,8 +134,7 @@ def bc_precoder(
     precoder but a lower rate.
     """
     _check_user(channel, user)
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
+    total_power = positive_finite(total_power, "transmit power")
     _, directions, scales = _basis_directions_scales(channel, user, basis)
     return sqrt(total_power / channel.profile.total_antennas) * directions / scales
 
@@ -150,8 +149,7 @@ def bc_covariance(
     equals P_k P_k^H for every block-diagonalizing basis choice.
     """
     _check_user(channel, user)
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
+    total_power = positive_finite(total_power, "transmit power")
     sl = block_index_range(channel.profile, user)
     rows = channel.pseudo_inverse[sl, :]
     block = channel.gram_inverse_block(user)
@@ -205,7 +203,7 @@ def eigenbasis_optimality_check(
         raise ValidationError(f"need at least one trial, got {trials}")
     block = channel.gram_inverse_block(user)
     r_k = block.shape[0]
-    reference = logdet2_hpd(block)
+    reference = channel.inverse_block_logdet2[user]
     rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
     worst = float("inf")
     bases = [decorrelation_basis(channel, user)]
@@ -245,6 +243,7 @@ class BcSolution:
 
 def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
     """Build the full block-diagonalizing downlink solution for one channel."""
+    total_power = positive_finite(total_power, "transmit power")
     num_users = channel.profile.num_users
     bases = []
     scales = []
@@ -259,7 +258,7 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
         covariances.append(bc_covariance(channel, total_power, k))
     rates = tuple(bc_exact_user_rate(channel, precoders, k) for k in range(num_users))
     return BcSolution(
-        total_power=float(total_power),
+        total_power=total_power,
         precoders=tuple(precoders),
         bases=tuple(bases),
         column_scales=tuple(scales),

@@ -16,7 +16,15 @@ from math import isfinite
 
 import numpy as np
 
-from ._linalg import hermitian_sqrt, hermitize, is_hermitian, logdet2_hpd, solve_hpd
+from ._linalg import (
+    finite_matrix,
+    hermitian_sqrt,
+    hermitize,
+    is_hermitian,
+    logdet2_hpd,
+    positive_finite,
+    solve_hpd,
+)
 from .errors import ConfigurationError, NumericalRankError, ValidationError
 
 __all__ = [
@@ -78,23 +86,22 @@ class SystemProfile:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if not self.user_antennas:
+        antennas, weights = self.user_antennas, self.weights
+        if not antennas:
             raise ValidationError("at least one user is required")
-        if any(r < 1 for r in self.user_antennas):
-            raise ValidationError(f"antenna counts must be positive, got {self.user_antennas}")
+        if min(antennas) < 1:
+            raise ValidationError(f"antenna counts must be positive, got {antennas}")
         if self.base_antennas < 1:
             raise ValidationError(f"base antenna count must be positive, got {self.base_antennas}")
-        if len(self.weights) != len(self.user_antennas):
-            raise ValidationError(
-                f"{len(self.weights)} weights for {len(self.user_antennas)} users"
-            )
-        if not all(isfinite(w) for w in self.weights):
-            raise ValidationError(f"weights must be finite, got {self.weights}")
-        if any(w < 0 for w in self.weights):
-            raise ValidationError(f"weights must be nonnegative, got {self.weights}")
-        if not any(w > 0 for w in self.weights):
+        if len(weights) != len(antennas):
+            raise ValidationError(f"{len(weights)} weights for {len(antennas)} users")
+        if not all(map(isfinite, weights)):
+            raise ValidationError(f"weights must be finite, got {weights}")
+        if min(weights) < 0:
+            raise ValidationError(f"weights must be nonnegative, got {weights}")
+        if max(weights) <= 0:
             raise ValidationError("at least one weight must be positive")
-        total = sum(self.user_antennas)
+        total = sum(antennas)
         if self.base_antennas < total:
             raise ConfigurationError(
                 f"base station has {self.base_antennas} antennas but terminals "
@@ -122,10 +129,9 @@ def make_profile(
     weights=None,
 ) -> SystemProfile:
     """Validate and build a system profile; weights default to all ones."""
-    antennas = tuple(int(r) for r in user_antennas)
-    if weights is None:
-        weights = (1.0,) * len(antennas)
-    return SystemProfile(int(base_antennas), antennas, tuple(float(w) for w in weights))
+    antennas = tuple(map(int, user_antennas))
+    weights = (1.0,) * len(antennas) if weights is None else tuple(map(float, weights))
+    return SystemProfile(int(base_antennas), antennas, weights)
 
 
 def block_index_range(profile: SystemProfile, user: int) -> slice:
@@ -152,7 +158,7 @@ class CorrelationModel:
     def __post_init__(self) -> None:
         converted = []
         for k, block in enumerate(self.blocks):
-            c = np.asarray(block, dtype=complex)
+            c = finite_matrix(block, f"correlation block {k}")
             if c.ndim != 2 or c.shape[0] != c.shape[1]:
                 raise ValidationError(f"correlation block {k} is not square: shape {c.shape}")
             if not is_hermitian(c):
@@ -170,11 +176,9 @@ class CorrelationModel:
     @classmethod
     def scalar(cls, profile: SystemProfile, gains) -> "CorrelationModel":
         """Pure near-far model: C_k = c_k * I with positive per-user gains c_k."""
-        gains = tuple(float(g) for g in gains)
+        gains = tuple(positive_finite(g, f"path gain {k}") for k, g in enumerate(gains))
         if len(gains) != profile.num_users:
             raise ValidationError(f"{len(gains)} gains for {profile.num_users} users")
-        if any(g <= 0 for g in gains):
-            raise ValidationError(f"path gains must be positive, got {gains}")
         return cls(
             tuple(g * np.eye(r, dtype=complex) for g, r in zip(gains, profile.user_antennas))
         )
@@ -219,14 +223,12 @@ class ChannelRealization:
             )
         converted = []
         for k, (block, r_k) in enumerate(zip(self.blocks, self.profile.user_antennas)):
-            h = np.asarray(block, dtype=complex)
+            h = finite_matrix(block, f"channel block {k}")
             expected = (self.profile.base_antennas, r_k)
             if h.shape != expected:
                 raise ValidationError(
                     f"channel block {k} has shape {h.shape}, expected {expected}"
                 )
-            if not np.isfinite(h).all():
-                raise ValidationError(f"channel block {k} has non-finite entries")
             converted.append(_readonly(h))
         object.__setattr__(self, "blocks", tuple(converted))
 
@@ -287,6 +289,13 @@ class ChannelRealization:
         """User's diagonal block of the inverse Gram matrix."""
         sl = block_index_range(self.profile, user)
         return hermitize(self.gram_inverse[sl, sl])
+
+    @cached_property
+    def inverse_block_logdet2(self) -> tuple[float, ...]:
+        """log2-determinant of every user's diagonal block of the inverse Gram matrix."""
+        return tuple(
+            logdet2_hpd(self.gram_inverse_block(k)) for k in range(self.profile.num_users)
+        )
 
 
 def _draw(

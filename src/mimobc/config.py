@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -56,6 +57,11 @@ class ExperimentConfig:
     extra_profiles: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
+def _require_finite(name: str, *values: float) -> None:
+    if not all(map(isfinite, values)):
+        raise ConfigurationError(f"{name} must be finite, got {list(values)}")
+
+
 def parse_grid(spec) -> tuple[float, ...]:
     """Parse a power grid: 'start:step:stop' in dB, or an explicit list."""
     if isinstance(spec, str):
@@ -66,6 +72,7 @@ def parse_grid(spec) -> tuple[float, ...]:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigurationError(f"non-numeric grid spec {spec!r}") from exc
+        _require_finite("grid spec", start, step, stop)
         if step <= 0:
             raise ConfigurationError(f"grid step must be positive, got {step}")
         if stop < start:
@@ -78,6 +85,7 @@ def parse_grid(spec) -> tuple[float, ...]:
         raise ConfigurationError(f"grid must be a list of dB values or a string, got {spec!r}") from exc
     if not grid:
         raise ConfigurationError("power grid must not be empty")
+    _require_finite("power grid", *grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError(f"power grid must be strictly ascending, got {list(grid)}")
     return grid
@@ -140,6 +148,8 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    _require_finite("ptx_db", ptx_db)
+    _require_finite("tolerance", tolerance)
     if tolerance <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
     if max_iterations < 1:

@@ -10,6 +10,8 @@ estimators that validate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate, chain
+from math import fsum
 
 import numpy as np
 
@@ -18,15 +20,15 @@ from .channel import (
     CorrelationModel,
     SystemProfile,
     derive_seed,
+    make_profile,
     _draw,
     _well_conditioned,
 )
-from .errors import DomainError, NumericalRankError, ValidationError
+from .errors import ConfigurationError, DomainError, NumericalRankError, ValidationError
 from .mac import _batch_rate_loss
 
 __all__ = [
     "EULER_GAMMA",
-    "ErgodicClosedForm",
     "MonteCarloEstimate",
     "RateLossCell",
     "default_trials",
@@ -35,8 +37,6 @@ __all__ = [
     "ergodic_dpc_logdet",
     "ergodic_rate_loss",
     "ergodic_rate_loss_equal",
-    "ergodic_rate_loss_single",
-    "ergodic_summary",
     "monte_carlo_rate_loss",
     "power_offset_db",
     "rate_loss_grid",
@@ -54,14 +54,28 @@ _DISCARD_FRACTION = 1e-3
 _BATCH = 1024
 
 
+def _psi_sum(first: int, count: int) -> float:
+    """sum_{l<count} psi(first - l) for integers first >= count >= 1.
+
+    Each psi(n) is the harmonic prefix H_{n-1} less gamma.  Collecting the
+    weight of each 1/j over the count prefixes gives, with
+    low = first - count + 1, count H_{low-1} + sum_{j=low}^{first-1} (first - j)/j
+    - count gamma: positive terms rounded once each and summed exactly.
+    """
+    low = first - count + 1
+    terms = chain(
+        (count / j for j in range(1, low)),
+        ((first - j) / j for j in range(low, first)),
+        (-count * EULER_GAMMA,),
+    )
+    return fsum(terms)
+
+
 def digamma_int(n: int) -> float:
     """Digamma function at a positive integer: psi(n) = -gamma + sum_{j<n} 1/j."""
     if int(n) != n or n < 1:
         raise DomainError(f"digamma recursion needs a positive integer, got {n!r}")
-    total = -EULER_GAMMA
-    for j in range(1, int(n)):
-        total += 1.0 / j
-    return total
+    return _psi_sum(int(n), 1)
 
 
 def ergodic_dpc_logdet(
@@ -72,9 +86,7 @@ def ergodic_dpc_logdet(
     Equals (1/ln 2) sum_{l=0}^{r-1} psi(N - l) plus the log2-determinants of
     the per-user correlation blocks; correlations only shift the curve.
     """
-    n = profile.base_antennas
-    r = profile.total_antennas
-    total = sum(digamma_int(n - el) for el in range(r)) / LN2
+    total = _psi_sum(profile.base_antennas, profile.total_antennas) / LN2
     if correlation is not None:
         total += sum(correlation.block_logdet2(k) for k in range(profile.num_users))
     return total
@@ -89,32 +101,40 @@ def ergodic_block_logdet(
     freedom, giving -(1/ln 2) sum_{l=0}^{r_k-1} psi(N - r + r_k - l); the
     user's correlation block contributes -log2 |C_k|.
     """
-    n = profile.base_antennas
-    r = profile.total_antennas
     if not 0 <= user < profile.num_users:
         raise IndexError(f"user index {user} out of range for {profile.num_users} users")
     r_k = profile.user_antennas[user]
-    total = -sum(digamma_int(n - r + r_k - el) for el in range(r_k)) / LN2
+    first = profile.base_antennas - profile.total_antennas + r_k
+    total = -_psi_sum(first, r_k) / LN2
     if correlation is not None:
         total -= correlation.block_logdet2(user)
     return total
 
 
-def _rate_loss_closed_form(base_antennas: int, user_antennas) -> float:
-    total = sum(user_antennas)
-    loss = sum(digamma_int(base_antennas - el) for el in range(total))
-    for r_k in user_antennas:
-        loss -= sum(digamma_int(base_antennas - total + r_k - el) for el in range(r_k))
-    return loss / LN2
-
-
 def ergodic_rate_loss(profile: SystemProfile) -> float:
     """Expected rate loss of linear filtering below DPC, in bits.
 
-    Takes no correlation argument: path losses and antenna correlations
-    affect both strategies identically and cancel in the difference.
+    The Digamma difference E log|G| + sum_k E log|[G^-1]_kk| equals
+    (1/ln 2) sum_k sum_{i=1}^{r_k} sum_{j<o_k} 1/(N - r + i + j) with
+    o_k = r_1 + ... + r_{k-1}, because psi(a + o) - psi(a) = sum_{j<o} 1/(a + j).
+    Collecting the integer weight w(s) of each 1/(N - r + s) leaves r - 1
+    positive terms, summed exactly.  Takes no correlation argument: path
+    losses and antenna correlations affect both strategies identically and
+    cancel in the difference.
     """
-    return _rate_loss_closed_form(profile.base_antennas, profile.user_antennas)
+    base, r = profile.base_antennas, profile.total_antennas
+    # user k adds the trapezoid min(s, r_k, o_k, r_k + o_k - s) to w(s), whose
+    # second differences are +1, -1, -1, +1 at s = 0, r_k, o_k, r_k + o_k
+    kinks = [0] * (r + 1)
+    kinks[0] = profile.num_users
+    offset = 0
+    for r_k in profile.user_antennas:
+        kinks[r_k] -= 1
+        kinks[offset] -= 1
+        kinks[offset + r_k] += 1
+        offset += r_k
+    weights = accumulate(accumulate(kinks[: r - 1]))  # w(1), ..., w(r - 1)
+    return fsum([w / (base - r + s) for s, w in enumerate(weights, 1)]) / LN2
 
 
 def ergodic_rate_loss_equal(num_users: int, antennas_each: int, base_antennas: int) -> float:
@@ -141,11 +161,6 @@ def ergodic_rate_loss_equal(num_users: int, antennas_each: int, base_antennas: i
     return total / LN2
 
 
-def ergodic_rate_loss_single(num_users: int, base_antennas: int) -> float:
-    """Expected rate loss for K single-antenna users: (1/ln 2) sum_{l<K} l / (N - l)."""
-    return ergodic_rate_loss_equal(num_users, 1, base_antennas)
-
-
 def power_offset_db(rate_loss_bits: float, total_antennas: int) -> float:
     """Horizontal shift in dB between two parallel high-power rate curves.
 
@@ -155,27 +170,6 @@ def power_offset_db(rate_loss_bits: float, total_antennas: int) -> float:
     if total_antennas < 1:
         raise ValidationError(f"antenna total must be positive, got {total_antennas}")
     return rate_loss_bits / total_antennas * 10.0 * np.log10(2.0)
-
-
-@dataclass(frozen=True)
-class ErgodicClosedForm:
-    """Closed-form ergodic log-determinants and rate loss, all in bits."""
-
-    dpc_logdet_bits: float
-    block_logdet_bits: tuple[float, ...]
-    rate_loss_bits: float
-
-
-def ergodic_summary(
-    profile: SystemProfile, correlation: CorrelationModel | None = None
-) -> ErgodicClosedForm:
-    return ErgodicClosedForm(
-        dpc_logdet_bits=ergodic_dpc_logdet(profile, correlation),
-        block_logdet_bits=tuple(
-            ergodic_block_logdet(profile, correlation, k) for k in range(profile.num_users)
-        ),
-        rate_loss_bits=ergodic_rate_loss(profile),
-    )
 
 
 def default_trials(profile: SystemProfile, base: int = 10_000) -> int:
@@ -310,25 +304,20 @@ GRID_BASE_ANTENNAS: tuple[int, ...] = (2, 3, 4, 5, 6)
 def rate_loss_grid(extra_profiles=()) -> list[RateLossCell]:
     """Closed-form ergodic rate loss over the built-in grid of antenna profiles.
 
-    Equal-antenna rows go through the simplified equal-antenna expression;
-    all other rows use the general Digamma form.  Infeasible cells (more
-    terminal than base antennas) carry ``None``.  ``extra_profiles`` are
+    Every row is ``ergodic_rate_loss(make_profile(N, antennas))``; a row whose
+    profile has fewer base than terminal antennas carries ``None``, and any
+    other invalid profile raises.  ``extra_profiles`` are
     (user_antennas, base_antennas) pairs appended after the grid.
     """
-    cells: list[RateLossCell] = []
-    requested = [
-        (antennas, n) for antennas in GRID_PROFILES for n in GRID_BASE_ANTENNAS
-    ]
+    requested = [(antennas, n) for antennas in GRID_PROFILES for n in GRID_BASE_ANTENNAS]
     requested.extend(
         (tuple(int(r) for r in antennas), int(n)) for antennas, n in extra_profiles
     )
+    cells: list[RateLossCell] = []
     for antennas, n in requested:
-        if n < sum(antennas):
-            cells.append(RateLossCell(antennas, n, None))
-            continue
-        if len(set(antennas)) == 1:
-            value = ergodic_rate_loss_equal(len(antennas), antennas[0], n)
-        else:
-            value = _rate_loss_closed_form(n, antennas)
+        try:
+            value = ergodic_rate_loss(make_profile(n, antennas))
+        except ConfigurationError:  # more terminal than base antennas
+            value = None
         cells.append(RateLossCell(antennas, n, value))
     return cells

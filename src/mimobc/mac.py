@@ -13,7 +13,16 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import LN2, hermitian_sqrt, hermitize, is_hermitian, logdet2_hpd, solve_hpd
+from ._linalg import (
+    LN2,
+    finite_matrix,
+    hermitian_sqrt,
+    hermitize,
+    is_hermitian,
+    logdet2_hpd,
+    positive_finite,
+    solve_hpd,
+)
 from .channel import ChannelRealization, SystemProfile
 from .errors import ValidationError
 
@@ -51,6 +60,8 @@ class MacCovarianceSet:
         if len(self.covariances) != len(self.factors):
             raise ValidationError("covariance and factor counts differ")
         for k, (q, t) in enumerate(zip(self.covariances, self.factors)):
+            finite_matrix(q, f"covariance {k}")
+            finite_matrix(t, f"factor {k}")
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ValidationError(f"covariance {k} is not square: shape {q.shape}")
             if not is_hermitian(q, _PSD_TOL):
@@ -66,22 +77,20 @@ class MacCovarianceSet:
     @classmethod
     def from_covariances(cls, covariances) -> "MacCovarianceSet":
         """Build from Hermitian PSD covariances, factoring each via its principal root."""
-        covs = tuple(np.asarray(q, dtype=complex) for q in covariances)
+        covs = tuple(finite_matrix(q, f"covariance {k}") for k, q in enumerate(covariances))
         factors = tuple(hermitian_sqrt(q, f"covariance {k}") for k, q in enumerate(covs))
         return cls(covs, factors)
 
     @classmethod
     def from_factors(cls, factors) -> "MacCovarianceSet":
-        facs = tuple(np.asarray(t, dtype=complex) for t in factors)
+        facs = tuple(finite_matrix(t, f"factor {k}") for k, t in enumerate(factors))
         covs = tuple(hermitize(t @ t.conj().T) for t in facs)
         return cls(covs, facs)
 
     @classmethod
     def uniform(cls, profile: SystemProfile, total_power: float) -> "MacCovarianceSet":
         """Even split over all antennas: Q_k = (P / r) I for every user."""
-        if total_power < 0:
-            raise ValidationError("total power must be nonnegative")
-        level = total_power / profile.total_antennas
+        level = positive_finite(total_power, "transmit power") / profile.total_antennas
         covs = tuple(level * np.eye(r, dtype=complex) for r in profile.user_antennas)
         factors = tuple(np.sqrt(level) * np.eye(r, dtype=complex) for r in profile.user_antennas)
         return cls(covs, factors)
@@ -221,17 +230,14 @@ def asymptotic_user_rate(
     Returns r_k log2(power_level) - log2 |user block of (H^H H)^{-1}|.
     """
     _check_user(channel, user)
-    if power_level <= 0:
-        raise ValidationError(f"power level must be positive, got {power_level}")
-    block = channel.gram_inverse_block(user)
+    power_level = positive_finite(power_level, "power level")
     r_k = channel.profile.user_antennas[user]
-    return r_k * log2(power_level) - logdet2_hpd(block)
+    return r_k * log2(power_level) - channel.inverse_block_logdet2[user]
 
 
 def optimal_power_split(profile: SystemProfile, total_power: float) -> MacAsymptoticSolution:
     """Weight-proportional power levels that maximize the asymptotic weighted sum rate."""
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
+    total_power = positive_finite(total_power, "transmit power")
     denominator = sum(w * r for w, r in zip(profile.weights, profile.user_antennas))
     if denominator <= 0:
         raise ValidationError("all rate weights are zero")
@@ -255,8 +261,7 @@ def asymptotic_weighted_sum_rate(channel: ChannelRealization, total_power: float
 
 def dpc_asymptotic_sum_rate(channel: ChannelRealization, total_power: float) -> float:
     """High-power sum rate of dirty paper coding: the cooperating point-to-point limit."""
-    if total_power <= 0:
-        raise ValidationError(f"transmit power must be positive, got {total_power}")
+    total_power = positive_finite(total_power, "transmit power")
     r = channel.profile.total_antennas
     return r * log2(total_power) - r * log2(r) + channel.gram_logdet2
 
@@ -269,8 +274,8 @@ def instantaneous_rate_loss(channel: ChannelRealization) -> float:
     per-user channels are pairwise orthogonal.
     """
     total = channel.gram_logdet2
-    for k in range(channel.profile.num_users):
-        total += logdet2_hpd(channel.gram_inverse_block(k))
+    for value in channel.inverse_block_logdet2:
+        total += value
     return total
 
 

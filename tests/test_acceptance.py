@@ -58,7 +58,11 @@ def test_criterion_01_reference_table_reproduction():
 
 
 def test_criterion_02_special_case_algebra(checks):
-    """Equal-antenna form matches the general form; single-antenna form is exact."""
+    """The equal-antenna corollary matches the general form within 1e-12.
+
+    Covers up to four users of up to three antennas each and up to seven
+    single-antenna users, at every N from the antenna total to 14.
+    """
     assert_checks(checks, 2, "ergodic_special_cases")
 
 

@@ -246,6 +246,41 @@ class TestExitCodes:
         assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, payload, flags",
+        [
+            ("curves", {"N": 5, "antennas": [2, 2]}, ["--ptx-grid-db", "nan:5:40"]),
+            ("curves", {"N": 5, "antennas": [2, 2]}, ["--ptx-grid-db", "0:inf:40"]),
+            ("curves", {"N": 5, "antennas": [2, 2], "ptx_grid_db": [0, float("nan")]}, []),
+            ("curves", {"N": 5, "antennas": [2, 2], "ptx_grid_db": [0, float("inf")]}, []),
+            ("curves", {"N": 5, "antennas": [2, 2], "tolerance": float("nan")}, []),
+            ("rate-loss", {"N": 5, "antennas": [2, 2], "ptx_db": float("nan")}, []),
+            ("rate-loss", {"N": 5, "antennas": [2, 2], "ptx_db": float("inf")}, []),
+            ("rate-loss", {"N": 5, "antennas": [2, 2], "ptx_db": float("-inf")}, []),
+        ],
+        ids=[
+            "grid-spec-nan", "grid-step-inf", "grid-list-nan", "grid-list-inf",
+            "tolerance-nan", "ptx-db-nan", "ptx-db-inf", "ptx-db-minus-inf",
+        ],
+    )
+    def test_non_finite_config_value(self, tmp_path, kind, payload, flags):
+        config = write_config(tmp_path / "c.json", payload)
+        with pytest.raises(ConfigurationError, match="finite"):
+            load_config(kind, config, {"ptx_grid_db": flags[1] if flags else None})
+        out = tmp_path / "x.csv"
+        argv = [kind, "--config", config, "--trials", "2", "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("antennas", [[0, 2], [-1, 3], []])
+    def test_invalid_extra_profile(self, tmp_path, antennas):
+        config = write_config(
+            tmp_path / "c.json", {"extra_profiles": [{"N": 5, "antennas": antennas}]}
+        )
+        out = tmp_path / "x.csv"
+        assert main(["table1", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):
         def fail(channel):
             raise np.linalg.LinAlgError("Matrix is not positive definite")

@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy.special import digamma as scipy_digamma
@@ -17,8 +18,6 @@ from mimobc import (
     ergodic_dpc_logdet,
     ergodic_rate_loss,
     ergodic_rate_loss_equal,
-    ergodic_rate_loss_single,
-    ergodic_summary,
     instantaneous_rate_loss,
     make_profile,
     monte_carlo_rate_loss,
@@ -32,6 +31,26 @@ from conftest import random_hpd
 from reference_table import REFERENCE_RATE_LOSS
 
 LN2 = np.log(2.0)
+
+#: 30-digit mpmath context for the Digamma references.
+MP = mpmath.MPContext()
+MP.dps = 30
+
+
+def mp_psi_sum(first, count):
+    """sum_{l<count} psi(first - l) at 30 digits."""
+    return MP.fsum(MP.digamma(first - el) for el in range(count))
+
+
+def mp_rate_loss(base, antennas):
+    """The Digamma difference E log2|G| + sum_k E log2|[G^-1]_kk| at 30 digits."""
+    r = sum(antennas)
+    total = mp_psi_sum(base, r) - MP.fsum(mp_psi_sum(base - r + r_k, r_k) for r_k in antennas)
+    return total / MP.log(2)
+
+
+def relative_error(value, reference):
+    return float(abs((value - reference) / reference))
 
 
 def sampled_gram_logdet2(profile, correlation, trials, seed):
@@ -72,6 +91,10 @@ class TestDigamma:
         for n in range(1, 80):
             assert digamma_int(n) == pytest.approx(float(scipy_digamma(n)), abs=1e-12)
 
+    def test_matches_30_digit_digamma(self):
+        for n in (1, 2, 3, 10, 100, 1000, 12345):
+            assert relative_error(digamma_int(n), MP.digamma(n)) <= 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma_int(0)
@@ -97,6 +120,12 @@ class TestErgodicDpcLogdet:
         mean, stderr = sampled_gram_logdet2(profile, None, 10_000, seed=2)
         assert abs(mean - ergodic_dpc_logdet(profile)) < 3 * stderr
 
+    @pytest.mark.parametrize("antennas, base", [((1, 2), 10**6), ((4,) * 16, 80), ((1,) * 64, 64)])
+    def test_matches_30_digit_digamma_sum(self, antennas, base):
+        profile = make_profile(base, antennas)
+        reference = mp_psi_sum(base, sum(antennas)) / MP.log(2)
+        assert relative_error(ergodic_dpc_logdet(profile), reference) <= 1e-13
+
 
 class TestErgodicBlockLogdet:
     def test_single_user_is_negated_dpc_logdet(self):
@@ -118,6 +147,15 @@ class TestErgodicBlockLogdet:
         for user, (mean, stderr) in enumerate(estimates):
             assert abs(mean - ergodic_block_logdet(profile, None, user)) < 3 * stderr
 
+    @pytest.mark.parametrize("antennas, base", [((1, 2), 10**6), ((4,) * 16, 80), ((1,) * 64, 64)])
+    def test_matches_30_digit_digamma_sum(self, antennas, base):
+        profile = make_profile(base, antennas)
+        r = sum(antennas)
+        for user, r_k in enumerate(antennas):
+            reference = -mp_psi_sum(base - r + r_k, r_k) / MP.log(2)
+            value = ergodic_block_logdet(profile, None, user)
+            assert relative_error(value, reference) <= 1e-13
+
 
 class TestErgodicRateLoss:
     def test_reference_two_user_values(self):
@@ -128,12 +166,35 @@ class TestErgodicRateLoss:
     def test_takes_no_correlation_argument(self):
         profile = make_profile(5, [2, 2])
         correlation = CorrelationModel.scalar(profile, [1.0, 2.0])
-        with_corr = ergodic_summary(profile, correlation)
-        without = ergodic_summary(profile, None)
-        assert with_corr.rate_loss_bits == without.rate_loss_bits
         # the correlation terms cancel between the DPC and linear parts
-        loss_from_parts = with_corr.dpc_logdet_bits + sum(with_corr.block_logdet_bits)
-        assert loss_from_parts == pytest.approx(with_corr.rate_loss_bits, abs=1e-9)
+        loss_from_parts = ergodic_dpc_logdet(profile, correlation) + sum(
+            ergodic_block_logdet(profile, correlation, k) for k in range(profile.num_users)
+        )
+        assert loss_from_parts == pytest.approx(ergodic_rate_loss(profile), abs=1e-9)
+
+    @pytest.mark.parametrize(
+        "antennas, base",
+        [
+            ((1, 2), 10**5),
+            ((1, 2), 10**6),
+            ((2, 2), 10**6),
+            ((3, 5, 7, 2), 300),
+            ((1,) * 256, 256),
+            ((4,) * 64, 256),
+            ((3, 2, 1), 6),
+        ],
+    )
+    def test_matches_30_digit_digamma_form(self, antennas, base):
+        value = ergodic_rate_loss(make_profile(base, antennas))
+        assert relative_error(value, mp_rate_loss(base, antennas)) <= 1e-14
+
+    def test_single_user_loses_nothing(self):
+        assert ergodic_rate_loss(make_profile(9, [4])) == 0.0
+        assert ergodic_rate_loss(make_profile(1, [1])) == 0.0
+
+    def test_user_order_does_not_matter(self):
+        forward = ergodic_rate_loss(make_profile(12, [1, 2, 3, 4]))
+        assert ergodic_rate_loss(make_profile(12, [4, 3, 2, 1])) == forward
 
 
 class TestEqualAntennaForm:
@@ -151,19 +212,25 @@ class TestEqualAntennaForm:
 
 
 class TestSingleAntennaForm:
+    """The equal-antenna form at one antenna each: (1/ln 2) sum_{l<K} l / (N - l)."""
+
     def test_reference_values(self):
-        assert ergodic_rate_loss_single(2, 2) == pytest.approx(1.0 / LN2, abs=1e-12)
-        assert ergodic_rate_loss_single(2, 2) == pytest.approx(1.443, abs=5e-4)
-        assert ergodic_rate_loss_single(6, 6) == pytest.approx(12.551, abs=5e-4)
-        assert ergodic_rate_loss_single(2, 101) == pytest.approx(0.01 / LN2, abs=1e-12)
-        assert ergodic_rate_loss_single(2, 101) == pytest.approx(0.014427, abs=1e-6)
+        for single in (
+            lambda k, n: ergodic_rate_loss_equal(k, 1, n),
+            lambda k, n: ergodic_rate_loss(make_profile(n, [1] * k)),
+        ):
+            assert single(2, 2) == pytest.approx(1.0 / LN2, abs=1e-12)
+            assert single(2, 2) == pytest.approx(1.443, abs=5e-4)
+            assert single(6, 6) == pytest.approx(12.551, abs=5e-4)
+            assert single(2, 101) == pytest.approx(0.01 / LN2, abs=1e-12)
+            assert single(2, 101) == pytest.approx(0.014427, abs=1e-6)
 
     def test_exactly_equals_equal_antenna_form(self, checks):
         assert checks["ergodic_special_cases"].passed
 
     def test_domain(self):
         with pytest.raises(DomainError):
-            ergodic_rate_loss_single(3, 2)
+            ergodic_rate_loss_equal(3, 1, 2)
 
 
 class TestMonteCarloRateLoss:
@@ -270,12 +337,22 @@ class TestRateLossGrid:
                 assert cell.rate_loss_bits is not None
 
     def test_extra_profiles_are_appended(self):
-        cells = rate_loss_grid(extra_profiles=[((2, 2, 2), 8)])
-        assert cells[-1].user_antennas == (2, 2, 2)
-        assert cells[-1].base_antennas == 8
-        assert cells[-1].rate_loss_bits == pytest.approx(
-            ergodic_rate_loss(make_profile(8, [2, 2, 2]))
-        )
+        cells = rate_loss_grid(extra_profiles=[((2, 2, 2), 8), ((1, 2), 10**6)])
+        assert cells[-2].user_antennas == (2, 2, 2)
+        assert cells[-2].base_antennas == 8
+        assert cells[-2].rate_loss_bits == ergodic_rate_loss(make_profile(8, [2, 2, 2]))
+        assert cells[-1].rate_loss_bits == ergodic_rate_loss(make_profile(10**6, [1, 2]))
+
+    def test_every_row_is_the_general_form(self):
+        for cell in rate_loss_grid():
+            if cell.rate_loss_bits is not None:
+                profile = make_profile(cell.base_antennas, cell.user_antennas)
+                assert cell.rate_loss_bits == ergodic_rate_loss(profile)
+
+    @pytest.mark.parametrize("antennas", [(0, 2), (-1, 3), ()])
+    def test_invalid_extra_profile_raises(self, antennas):
+        with pytest.raises(ValidationError):
+            rate_loss_grid(extra_profiles=[(antennas, 5)])
 
     def test_strictly_decreasing_in_base_antennas(self, checks):
         assert checks["ergodic_monotonic_in_base_antennas"].passed
