@@ -26,6 +26,14 @@ def positive_finite(value, what: str) -> float:
     return value
 
 
+def power_from_db(db: float) -> float:
+    """Linear power 10^(db / 10); ``inf`` where the float range overflows."""
+    try:
+        return 10.0 ** (float(db) / 10.0)
+    except OverflowError:
+        return inf
+
+
 def finite_matrix(a, what: str) -> np.ndarray:
     """``a`` as a complex array; ValidationError if any entry is NaN or infinite."""
     out = np.asarray(a, dtype=complex)
@@ -74,8 +82,16 @@ def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal potrf")
+    return solve_cholesky(factor, b, lower=False)
+
+
+def solve_cholesky(factor: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
+    """Solve A X = B from a Cholesky factor of A: L with A = L L^H, or U with A = U^H U.
+
+    LAPACK ``potrs``, which reads only the factor's own triangle.
+    """
     (potrs,) = get_lapack_funcs(("potrs",), (factor, b))
-    x, info = potrs(factor, b, lower=False, overwrite_b=False)
+    x, info = potrs(factor, b, lower=lower, overwrite_b=False)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal potrs")
     return x

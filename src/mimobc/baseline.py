@@ -17,7 +17,7 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import hermitize, logdet2_hpd, positive_finite, solve_hpd
+from ._linalg import hermitize, logdet2_hpd, positive_finite, power_from_db, solve_hpd
 from .bc import bc_exact_user_rate, solve_bc
 from .channel import (
     ChannelRealization,
@@ -254,7 +254,7 @@ def generate_curves(
         ergodic_block_logdet(profile, correlation, k) for k in range(profile.num_users)
     )
 
-    powers = [10.0 ** (p / 10.0) for p in grid]
+    powers = [power_from_db(p) for p in grid]
     dpc_values = np.zeros((len(grid), trials))
     linear_values = np.zeros((len(grid), trials))
     nonconverged = [0] * len(grid)

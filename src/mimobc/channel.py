@@ -13,17 +13,19 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from math import isfinite
+from typing import NamedTuple
 
 import numpy as np
 
 from ._linalg import (
+    LN2,
     finite_matrix,
     hermitian_sqrt,
     hermitize,
     is_hermitian,
     logdet2_hpd,
     positive_finite,
-    solve_hpd,
+    solve_cholesky,
 )
 from .errors import ConfigurationError, NumericalRankError, ValidationError
 
@@ -52,6 +54,104 @@ def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
     """
     smallest = eigenvalues[..., 0]
     return (smallest > 0.0) & (eigenvalues[..., -1] <= COND_LIMIT * smallest)
+
+
+#: A Gram matrix with tr(G) tr(G^-1) at most this fraction of ``COND_LIMIT`` is
+#: full rank without its eigenvalues: the product bounds the condition number
+#: from above, and the margin absorbs the rounding of tr(G^-1).
+_TRACE_MARGIN = 1e-3
+
+#: Full-rank draws with tr(G) tr(G^-1) above this many times r are factored from
+#: a QR of the channel instead: the Cholesky factor of G = H^H H carries an error
+#: of about cond(G) eps, the QR factor of H one of about cond(H) eps, the square
+#: root of that.
+_QR_BOUND = 1e3
+
+
+class GramFactors(NamedTuple):
+    """One triangular factorization G = L L^H per Gram matrix of a stack, and its products.
+
+    ``full_rank`` covers the whole stack; the other fields hold the full-rank
+    draws only, in stack order.
+    """
+
+    full_rank: np.ndarray  # (B,) bool
+    chol: np.ndarray  # (A, r, r) lower-triangular L with L L^H = G
+    inv_chol: np.ndarray  # (A, r, r) L^-1
+    logdet2: np.ndarray  # (A,) log2|G|
+    block_logdet2: np.ndarray  # (A, K) log2|[G^-1]_kk| per user k
+
+    @property
+    def inverse(self) -> np.ndarray:
+        """G^-1 = L^-H L^-1."""
+        return self.inv_chol.conj().swapaxes(-1, -2) @ self.inv_chol
+
+    @property
+    def rate_loss(self) -> np.ndarray:
+        """log2|G| + sum_k log2|[G^-1]_kk|, the rate loss of linear filtering, per draw."""
+        loss = self.logdet2
+        for k in range(self.block_logdet2.shape[1]):
+            loss = loss + self.block_logdet2[:, k]
+        return loss
+
+
+def _log2_diagonal(factor: np.ndarray) -> np.ndarray:
+    """log2|R^H R| from a stack of triangular factors R (or their adjoints)."""
+    return 2.0 * np.log(np.abs(np.diagonal(factor, axis1=-2, axis2=-1))).sum(axis=-1) / LN2
+
+
+def _squared_norm(a: np.ndarray) -> np.ndarray:
+    """Squared Frobenius norm of each matrix of a contiguous complex stack."""
+    return np.square(a.view(np.float64)).sum(axis=(-2, -1))
+
+
+def _factor_grams(
+    channels: np.ndarray, grams: np.ndarray, profile: "SystemProfile"
+) -> GramFactors:
+    """Screen a stack of Gram matrices G = H^H H and factor its full-rank draws.
+
+    ``channels`` is the ``(B, N, r)`` stack of composite channels H and
+    ``grams`` their Hermitian Gram matrices.  The rank rule is
+    ``_well_conditioned`` on the eigenvalues of G.  One Cholesky factor L per
+    draw gives tr(G) tr(G^-1) = ||L||_F^2 ||L^-1||_F^2, an upper bound on
+    lambda_max / lambda_min, so a draw whose product is at most
+    ``_TRACE_MARGIN * COND_LIMIT`` is accepted at once; ``eigvalsh`` decides
+    the rest, and the whole stack when a Cholesky fails (numpy then raises for
+    the entire stack).  A full-rank draw whose product exceeds ``_QR_BOUND * r``
+    takes L = R^H from a QR of H instead.  User k's block [G^-1]_kk = C^H C,
+    with C the user's columns of L^-1; the blocks of one size are factored by
+    one batched Cholesky, or by QRs of C on the draws that took a QR.
+    """
+    try:
+        chol = np.linalg.cholesky(grams)
+        full_rank = None
+    except np.linalg.LinAlgError:
+        full_rank = _well_conditioned(np.linalg.eigvalsh(grams))
+        channels, grams = channels[full_rank], grams[full_rank]
+        chol = np.linalg.cholesky(grams)
+    inv_chol = np.linalg.inv(chol)
+    bound = _squared_norm(chol) * _squared_norm(inv_chol)
+    if full_rank is None:
+        full_rank = bound <= _TRACE_MARGIN * COND_LIMIT
+        if not full_rank.all():
+            unsure = np.flatnonzero(~full_rank)
+            full_rank[unsure] = _well_conditioned(np.linalg.eigvalsh(grams[unsure]))
+            channels, chol, inv_chol = channels[full_rank], chol[full_rank], inv_chol[full_rank]
+            bound = bound[full_rank]
+    exact = np.flatnonzero(bound > _QR_BOUND * profile.total_antennas)
+    if exact.size:
+        chol[exact] = np.linalg.qr(channels[exact], mode="r").conj().swapaxes(-1, -2)
+        inv_chol[exact] = np.linalg.inv(chol[exact])
+    block_logdet2 = np.empty((len(chol), profile.num_users))
+    for users, rows in profile._blocks_by_size:
+        columns = inv_chol[:, :, rows].transpose(0, 2, 1, 3)  # (A, m, r, r_k)
+        blocks = columns.conj().swapaxes(-1, -2) @ columns
+        block_logdet2[:, users] = _log2_diagonal(np.linalg.cholesky(blocks))
+        if exact.size:
+            block_logdet2[np.ix_(exact, users)] = _log2_diagonal(
+                np.linalg.qr(columns[exact], mode="r")
+            )
+    return GramFactors(full_rank, chol, inv_chol, _log2_diagonal(chol), block_logdet2)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -121,6 +221,18 @@ class SystemProfile:
     def block_slices(self) -> tuple[slice, ...]:
         edges = np.concatenate(([0], np.cumsum(self.user_antennas)))
         return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+
+    @cached_property
+    def _blocks_by_size(self) -> tuple[tuple[list[int], np.ndarray], ...]:
+        """Users grouped by antenna count, each group with its ``(m, r_k)`` row indices."""
+        groups: dict[int, list[int]] = {}
+        for k, r_k in enumerate(self.user_antennas):
+            groups.setdefault(r_k, []).append(k)
+        slices = self.block_slices
+        return tuple(
+            (users, np.array([np.arange(slices[k].start, slices[k].stop) for k in users]))
+            for users in groups.values()
+        )
 
 
 def make_profile(
@@ -248,6 +360,11 @@ class ChannelRealization:
         return _readonly(hermitize(h.conj().T @ h))
 
     @cached_property
+    def _gram_factors(self) -> GramFactors:
+        """The rate-loss kernel ``_factor_grams`` on this Gram matrix, a stack of one."""
+        return _factor_grams(self.composite[None], self.gram[None], self.profile)
+
+    @cached_property
     def gram_eigenvalues(self) -> np.ndarray:
         """Ascending eigenvalues of the Gram matrix."""
         return _readonly(np.linalg.eigvalsh(self.gram))
@@ -260,8 +377,8 @@ class ChannelRealization:
         return float(self.gram_eigenvalues[-1]) / smallest
 
     def require_full_rank(self) -> None:
-        """Raise unless the Gram matrix is numerically invertible."""
-        if not _well_conditioned(self.gram_eigenvalues):
+        """Raise unless the Gram matrix is numerically invertible (``_well_conditioned``)."""
+        if not self._gram_factors.full_rank[0]:
             raise NumericalRankError(
                 f"Gram matrix condition number {self.gram_condition:.3e} "
                 f"exceeds limit {COND_LIMIT:.0e}"
@@ -271,19 +388,18 @@ class ChannelRealization:
     def gram_logdet2(self) -> float:
         """log2-determinant of the Gram matrix."""
         self.require_full_rank()
-        return logdet2_hpd(self.gram)
+        return float(self._gram_factors.logdet2[0])
 
     @cached_property
     def gram_inverse(self) -> np.ndarray:
         self.require_full_rank()
-        eye = np.eye(self.profile.total_antennas, dtype=complex)
-        return _readonly(hermitize(solve_hpd(self.gram, eye)))
+        return _readonly(hermitize(self._gram_factors.inverse[0]))
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
-        """Left pseudo-inverse (H^H H)^{-1} H^H via Cholesky solve (valid since N >= r)."""
+        """Left pseudo-inverse (H^H H)^{-1} H^H from the Gram's factor L (valid since N >= r)."""
         self.require_full_rank()
-        return _readonly(solve_hpd(self.gram, self.composite.conj().T))
+        return _readonly(solve_cholesky(self._gram_factors.chol[0], self.composite.conj().T))
 
     def gram_inverse_block(self, user: int) -> np.ndarray:
         """User's diagonal block of the inverse Gram matrix."""
@@ -293,9 +409,8 @@ class ChannelRealization:
     @cached_property
     def inverse_block_logdet2(self) -> tuple[float, ...]:
         """log2-determinant of every user's diagonal block of the inverse Gram matrix."""
-        return tuple(
-            logdet2_hpd(self.gram_inverse_block(k)) for k in range(self.profile.num_users)
-        )
+        self.require_full_rank()
+        return tuple(self._gram_factors.block_logdet2[0].tolist())
 
 
 def _draw(
@@ -303,16 +418,19 @@ def _draw(
 ) -> list[np.ndarray]:
     """Draw ``count`` channels from ``rng`` as per-user ``(count, N, r_k)`` stacks.
 
-    User by user, one ``(count, 2, N, r_k)`` block of standard normals gives
-    the real and then the imaginary parts of ``count`` raw matrices (unit
-    variance per complex entry), which are right-multiplied by the user's
-    correlation root.  With ``count == 1`` this is the stream of
-    ``sample_channel``.
+    One call draws every standard normal; split in user order, user k's
+    ``(count, 2, N, r_k)`` block gives the real and then the imaginary parts
+    of ``count`` raw matrices (unit variance per complex entry), which are
+    right-multiplied by the user's correlation root.  With ``count == 1``
+    this is the stream of ``sample_channel``.
     """
     n = profile.base_antennas
+    normals = rng.standard_normal(count * 2 * n * profile.total_antennas)
     blocks = []
+    end = 0
     for k, r_k in enumerate(profile.user_antennas):
-        parts = rng.standard_normal((count, 2, n, r_k))
+        start, end = end, end + count * 2 * n * r_k
+        parts = normals[start:end].reshape(count, 2, n, r_k)
         raw = (parts[:, 0] + 1j * parts[:, 1]) * np.sqrt(0.5)
         if sqrt_blocks is not None:
             raw = (raw.reshape(count * n, r_k) @ sqrt_blocks[k]).reshape(count, n, r_k)

@@ -17,6 +17,7 @@ import sys
 
 import numpy as np
 
+from ._linalg import power_from_db
 from .baseline import generate_curves
 from .channel import derive_seed, make_profile, sample_channel
 from .config import (
@@ -115,7 +116,7 @@ def _run_table1(config: ExperimentConfig) -> int:
 def _run_rate_loss(config: ExperimentConfig) -> int:
     profile = build_profile(config)
     correlation = build_correlation(config, profile)
-    reference_power = 10.0 ** (config.ptx_db / 10.0)
+    reference_power = power_from_db(config.ptx_db)
     header = ["trial", "seed", "status", "rate_loss_bits"]
     header += [f"asym_rate_user{k + 1}" for k in range(profile.num_users)]
     header += ["dpc_asymptote_bits"]

@@ -12,8 +12,9 @@ from math import isfinite
 
 import numpy as np
 
+from ._linalg import positive_finite, power_from_db
 from .channel import CorrelationModel, SystemProfile, make_profile
-from .errors import ConfigurationError
+from .errors import ConfigurationError, ValidationError
 
 SCHEMA_VERSION = "2"
 
@@ -62,6 +63,15 @@ def _require_finite(name: str, *values: float) -> None:
         raise ConfigurationError(f"{name} must be finite, got {list(values)}")
 
 
+def _require_power_db(name: str, *values: float) -> None:
+    """ConfigurationError unless every dB value is a positive finite linear power."""
+    for db in values:
+        try:
+            positive_finite(power_from_db(db), f"{name} {db} dB as a linear power")
+        except ValidationError as exc:
+            raise ConfigurationError(str(exc)) from exc
+
+
 def parse_grid(spec) -> tuple[float, ...]:
     """Parse a power grid: 'start:step:stop' in dB, or an explicit list."""
     if isinstance(spec, str):
@@ -78,14 +88,17 @@ def parse_grid(spec) -> tuple[float, ...]:
         if stop < start:
             raise ConfigurationError(f"grid stop {stop} below start {start}")
         count = int(np.floor((stop - start) / step + 1e-9)) + 1
-        return tuple(start + i * step for i in range(count))
-    try:
-        grid = tuple(float(p) for p in spec)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"grid must be a list of dB values or a string, got {spec!r}") from exc
-    if not grid:
-        raise ConfigurationError("power grid must not be empty")
-    _require_finite("power grid", *grid)
+        grid = tuple(start + i * step for i in range(count))
+    else:
+        try:
+            grid = tuple(float(p) for p in spec)
+        except (TypeError, ValueError) as exc:
+            raise ConfigurationError(
+                f"grid must be a list of dB values or a string, got {spec!r}"
+            ) from exc
+        if not grid:
+            raise ConfigurationError("power grid must not be empty")
+    _require_power_db("grid point", *grid)
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ConfigurationError(f"power grid must be strictly ascending, got {list(grid)}")
     return grid
@@ -148,7 +161,7 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
     if seed < 0:
         raise ConfigurationError(f"seed must be nonnegative, got {seed}")
-    _require_finite("ptx_db", ptx_db)
+    _require_power_db("ptx_db", ptx_db)
     _require_finite("tolerance", tolerance)
     if tolerance <= 0:
         raise ConfigurationError(f"tolerance must be positive, got {tolerance}")

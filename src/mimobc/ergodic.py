@@ -15,14 +15,13 @@ from math import fsum
 
 import numpy as np
 
-from ._linalg import LN2, hermitize
+from ._linalg import LN2
 from .channel import (
     CorrelationModel,
     SystemProfile,
     derive_seed,
     make_profile,
     _draw,
-    _well_conditioned,
 )
 from .errors import ConfigurationError, DomainError, NumericalRankError, ValidationError
 from .mac import _batch_rate_loss
@@ -209,8 +208,9 @@ def monte_carlo_rate_loss(
     Trials run in batches of ``_BATCH``: batch b draws its whole stack of
     channels from one Philox stream keyed ``derive_seed(seed, b)``, so the
     estimate is reproducible and does not depend on the order in which
-    batches are evaluated; values are accumulated in trial order.  Draws
-    whose Gram matrix is numerically rank deficient are redrawn, one at a
+    batches are evaluated; values are accumulated in trial order.  Each stack,
+    and each redraw, is screened for numerical rank and evaluated by one call
+    of the rate-loss kernel.  Rank-deficient draws are redrawn, one at a
     time in trial order, from a single reserve Philox stream keyed
     ``derive_seed(seed, number_of_batches)``, capped at 0.1% of the trial
     count.
@@ -238,8 +238,11 @@ def monte_carlo_rate_loss(
         start = batch * _BATCH
         count = min(_BATCH, trials - start)
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, batch)))
-        grams = _grams(_draw(rng, profile, roots, count))
-        for i in np.nonzero(~_well_conditioned(np.linalg.eigvalsh(grams)))[0]:
+        channels = np.concatenate(_draw(rng, profile, roots, count), axis=-1)
+        full_rank, loss = _batch_rate_loss(channels, profile)
+        batch_values = values[start : start + count]
+        batch_values[full_rank] = loss
+        for i in np.flatnonzero(~full_rank):
             if reserve is None:
                 reserve = np.random.Generator(np.random.Philox(key=derive_seed(seed, batches)))
             while True:
@@ -249,21 +252,15 @@ def monte_carlo_rate_loss(
                         f"more than {max_discards} rank-deficient draws in "
                         f"{trials} trials"
                     )
-                gram = _grams(_draw(reserve, profile, roots, 1))
-                if _well_conditioned(np.linalg.eigvalsh(gram))[0]:
-                    grams[i] = gram[0]
+                channels = np.concatenate(_draw(reserve, profile, roots, 1), axis=-1)
+                redrawn, loss = _batch_rate_loss(channels, profile)
+                if redrawn[0]:
+                    batch_values[i] = loss[0]
                     break
-        values[start : start + count] = _batch_rate_loss(grams, profile)
 
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(trials))
     return MonteCarloEstimate(mean, stderr, trials, int(seed), discarded)
-
-
-def _grams(blocks: list[np.ndarray]) -> np.ndarray:
-    """Hermitian Gram matrices of a stack of composite channels given per user."""
-    stack = np.concatenate(blocks, axis=-1)
-    return hermitize(stack.conj().swapaxes(-1, -2) @ stack)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,6 @@ from math import log2
 import numpy as np
 
 from ._linalg import (
-    LN2,
     finite_matrix,
     hermitian_sqrt,
     hermitize,
@@ -23,7 +22,7 @@ from ._linalg import (
     positive_finite,
     solve_hpd,
 )
-from .channel import ChannelRealization, SystemProfile
+from .channel import ChannelRealization, SystemProfile, _factor_grams
 from .errors import ValidationError
 
 __all__ = [
@@ -273,10 +272,8 @@ def instantaneous_rate_loss(channel: ChannelRealization) -> float:
     nonnegative by a block Hadamard inequality and zero exactly when the
     per-user channels are pairwise orthogonal.
     """
-    total = channel.gram_logdet2
-    for value in channel.inverse_block_logdet2:
-        total += value
-    return total
+    channel.require_full_rank()
+    return float(channel._gram_factors.rate_loss[0])
 
 
 def exact_rate_report(
@@ -299,18 +296,16 @@ def asymptotic_rate_report(channel: ChannelRealization, total_power: float) -> R
     return RateReport(rates, profile.weights, asymptotic=True)
 
 
-def _batch_rate_loss(grams: np.ndarray, profile: SystemProfile) -> np.ndarray:
-    """Vectorized rate loss over a stack of Gram matrices.
+def _batch_rate_loss(
+    channels: np.ndarray, profile: SystemProfile
+) -> tuple[np.ndarray, np.ndarray]:
+    """Rate loss over a ``(B, N, r)`` stack of composite channels, screened for numerical rank.
 
-    The caller guarantees every matrix in the stack is well conditioned;
-    used by the Monte Carlo estimators.
+    Returns the stack's full-rank mask and, for its full-rank draws in stack
+    order, log2|G| + sum_k log2|[G^-1]_kk| with G = H^H H, both from one call
+    of the rate-loss kernel ``channel._factor_grams``; rank-deficient draws
+    get no value.  The entry point of the Monte Carlo estimators.
     """
-    _, logabs = np.linalg.slogdet(grams)
-    loss = logabs / LN2
-    inverse = np.linalg.inv(grams)
-    for sl in profile.block_slices:
-        block = inverse[:, sl, sl]
-        block = 0.5 * (block + block.conj().swapaxes(-1, -2))
-        _, block_logabs = np.linalg.slogdet(block)
-        loss = loss + block_logabs / LN2
-    return loss
+    grams = hermitize(channels.conj().swapaxes(-1, -2) @ channels)
+    factors = _factor_grams(channels, grams, profile)
+    return factors.full_rank, factors.rate_loss

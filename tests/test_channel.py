@@ -1,20 +1,54 @@
+import csv
+
+import mpmath as mp
 import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import mimobc.channel as channel_module
 from mimobc import (
     ChannelRealization,
     ConfigurationError,
     CorrelationModel,
+    NumericalRankError,
     ValidationError,
     block_index_range,
     derive_seed,
     make_profile,
     sample_channel,
 )
-from mimobc.channel import _draw
+from mimobc._linalg import haar_unitary, hermitize
+from mimobc.channel import _draw, _factor_grams, _well_conditioned
+from mimobc.cli import main
 
 from conftest import random_hpd
+
+
+def per_user_draw(rng, profile, sqrt_blocks, count):
+    """The sampler as one normal-variate call per user, the stream definition of ``_draw``."""
+    n = profile.base_antennas
+    blocks = []
+    for k, r_k in enumerate(profile.user_antennas):
+        parts = rng.standard_normal((count, 2, n, r_k))
+        raw = (parts[:, 0] + 1j * parts[:, 1]) * np.sqrt(0.5)
+        if sqrt_blocks is not None:
+            raw = (raw.reshape(count * n, r_k) @ sqrt_blocks[k]).reshape(count, n, r_k)
+        blocks.append(raw)
+    return blocks
+
+
+def gram_stack(channels):
+    return hermitize(channels.conj().swapaxes(-1, -2) @ channels)
+
+
+def conditioned_channels(rng, n, r, conditions):
+    """Channels H = U diag(s) V^H whose Gram matrices have the given condition numbers."""
+    out = []
+    for cond in conditions:
+        u = haar_unitary(n, rng)[:, :r]
+        s = np.geomspace(1.0, cond**-0.5, r)
+        out.append((u * s) @ haar_unitary(r, rng).conj().T)
+    return np.array(out)
 
 
 class TestMakeProfile:
@@ -125,6 +159,28 @@ class TestSampleChannel:
                 assert stack.shape == (1,) + block.shape
                 assert stack[0].tobytes() == block.tobytes()
 
+    @pytest.mark.parametrize("correlated", [False, True])
+    def test_one_normal_call_keeps_the_per_user_stream(self, correlated):
+        # one standard_normal call split in user order is the per-user loop, bit for bit
+        profile = make_profile(7, [1, 3, 2])
+        correlation = roots = None
+        if correlated:
+            correlation = CorrelationModel.from_blocks(
+                [random_hpd(np.random.default_rng(k), r) for k, r in enumerate(profile.user_antennas)]
+            )
+            roots = correlation.sqrt_blocks
+        for seed in range(10):
+            reference = per_user_draw(np.random.default_rng(seed), profile, roots, 1)
+            blocks = sample_channel(profile, correlation, seed).blocks
+            assert [b.tobytes() for b in blocks] == [b[0].tobytes() for b in reference]
+        for count in (1, 7):
+            key = derive_seed(3, count)
+            drawn = _draw(np.random.Generator(np.random.Philox(key=key)), profile, roots, count)
+            reference = per_user_draw(
+                np.random.Generator(np.random.Philox(key=key)), profile, roots, count
+            )
+            assert [b.tobytes() for b in drawn] == [b.tobytes() for b in reference]
+
     def test_correlation_dimension_mismatch(self):
         profile = make_profile(5, [2, 2])
         other = CorrelationModel.identity(make_profile(5, [1, 2]))
@@ -188,6 +244,127 @@ class TestChannelRealization:
         channel = sample_channel(make_profile(6, [2, 2]), seed=17)
         product = channel.pseudo_inverse @ channel.composite
         assert np.linalg.norm(product - np.eye(4)) < 1e-10
+
+
+class TestFactorGrams:
+    """The rate-loss kernel: its rank verdict is the eigenvalue rule on every draw."""
+
+    @pytest.mark.parametrize("cond_limit, low, high", [(1e12, 8, 13), (1e5, 1, 6)])
+    def test_verdict_is_the_eigenvalue_rule_near_the_limits(
+        self, monkeypatch, cond_limit, low, high
+    ):
+        # condition numbers straddle both COND_LIMIT and the trace-bound margin below it
+        monkeypatch.setattr(channel_module, "COND_LIMIT", cond_limit)
+        rng = np.random.default_rng(11)
+        conditions = np.geomspace(10.0**low, 10.0**high, 61)
+        verdicts, cheap = [], 0
+        profiles = (make_profile(4, [1, 1]), make_profile(6, [2, 1, 2]), make_profile(8, [3, 3]))
+        for profile in profiles:
+            channels = conditioned_channels(
+                rng, profile.base_antennas, profile.total_antennas, conditions
+            )
+            grams = gram_stack(channels)
+            expected = _well_conditioned(np.linalg.eigvalsh(grams))
+            factors = _factor_grams(channels, grams, profile)
+            assert factors.full_rank.tolist() == expected.tolist()
+            assert len(factors.chol) == int(expected.sum())
+            for i in range(len(grams)):
+                one = _factor_grams(channels[i : i + 1], grams[i : i + 1], profile)
+                assert bool(one.full_rank[0]) == bool(expected[i])
+            bound = np.trace(grams, axis1=-2, axis2=-1).real * np.trace(
+                np.linalg.inv(grams), axis1=-2, axis2=-1
+            ).real
+            cheap += int(np.sum(bound <= channel_module._TRACE_MARGIN * cond_limit))
+            verdicts += expected.tolist()
+        assert cheap > 0 and True in verdicts and False in verdicts
+        assert cheap < verdicts.count(True)  # some accepted draws needed their eigenvalues
+
+    def test_ill_conditioned_draws_match_mpmath(self):
+        # a Cholesky of G = H^H H alone loses about cond(G) eps: 1e-6 bits at cond(G) = 1e11
+        def reference(h, profile):
+            with mp.workdps(60):
+                big = mp.matrix([[mp.mpc(float(x.real), float(x.imag)) for x in row] for row in h])
+                gram = big.H * big
+                inverse = gram**-1
+                total = mp.log(mp.re(mp.det(gram)))
+                for sl in profile.block_slices:
+                    total += mp.log(mp.re(mp.det(inverse[sl.start : sl.stop, sl.start : sl.stop])))
+                return float(total / mp.log(2)), np.array(inverse.tolist(), dtype=complex)
+
+        for profile in (make_profile(6, [2, 2, 2]), make_profile(7, [1, 3, 2])):
+            channels = conditioned_channels(
+                np.random.default_rng(5), profile.base_antennas, profile.total_antennas,
+                np.geomspace(1e2, 1e11, 10),
+            )
+            factors = _factor_grams(channels, gram_stack(channels), profile)
+            assert factors.full_rank.all()
+            for h, loss in zip(channels, factors.rate_loss):
+                expected_loss, expected_inverse = reference(h, profile)
+                assert abs(loss - expected_loss) <= 1e-10
+                blocks = [h[:, sl] for sl in profile.block_slices]
+                inverse = ChannelRealization.from_blocks(profile, blocks).gram_inverse
+                error = np.linalg.norm(inverse - expected_inverse)
+                assert error <= 1e-10 * np.linalg.norm(expected_inverse)
+
+    def test_singular_gram_in_a_stack_is_flagged(self):
+        # numpy's Cholesky raises for a whole stack; the kernel flags the one singular draw
+        profile = make_profile(5, [1, 2])
+        rng = np.random.default_rng(4)
+        raised = 0
+        for _ in range(6):
+            channels = rng.standard_normal((8, 5, 3)) + 1j * rng.standard_normal((8, 5, 3))
+            channels[3, :, 2] = channels[3, :, 0]
+            grams = gram_stack(channels)
+            try:
+                np.linalg.cholesky(grams)
+            except np.linalg.LinAlgError:
+                raised += 1
+            factors = _factor_grams(channels, grams, profile)
+            assert factors.full_rank.tolist() == [i != 3 for i in range(8)]
+            keep = np.arange(8) != 3
+            regular = _factor_grams(channels[keep], grams[keep], profile)
+            np.testing.assert_allclose(factors.rate_loss, regular.rate_loss, rtol=0, atol=1e-12)
+        assert 0 < raised < 6  # both the raising and the non-raising Cholesky are covered
+
+    @pytest.mark.parametrize(
+        "read",
+        [
+            lambda c: c.require_full_rank(),
+            lambda c: c.gram_logdet2,
+            lambda c: c.gram_inverse,
+            lambda c: c.pseudo_inverse,
+            lambda c: c.inverse_block_logdet2,
+            lambda c: c.gram_inverse_block(0),
+        ],
+        ids=[
+            "require_full_rank", "gram_logdet2", "gram_inverse", "pseudo_inverse",
+            "inverse_block_logdet2", "gram_inverse_block",
+        ],
+    )
+    def test_duplicated_columns_raise_the_rank_error(self, tmp_path, monkeypatch, read):
+        profile = make_profile(5, [2, 2])
+        rng = np.random.default_rng(2)
+        block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        with pytest.raises(NumericalRankError):
+            read(ChannelRealization.from_blocks(profile, [block, block[:, ::-1]]))
+
+    def test_rate_loss_row_of_a_duplicated_column_channel_is_flagged(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(2)
+        block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
+        monkeypatch.setattr(
+            "mimobc.cli.sample_channel",
+            lambda profile, correlation, seed: ChannelRealization.from_blocks(
+                profile, [block, block[:, ::-1]]
+            ),
+        )
+        config = tmp_path / "c.json"
+        config.write_text('{"N": 5, "antennas": [2, 2]}')
+        out = tmp_path / "x.csv"
+        assert main(["rate-loss", "--config", str(config), "--trials", "2", "--out", str(out)]) == 0
+        with open(out) as handle:
+            rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
+        assert [row["status"] for row in rows] == ["rank_deficient", "rank_deficient"]
+        assert all(row["rate_loss_bits"] == "" for row in rows)
 
 
 class TestDeriveSeed:

@@ -272,6 +272,32 @@ class TestExitCodes:
         assert main(argv) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, payload, grid",
+        [
+            ("curves", {"N": 5, "antennas": [2, 2]}, "4000:1:4000"),
+            ("curves", {"N": 5, "antennas": [2, 2]}, "-4000:1:-4000"),
+            ("curves", {"N": 5, "antennas": [2, 2], "ptx_grid_db": [0, 4000]}, None),
+            ("curves", {"N": 5, "antennas": [2, 2], "ptx_grid_db": [-4000, 0]}, None),
+            ("rate-loss", {"N": 5, "antennas": [2, 2], "ptx_db": 4000}, None),
+            ("rate-loss", {"N": 5, "antennas": [2, 2], "ptx_db": -4000}, None),
+        ],
+        ids=[
+            "grid-spec-4000-db", "grid-spec-minus-4000-db", "grid-list-4000-db",
+            "grid-list-minus-4000-db", "ptx-db-4000", "ptx-db-minus-4000",
+        ],
+    )
+    def test_db_value_without_a_finite_positive_power(self, tmp_path, kind, payload, grid):
+        # 10^(dB/10) overflows above about 3,083 dB and underflows to 0 below about -3,240 dB
+        config = write_config(tmp_path / "c.json", payload)
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            load_config(kind, config, {"ptx_grid_db": grid})
+        out = tmp_path / "x.csv"
+        flags = [f"--ptx-grid-db={grid}"] if grid else []
+        argv = [kind, "--config", config, "--trials", "2", "--out", str(out), *flags]
+        assert main(argv) == 2
+        assert not out.exists()
+
     @pytest.mark.parametrize("antennas", [[0, 2], [-1, 3], []])
     def test_invalid_extra_profile(self, tmp_path, antennas):
         config = write_config(
