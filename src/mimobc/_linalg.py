@@ -47,18 +47,28 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    """True when A equals A^H within ``tol`` relative to the largest entry."""
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL):
+    """True when A equals A^H within ``tol`` relative to the largest entry.
+
+    On a stack of matrices, a boolean array with one verdict per matrix.
+    """
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         return False
-    scale = max(1.0, float(np.max(np.abs(a))) if a.size else 0.0)
-    return float(np.max(np.abs(a - a.conj().T))) <= tol * scale if a.size else True
+    axes = (-2, -1)
+    scale = np.maximum(1.0, np.abs(a).max(axis=axes, initial=0.0))
+    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=axes, initial=0.0)
+    ok = defect <= tol * scale
+    return bool(ok) if a.ndim == 2 else ok
 
 
-def logdet2_hpd(a: np.ndarray) -> float:
-    """log2-determinant of a Hermitian positive-definite matrix via Cholesky."""
+def logdet2_hpd(a: np.ndarray):
+    """log2-determinant of a Hermitian positive-definite matrix via Cholesky.
+
+    On a stack of matrices, an array with one value per matrix.
+    """
     chol = np.linalg.cholesky(a)
-    return 2.0 * float(np.sum(np.log(np.diagonal(chol).real))) / LN2
+    value = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1) / LN2
+    return float(value) if a.ndim == 2 else value
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -97,19 +107,26 @@ def solve_cholesky(factor: np.ndarray, b: np.ndarray, lower: bool = True) -> np.
     return x
 
 
-def hermitian_sqrt(a: np.ndarray, what: str = "matrix") -> np.ndarray:
-    """Principal Hermitian square root via eigendecomposition.
+def hermitian_sqrt(a: np.ndarray, what="matrix") -> np.ndarray:
+    """Principal Hermitian square root via eigendecomposition, of a matrix or a stack.
 
     Eigenvalues in [-PSD_CLAMP, 0] are clamped to zero; anything more negative
-    means the input is not positive semidefinite and raises ValidationError.
+    means the input is not positive semidefinite and raises ValidationError,
+    naming the matrix by ``what`` (for a stack, a sequence of one name per
+    matrix).
     """
     values, vectors = np.linalg.eigh(hermitize(a))
-    if values.size and float(values[0]) < -PSD_CLAMP:
-        raise ValidationError(
-            f"{what} is not positive semidefinite (min eigenvalue {values[0]:.3e})"
-        )
-    root = (vectors * np.sqrt(np.clip(values, 0.0, None))) @ vectors.conj().T
-    return hermitize(root)
+    if values.shape[-1]:
+        bad = values[..., 0] < -PSD_CLAMP
+        if bad.any():
+            first = int(np.argmax(bad))
+            name = what if isinstance(what, str) else what[first]
+            raise ValidationError(
+                f"{name} is not positive semidefinite "
+                f"(min eigenvalue {values[..., 0].flat[first]:.3e})"
+            )
+    scaled = vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
+    return hermitize(scaled @ vectors.conj().swapaxes(-1, -2))
 
 
 def normalize_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:

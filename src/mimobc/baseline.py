@@ -5,20 +5,31 @@ sum_k tr(Q_k) <= P is a concave problem; it is solved here by sum-power
 iterative waterfilling with a monotone safeguard: each iteration waterfills
 all users simultaneously against their interference-whitened channels and
 then line-searches along the resulting direction, so the objective never
-decreases.  The curve generator averages the exact DPC and linear
-block-diagonalization sum rates over channel draws and pairs them with
-their closed-form affine approximations.
+decreases.
+
+Every matrix of the solver is r x r.  The users' covariances form one block
+diagonal composite covariance Q, and with the channel's Gram matrix
+G = H^H H the objective is log2 |I_r + Q G| (Sylvester's determinant
+identity), user k's whitened channel H_k^H (I + H Q_{-k} H^H)^{-1} H_k is
+the kk block of (I + G Q_{-k})^{-1} G, Q_{-k} being Q without user k's
+block, and the gradient is the same expression with the whole Q.  I + Q G is
+invertible for every channel, so G need not be: rank-deficient channels are
+solved as well.
+
+The curve generator averages the exact DPC and linear block-diagonalization
+sum rates over channel draws and pairs them with their closed-form affine
+approximations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import log2
+from math import isfinite, log2
 
 import numpy as np
 
-from ._linalg import hermitize, logdet2_hpd, positive_finite, power_from_db, solve_hpd
-from .bc import bc_exact_user_rate, solve_bc
+from ._linalg import LN2, hermitize, positive_finite, power_from_db
+from .bc import _bc_exact_rates, solve_bc
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -41,28 +52,38 @@ __all__ = [
 #: Line-search step sizes tried per iteration, largest first.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 2**-8, 2**-12, 2**-16)
 
+#: ``_STEPS`` shaped to weigh a stack of composite covariances, and their complements.
+_STEP_WEIGHTS = np.array(_STEPS)[:, None, None]
+_KEEP_WEIGHTS = 1.0 - _STEP_WEIGHTS
+
 
 def waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     """Exact water-filling power allocation over parallel channels.
 
     Maximizes sum_i log(1 + p_i g_i) subject to p >= 0, sum p = budget.
-    Channels with nonpositive gain receive no power.
+    Channels with nonpositive gain receive no power, and no channel does when
+    the budget is not positive.  A NaN or infinite budget or gain raises
+    ValidationError.
     """
     gains = np.asarray(gains, dtype=float)
+    budget = float(budget)
+    if not isfinite(budget):
+        raise ValidationError(f"waterfilling budget is non-finite: {budget}")
+    if not np.isfinite(gains).all():
+        raise ValidationError("waterfilling gains have non-finite entries")
     powers = np.zeros_like(gains)
     usable = gains > 0.0
-    if budget <= 0 or not np.any(usable):
+    if budget <= 0 or not usable.any():
         return powers
-    inverse = np.sort(1.0 / gains[usable])
-    # water level with m active channels: mu = (budget + sum of m smallest
-    # inverse gains) / m, valid while mu exceeds the m-th inverse gain
-    prefix = np.cumsum(inverse)
-    count = inverse.size
-    for m in range(count, 0, -1):
-        level = (budget + prefix[m - 1]) / m
-        if level > inverse[m - 1]:
-            break
-    powers[usable] = np.maximum(0.0, level - 1.0 / gains[usable])
+    inverse = 1.0 / gains[usable]
+    ascending = np.sort(inverse)
+    # water level with m active channels: mu_m = (budget + sum of the m
+    # smallest inverse gains) / m, valid while mu_m exceeds the m-th inverse
+    # gain; the level is that of the largest valid m
+    levels = (budget + ascending.cumsum()) / np.arange(1, ascending.size + 1)
+    valid = (levels > ascending).nonzero()[0]
+    level = levels[valid[-1] if valid.size else 0]
+    powers[usable] = np.maximum(0.0, level - inverse)
     return powers
 
 
@@ -82,35 +103,53 @@ class SumCapacityResult:
         return self.covariances.total_power
 
 
-def _objective(channel: ChannelRealization, covariances) -> float:
-    n = channel.profile.base_antennas
-    x = np.eye(n, dtype=complex)
-    for h, q in zip(channel.blocks, covariances):
-        x += h @ q @ h.conj().T
-    return logdet2_hpd(hermitize(x))
+def _objective(gram: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """log2 |I + Q G| for a composite covariance Q, or for each of a stack of them."""
+    return np.linalg.slogdet(np.eye(gram.shape[-1]) + covariance @ gram)[1] / LN2
 
 
-def _gradient_blocks(channel: ChannelRealization, covariances) -> list[np.ndarray]:
-    # d/dQ_k of ln |X| is H_k^H X^{-1} H_k with X = I + sum_l H_l Q_l H_l^H
-    n = channel.profile.base_antennas
-    x = np.eye(n, dtype=complex)
-    for h, q in zip(channel.blocks, covariances):
-        x += h @ q @ h.conj().T
-    x = hermitize(x)
-    return [hermitize(h.conj().T @ solve_hpd(x, h)) for h in channel.blocks]
+def _waterfill_direction(
+    gram: np.ndarray, covariance: np.ndarray, profile: SystemProfile, total_power: float
+) -> np.ndarray:
+    """Composite covariance of simultaneous waterfilling against the whitened channels.
+
+    With the mask ``SystemProfile._other_columns``, (G Q) * mask[k] = G Q_{-k};
+    one solve then gives every user's whitened channel, and one ``eigh`` per
+    block size their modes.
+    """
+    r = gram.shape[-1]
+    blocks = profile._block_indices
+    whitened = np.linalg.solve(np.eye(r) + (gram @ covariance) * profile._other_columns, gram)
+    modes = [np.linalg.eigh(hermitize(whitened[index])) for index in blocks]
+    gains = np.concatenate([values.ravel() for values, _ in modes])
+    powers = waterfill(np.maximum(gains, 0.0), total_power)
+    refilled = np.zeros((r, r), dtype=complex)
+    offset = 0
+    for (_, rows, columns), (values, vectors) in zip(blocks, modes):
+        p = powers[offset : offset + values.size].reshape(values.shape)
+        offset += values.size
+        refilled[rows, columns] = (vectors * p[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+    return hermitize(refilled)
 
 
-def _certified_gap(channel: ChannelRealization, covariances, total_power: float) -> float:
+def _certified_gap(
+    gram: np.ndarray, covariance: np.ndarray, profile: SystemProfile, total_power: float
+) -> float:
     """Upper bound on the distance to the maximum, from concavity.
 
     For concave f, f(Q*) - f(Q) <= max over the feasible set of the linear
     form <grad f(Q), Q' - Q>; the maximizer puts the whole budget on the
-    largest gradient eigenvalue across users.
+    largest gradient eigenvalue across users.  User k's gradient block is
+    [(I + G Q)^{-1} G]_kk, and as Q is block diagonal the sum of
+    tr(grad_k Q_k) is the trace of (I + G Q)^{-1} G Q.
     """
-    grads = _gradient_blocks(channel, covariances)
-    top = max(float(np.linalg.eigvalsh(g)[-1]) for g in grads)
-    inner = sum(float(np.trace(g @ q).real) for g, q in zip(grads, covariances))
-    return max(0.0, total_power * top - inner) / float(np.log(2.0))
+    gradient = np.linalg.solve(np.eye(gram.shape[-1]) + gram @ covariance, gram)
+    top = max(
+        float(np.linalg.eigvalsh(hermitize(gradient[index[1:]]))[:, -1].max())
+        for index in profile._block_indices
+    )
+    inner = float(np.trace(gradient @ covariance).real)
+    return max(0.0, total_power * top - inner) / LN2
 
 
 def dual_mac_sum_capacity(
@@ -123,10 +162,14 @@ def dual_mac_sum_capacity(
 
     Starts from the even allocation Q_k = (P / r) I and iterates simultaneous
     interference-whitened waterfilling with a backtracking line search, so the
-    recorded objective history is non-decreasing.  Terminates once an accepted
-    step improves the objective by less than ``tolerance`` bits (or no step
-    improves it at all); hitting ``max_iterations`` returns the best iterate
-    flagged as non-converged.
+    recorded objective history is non-decreasing.  Each iteration whitens all
+    users with one batched solve on the channel's r x r Gram matrix and scores
+    every step size of the line search with one batched log-determinant of
+    I + Q G; the first step that improves the objective is taken.  Terminates
+    once an accepted step improves the objective by less than ``tolerance``
+    bits (or no step improves it at all); hitting ``max_iterations`` returns
+    the best iterate flagged as non-converged.  The channel need not have
+    full rank.
     """
     total_power = positive_finite(total_power, "transmit power")
     if not tolerance > 0:
@@ -135,61 +178,36 @@ def dual_mac_sum_capacity(
         raise ValidationError(f"need at least one iteration, got {max_iterations}")
 
     profile = channel.profile
-    n = profile.base_antennas
-    level = total_power / profile.total_antennas
-    current = [level * np.eye(r, dtype=complex) for r in profile.user_antennas]
-    history = [_objective(channel, current)]
+    gram = channel.gram
+    r = profile.total_antennas
+    current = (total_power / r) * np.eye(r, dtype=complex)
+    history = [float(_objective(gram, current))]
     converged = False
 
     for _ in range(max_iterations):
-        # simultaneous waterfilling against the interference of the others
-        x = np.eye(n, dtype=complex)
-        per_user = []
-        for h, q in zip(channel.blocks, current):
-            per_user.append(h @ q @ h.conj().T)
-            x += per_user[-1]
-        modes = []
-        for k, h in enumerate(channel.blocks):
-            z = hermitize(x - per_user[k])
-            effective = hermitize(h.conj().T @ solve_hpd(z, h))
-            values, vectors = np.linalg.eigh(effective)
-            modes.append((np.clip(values, 0.0, None), vectors))
-        gains = np.concatenate([values for values, _ in modes])
-        powers = waterfill(gains, total_power)
-        refilled = []
-        offset = 0
-        for values, vectors in modes:
-            p = powers[offset : offset + values.size]
-            offset += values.size
-            refilled.append(hermitize((vectors * p) @ vectors.conj().T))
-
-        # backtracking line search keeps the objective monotone for any K
-        best_value = history[-1]
-        best_candidate = None
-        for step in _STEPS:
-            candidate = [
-                hermitize((1.0 - step) * q + step * s)
-                for q, s in zip(current, refilled)
-            ]
-            value = _objective(channel, candidate)
-            if value > best_value:
-                best_value = value
-                best_candidate = candidate
-                break
-        if best_candidate is None:
+        refilled = _waterfill_direction(gram, current, profile, total_power)
+        # backtracking line search keeps the objective monotone for any K; the
+        # candidates are exactly Hermitian as convex combinations of two such
+        candidates = _KEEP_WEIGHTS * current + _STEP_WEIGHTS * refilled
+        values = _objective(gram, candidates)
+        improving = (values > history[-1]).nonzero()[0]
+        if not improving.size:
             # no step improves: at the maximum within numerical resolution
             converged = True
             break
-        gain = best_value - history[-1]
-        current = best_candidate
-        history.append(best_value)
+        best = improving[0]
+        gain = values[best] - history[-1]
+        current = candidates[best]
+        history.append(float(values[best]))
         if gain < tolerance:
             converged = True
             break
 
-    gap = _certified_gap(channel, current, total_power)
+    gap = _certified_gap(gram, current, profile, total_power)
     return SumCapacityResult(
-        covariances=MacCovarianceSet.from_covariances(current),
+        covariances=MacCovarianceSet.from_covariances(
+            [current[sl, sl] for sl in profile.block_slices]
+        ),
         sum_rate_bits=history[-1],
         converged=converged,
         iterations=len(history) - 1,
@@ -211,16 +229,9 @@ class CurvePoint:
     dpc_stderr: float
     linear_stderr: float
     nonconverged: int = 0
-
-
-def _bd_sum_rate(channel: ChannelRealization, directions, total_power: float) -> float:
-    """Exact downlink sum rate of the scaled block-diagonalizing precoders."""
-    scale = np.sqrt(total_power / channel.profile.total_antennas)
-    precoders = [scale * d for d in directions]
-    return sum(
-        bc_exact_user_rate(channel, precoders, k)
-        for k in range(channel.profile.num_users)
-    )
+    #: The most iterations and the largest certified gap of this point's solves.
+    max_iterations: int = 0
+    max_gap_bits: float = 0.0
 
 
 def generate_curves(
@@ -238,7 +249,8 @@ def generate_curves(
     linear block-diagonalization sum rate over ``trials`` channel draws
     (trial t uses the stream seeded with derive_seed(seed, t)), and evaluates
     both closed-form affine approximations.  Solver non-convergence is
-    counted per point, never silently dropped.
+    counted per point, never silently dropped, next to the most iterations
+    and the largest certified gap of the point's solves.
     """
     grid = [float(p) for p in power_grid_db]
     if not grid:
@@ -254,21 +266,24 @@ def generate_curves(
         ergodic_block_logdet(profile, correlation, k) for k in range(profile.num_users)
     )
 
-    powers = [power_from_db(p) for p in grid]
+    powers = [positive_finite(power_from_db(p), "transmit power") for p in grid]
     dpc_values = np.zeros((len(grid), trials))
     linear_values = np.zeros((len(grid), trials))
     nonconverged = [0] * len(grid)
+    most_iterations = [0] * len(grid)
+    largest_gap = [0.0] * len(grid)
 
     for t in range(trials):
         channel = sample_channel(profile, correlation, derive_seed(seed, t))
-        # precoder directions are power-independent; only the scale changes
-        directions = [p for p in solve_bc(channel, float(r)).precoders]
+        # unit-power precoder directions: at power P the covariances scale by P / r
+        directions = solve_bc(channel, float(r)).precoders
+        linear_values[:, t] = _bc_exact_rates(channel, directions, np.divide(powers, r)).sum(axis=1)
         for i, power in enumerate(powers):
             result = dual_mac_sum_capacity(channel, power, tolerance, max_iterations)
-            if not result.converged:
-                nonconverged[i] += 1
+            nonconverged[i] += not result.converged
+            most_iterations[i] = max(most_iterations[i], result.iterations)
+            largest_gap[i] = max(largest_gap[i], result.optimality_gap_bits)
             dpc_values[i, t] = result.sum_rate_bits
-            linear_values[i, t] = _bd_sum_rate(channel, directions, power)
 
     points = []
     for i, (p_db, power) in enumerate(zip(grid, powers)):
@@ -284,6 +299,8 @@ def generate_curves(
                 dpc_stderr=float(np.std(dpc_values[i], ddof=1) / np.sqrt(trials)),
                 linear_stderr=float(np.std(linear_values[i], ddof=1) / np.sqrt(trials)),
                 nonconverged=nonconverged[i],
+                max_iterations=most_iterations[i],
+                max_gap_bits=largest_gap[i],
             )
         )
     return points

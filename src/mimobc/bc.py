@@ -157,6 +157,37 @@ def bc_covariance(
     return hermitize(scale * rows.conj().T @ solve_hpd(block, rows))
 
 
+def _bc_exact_rates(channel: ChannelRealization, precoders, gains) -> np.ndarray:
+    """Exact downlink rates of every user with the precoders' powers scaled by each gain.
+
+    Returns a ``(len(gains), K)`` array whose entry (i, k) is log2 |I + (I +
+    g_i A_k)^{-1} g_i S_k|, clamped at 0, with A_k = sum_{l != k} H_k^H P_l
+    P_l^H H_k and S_k = H_k^H P_k P_k^H H_k formed once; every gain and the
+    users of one antenna count share one batched Cholesky log-determinant.
+    """
+    profile = channel.profile
+    if len(precoders) != profile.num_users:
+        raise ValidationError(f"{len(precoders)} precoders for {profile.num_users} users")
+    for _l, p in enumerate(precoders):
+        if p.shape[0] != profile.base_antennas:
+            raise ValidationError(f"precoder {_l} has {p.shape[0]} rows, expected "
+                                  f"{profile.base_antennas}")
+    owner = np.repeat(np.arange(profile.num_users), [p.shape[1] for p in precoders])
+    cross = channel.composite.conj().T @ np.concatenate(precoders, axis=1)  # H^H P
+    gains = np.asarray(gains, dtype=float)[:, None, None, None]
+    rates = np.empty((gains.shape[0], profile.num_users))
+    for users, rows in profile._blocks_by_size:
+        own = owner == np.array(users)[:, None, None]  # (m, 1, columns)
+        block = cross[rows]  # (m, r_k, columns)
+        interference, signal = np.where(own, 0.0, block), np.where(own, block, 0.0)
+        noise = np.eye(rows.shape[1]) + gains * hermitize(
+            interference @ interference.conj().swapaxes(-1, -2)
+        )
+        full = noise + gains * hermitize(signal @ signal.conj().swapaxes(-1, -2))
+        rates[:, users] = logdet2_hpd(full) - logdet2_hpd(noise)
+    return np.maximum(rates, 0.0)
+
+
 def bc_exact_user_rate(
     channel: ChannelRealization, precoders, user: int
 ) -> float:
@@ -167,24 +198,7 @@ def bc_exact_user_rate(
     block diagonalization is verified rather than presumed.
     """
     _check_user(channel, user)
-    if len(precoders) != channel.profile.num_users:
-        raise ValidationError(
-            f"{len(precoders)} precoders for {channel.profile.num_users} users"
-        )
-    h_k = channel.blocks[user]
-    r_k = h_k.shape[1]
-    noise = np.eye(r_k, dtype=complex)
-    for _l, p in enumerate(precoders):
-        if p.shape[0] != channel.profile.base_antennas:
-            raise ValidationError(f"precoder {_l} has {p.shape[0]} rows, expected "
-                                  f"{channel.profile.base_antennas}")
-        if _l != user:
-            cross = h_k.conj().T @ p
-            noise += cross @ cross.conj().T
-    signal = h_k.conj().T @ precoders[user]
-    full = noise + signal @ signal.conj().T
-    rate = logdet2_hpd(hermitize(full)) - logdet2_hpd(hermitize(noise))
-    return max(0.0, rate)
+    return float(_bc_exact_rates(channel, precoders, [1.0])[0, user])
 
 
 def eigenbasis_optimality_check(
@@ -256,7 +270,7 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
         scales.append(scale)
         precoders.append(column_norm * directions / scale)
         covariances.append(bc_covariance(channel, total_power, k))
-    rates = tuple(bc_exact_user_rate(channel, precoders, k) for k in range(num_users))
+    rates = tuple(_bc_exact_rates(channel, precoders, [1.0])[0].tolist())
     return BcSolution(
         total_power=total_power,
         precoders=tuple(precoders),

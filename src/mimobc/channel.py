@@ -234,6 +234,26 @@ class SystemProfile:
             for users in groups.values()
         )
 
+    @cached_property
+    def _block_indices(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+        """Per group of ``_blocks_by_size``: fancy indices (users, rows, columns).
+
+        ``M[rows, columns]`` is the ``(m, r_k, r_k)`` stack of the group's
+        diagonal blocks of an r x r composite matrix M, and
+        ``S[users, rows, columns]`` holds block k of S[k] for every user k of
+        the group.
+        """
+        return tuple(
+            (np.array(users)[:, None, None], rows[:, :, None], rows[:, None, :])
+            for users, rows in self._blocks_by_size
+        )
+
+    @cached_property
+    def _other_columns(self) -> np.ndarray:
+        """``(K, 1, r)`` mask: 1.0 on the columns outside user k's block, 0.0 on its own."""
+        owner = np.repeat(np.arange(self.num_users), self.user_antennas)
+        return (owner != np.arange(self.num_users)[:, None]).astype(float)[:, None, :]
+
 
 def make_profile(
     base_antennas: int,

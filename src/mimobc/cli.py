@@ -162,6 +162,8 @@ def _run_curves(config: ExperimentConfig) -> int:
         "dpc_stderr",
         "linear_stderr",
         "nonconverged",
+        "max_iterations",
+        "max_gap_bits",
     ]
     rows = [
         [
@@ -173,6 +175,8 @@ def _run_curves(config: ExperimentConfig) -> int:
             p.dpc_stderr,
             p.linear_stderr,
             p.nonconverged,
+            p.max_iterations,
+            p.max_gap_bits,
         ]
         for p in points
     ]

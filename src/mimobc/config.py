@@ -16,7 +16,7 @@ from ._linalg import positive_finite, power_from_db
 from .channel import CorrelationModel, SystemProfile, make_profile
 from .errors import ConfigurationError, ValidationError
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 _KINDS = ("table1", "rate-loss", "curves", "validate")
 

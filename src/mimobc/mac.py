@@ -44,6 +44,26 @@ __all__ = [
 _PSD_TOL = 1e-12
 
 
+def _stacks_by_shape(matrices, what: str) -> list[tuple[list[int], np.ndarray]]:
+    """Per distinct shape, in order of appearance: the matrices' indices and their complex stack.
+
+    Raises ValidationError, naming matrix k as ``f"{what} {k}"``, for the
+    first one with a NaN or infinite entry.
+    """
+    groups: dict[tuple, list[int]] = {}
+    for k, m in enumerate(matrices):
+        groups.setdefault(np.shape(m), []).append(k)
+    stacks = []
+    for users in groups.values():
+        stack = np.asarray([matrices[k] for k in users], dtype=complex)
+        finite = np.isfinite(stack)
+        if not finite.all():
+            first = int(np.argmin(finite.reshape(len(users), -1).all(axis=1)))
+            raise ValidationError(f"{what} {users[first]} has non-finite entries")
+        stacks.append((users, stack))
+    return stacks
+
+
 @dataclass(frozen=True)
 class MacCovarianceSet:
     """Per-user uplink transmit covariances Q_k together with factors T_k.
@@ -58,27 +78,37 @@ class MacCovarianceSet:
     def __post_init__(self) -> None:
         if len(self.covariances) != len(self.factors):
             raise ValidationError("covariance and factor counts differ")
+        # the checks run once per group of equally shaped matrices
+        stacks = _stacks_by_shape(self.covariances, "covariance")
+        _stacks_by_shape(self.factors, "factor")
         for k, (q, t) in enumerate(zip(self.covariances, self.factors)):
-            finite_matrix(q, f"covariance {k}")
-            finite_matrix(t, f"factor {k}")
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ValidationError(f"covariance {k} is not square: shape {q.shape}")
-            if not is_hermitian(q, _PSD_TOL):
-                raise ValidationError(f"covariance {k} is not Hermitian")
-            scale = max(1.0, float(np.max(np.abs(q))) if q.size else 0.0)
-            if float(np.linalg.eigvalsh(q)[0]) < -_PSD_TOL * scale:
-                raise ValidationError(f"covariance {k} is not positive semidefinite")
             if t.shape[0] != q.shape[0]:
                 raise ValidationError(f"factor {k} has {t.shape[0]} rows for a {q.shape} covariance")
+        for users, stack in stacks:
+            if not stack.shape[-1]:
+                continue
+            scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
+            for failed, what in (
+                (~is_hermitian(stack, _PSD_TOL), "Hermitian"),
+                (np.linalg.eigvalsh(stack)[:, 0] < -_PSD_TOL * scale, "positive semidefinite"),
+            ):
+                if failed.any():
+                    raise ValidationError(f"covariance {users[int(np.argmax(failed))]} is not {what}")
         if not np.isfinite(self.total_power):
             raise ValidationError("total transmit power is not finite")
 
     @classmethod
     def from_covariances(cls, covariances) -> "MacCovarianceSet":
         """Build from Hermitian PSD covariances, factoring each via its principal root."""
-        covs = tuple(finite_matrix(q, f"covariance {k}") for k, q in enumerate(covariances))
-        factors = tuple(hermitian_sqrt(q, f"covariance {k}") for k, q in enumerate(covs))
-        return cls(covs, factors)
+        covs = tuple(np.asarray(q, dtype=complex) for q in covariances)
+        factors = [None] * len(covs)
+        for users, stack in _stacks_by_shape(covs, "covariance"):
+            roots = hermitian_sqrt(stack, [f"covariance {k}" for k in users])
+            for k, root in zip(users, roots):
+                factors[k] = root
+        return cls(covs, tuple(factors))
 
     @classmethod
     def from_factors(cls, factors) -> "MacCovarianceSet":
@@ -96,7 +126,7 @@ class MacCovarianceSet:
 
     @property
     def total_power(self) -> float:
-        return float(sum(np.trace(q).real for q in self.covariances))
+        return float(sum(q.trace().real for q in self.covariances))
 
 
 @dataclass(frozen=True)

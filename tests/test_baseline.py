@@ -1,14 +1,52 @@
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mimobc import (
+    ChannelRealization,
+    NumericalRankError,
     ValidationError,
+    derive_seed,
     dual_mac_sum_capacity,
     generate_curves,
     make_profile,
     sample_channel,
     waterfill,
 )
+from mimobc._linalg import haar_unitary, hermitize
+from mimobc.baseline import _objective
+
+#: 60-digit arithmetic for the references, apart from the global mpmath context.
+_MP = mpmath.MPContext()
+_MP.dps = 60
+
+
+def mp_logdet2(a) -> float:
+    """log2 |det a| of a matrix given as an mpmath matrix."""
+    return float(_MP.log(abs(_MP.det(a)), 2))
+
+
+def mp_matrix(a: np.ndarray):
+    """The float matrix ``a`` as an exact mpmath matrix."""
+    return _MP.matrix([[_MP.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def gram_with_condition(condition: float, seed: int) -> np.ndarray:
+    """A 4 x 4 Hermitian Gram matrix with eigenvalues spread evenly in log from 1 to ``condition``."""
+    u = haar_unitary(4, np.random.default_rng(seed))
+    return hermitize((u * np.geomspace(1.0, condition, 4)) @ u.conj().T)
+
+
+def block_covariance(power: float, seed: int) -> np.ndarray:
+    """A composite covariance with two random PSD 2 x 2 blocks and trace ``power``."""
+    rng = np.random.default_rng(seed)
+    q = np.zeros((4, 4), dtype=complex)
+    for sl in (slice(0, 2), slice(2, 4)):
+        z = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        q[sl, sl] = z @ z.conj().T
+    return hermitize(q * (power / np.trace(q).real))
 
 
 class TestWaterfill:
@@ -22,6 +60,10 @@ class TestWaterfill:
         powers = waterfill(np.array([10.0, 0.01]), 0.5)
         assert powers[1] == 0.0
         assert powers[0] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("budget", [0.0, -1.0])
+    def test_nonpositive_budget_gives_zeros(self, budget):
+        assert not waterfill(np.array([1.0, 2.0]), budget).any()
 
     def test_zero_gain_ignored(self):
         powers = waterfill(np.array([1.0, 0.0]), 3.0)
@@ -38,6 +80,78 @@ class TestWaterfill:
         # inactive channels would need a higher water level to turn on
         if np.any(~active):
             assert np.min(1.0 / gains[~active]) >= levels[0] - 1e-12
+
+
+@st.composite
+def waterfill_cases(draw):
+    unit = st.one_of(st.just(0.0), st.floats(1e-3, 1.0), st.floats(-1.0, -1e-3))
+    gains = np.array(draw(st.lists(unit, min_size=1, max_size=12)))
+    scale = 10.0 ** draw(st.integers(-12, 12))
+    return gains * scale, draw(st.floats(1e-6, 1e6))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(waterfill_cases())
+def test_waterfill_meets_the_kkt_conditions(case):
+    gains, budget = case
+    powers = waterfill(gains, budget)
+    usable = gains > 0.0
+    assert np.all(powers[~usable] == 0.0)
+    assert np.all(powers >= 0.0)
+    if not usable.any():
+        return
+    active = powers > 0.0
+    levels = powers[active] + 1.0 / gains[active]
+    level = float(levels.max()) if active.any() else float(np.min(1.0 / gains[usable]))
+    # rounding of the prefix sums and of level - 1/g, in float64
+    tol = 4.0 * gains.size**2 * np.finfo(float).eps * max(level, budget)
+    assert abs(powers.sum() - budget) <= tol
+    np.testing.assert_allclose(levels, level, rtol=0.0, atol=tol)
+    inactive = usable & ~active
+    assert np.all(1.0 / gains[inactive] >= level - tol)
+
+
+class TestGramFormAccuracy:
+    """The r x r objective and the solver's sum rate against 60-digit references."""
+
+    @pytest.mark.parametrize("power_db", [0.0, 40.0, 100.0, 140.0])
+    @pytest.mark.parametrize(
+        "condition, relative", [(1e2, 1e-10), (1e6, 1e-10), (1e9, 1e-6), (1e11, 1e-6)]
+    )
+    def test_objective_matches_mpmath(self, condition, relative, power_db):
+        for seed in range(3):
+            gram = gram_with_condition(condition, seed)
+            q = block_covariance(10.0 ** (power_db / 10.0), seed)
+            reference = mp_logdet2(_MP.eye(4) + mp_matrix(q) * mp_matrix(gram))
+            value = float(_objective(gram, q))
+            assert abs(value - reference) <= relative * max(1.0, abs(reference))
+            # the stacked evaluation of the line search gives the same values
+            assert _objective(gram, np.stack([q, q]))[1] == value
+
+    @pytest.mark.parametrize("power_db", [60.0, 100.0, 140.0])
+    def test_objective_of_a_channel_with_spare_antennas_matches_mpmath(self, power_db):
+        # with N > r, I_N + H Q H^H keeps N - r unit eigenvalues next to ones
+        # near the power; an N x N log-determinant loses bits there, the r x r
+        # form does not
+        profile = make_profile(5, [2, 2])
+        for seed in range(5):
+            channel = sample_channel(profile, seed=seed)
+            q = block_covariance(10.0 ** (power_db / 10.0), seed)
+            x = _MP.eye(5)
+            for h, sl in zip(channel.blocks, profile.block_slices):
+                x += mp_matrix(h) * mp_matrix(q[sl, sl]) * mp_matrix(h.conj().T)
+            reference = mp_logdet2(x)
+            assert abs(float(_objective(channel.gram, q)) - reference) <= 1e-10 * abs(reference)
+
+    @pytest.mark.parametrize("power_db", [60.0, 100.0, 140.0])
+    def test_sum_rate_is_the_objective_at_the_returned_covariances(self, seeded_channel, power_db):
+        result = dual_mac_sum_capacity(seeded_channel, 10.0 ** (power_db / 10.0))
+        n = seeded_channel.profile.base_antennas
+        x = _MP.eye(n)
+        for h, q in zip(seeded_channel.blocks, result.covariances.covariances):
+            x += mp_matrix(h) * mp_matrix(q) * mp_matrix(h.conj().T)
+        reference = mp_logdet2(x)
+        assert abs(result.sum_rate_bits - reference) <= 1e-10 * abs(reference)
 
 
 class TestDualMacSumCapacity:
@@ -71,6 +185,21 @@ class TestDualMacSumCapacity:
         assert result.iterations <= 2
         assert not result.converged
 
+    def test_rank_deficient_channel_is_solved(self):
+        profile = make_profile(5, [2, 2])
+        h = sample_channel(profile, seed=30).composite.copy()
+        h[:, 2] = h[:, 0]  # user 1 repeats a column of user 0
+        channel = ChannelRealization.from_blocks(profile, [h[:, sl] for sl in profile.block_slices])
+        with pytest.raises(NumericalRankError):
+            channel.require_full_rank()
+        result = dual_mac_sum_capacity(channel, 10.0)
+        assert result.converged
+        x = np.eye(5) + sum(
+            hk @ q @ hk.conj().T for hk, q in zip(channel.blocks, result.covariances.covariances)
+        )
+        reference = np.linalg.slogdet(x)[1] / np.log(2.0)
+        assert abs(result.sum_rate_bits - reference) <= 1e-10 * max(1.0, abs(reference))
+
     def test_rejects_bad_inputs(self):
         channel = sample_channel(make_profile(4, [2, 2]), seed=29)
         with pytest.raises(ValidationError):
@@ -101,6 +230,19 @@ class TestGenerateCurves:
         points = generate_curves(profile, correlation, [-10.0, 0.0, 10.0, 20.0], trials=10, seed=3)
         for p in points:
             assert p.dpc_sum_capacity >= p.linear_bd_sum_rate - 1e-9
+
+    def test_reports_the_largest_gap_and_iteration_count_per_point(self, fig_setup):
+        profile, correlation = fig_setup
+        grid = [0.0, 20.0]
+        points = generate_curves(profile, correlation, grid, trials=3, seed=6)
+        for point, p_db in zip(points, grid):
+            results = [
+                dual_mac_sum_capacity(sample_channel(profile, correlation, derive_seed(6, t)),
+                                      10.0 ** (p_db / 10.0))
+                for t in range(3)
+            ]
+            assert point.max_iterations == max(r.iterations for r in results)
+            assert point.max_gap_bits == max(r.optimality_gap_bits for r in results)
 
     def test_deterministic_given_seed(self, fig_setup):
         profile, correlation = fig_setup

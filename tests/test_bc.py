@@ -7,6 +7,7 @@ from mimobc import (
     asymptotic_receiver,
     asymptotic_user_rate,
     bc_covariance,
+    bc_exact_user_rate,
     bc_precoder,
     decorrelation_basis,
     eigenbasis_optimality_check,
@@ -17,6 +18,7 @@ from mimobc import (
     solve_bc,
 )
 from mimobc._linalg import haar_unitary, hermitize, logdet2_hpd
+from mimobc.bc import _bc_exact_rates
 
 
 def identity_channel(antennas) -> ChannelRealization:
@@ -260,6 +262,26 @@ class TestBcExactUserRate:
 
     def test_sum_rate_meets_the_uplink(self, checks):
         assert checks["bc_duality_rate_preservation"].passed
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_power_grid_matches_a_per_power_lu_evaluation(self, seed):
+        # two antenna counts, so both user groups of the batched evaluation run
+        channel = sample_channel(make_profile(6, [2, 1, 2]), seed=seed)
+        directions = solve_bc(channel, 5.0).precoders
+        gains = np.array([1e-3, 1.0, 1e2, 1e4])
+        rates = _bc_exact_rates(channel, directions, gains)
+        assert rates.shape == (4, 3)
+        for i, gain in enumerate(gains):
+            for k, h_k in enumerate(channel.blocks):
+                crosses = [h_k.conj().T @ (np.sqrt(gain) * d) for d in directions]
+                noise = np.eye(h_k.shape[1]) + sum(
+                    c @ c.conj().T for el, c in enumerate(crosses) if el != k
+                )
+                full = noise + crosses[k] @ crosses[k].conj().T
+                expected = (np.linalg.slogdet(full)[1] - np.linalg.slogdet(noise)[1]) / np.log(2.0)
+                assert rates[i, k] == pytest.approx(max(0.0, expected), rel=1e-12, abs=1e-12)
+        for k in range(3):
+            assert bc_exact_user_rate(channel, directions, k) == rates[1, k]
 
 
 class TestEigenbasisOptimality:

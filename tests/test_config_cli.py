@@ -165,7 +165,7 @@ class TestCurvesCommand:
         header, body = read_csv(out)
         assert header == [
             "P_dB", "dpc_exact", "linear_exact", "dpc_affine", "linear_affine",
-            "dpc_stderr", "linear_stderr", "nonconverged",
+            "dpc_stderr", "linear_stderr", "nonconverged", "max_iterations", "max_gap_bits",
         ]
         table = np.array([[float(cell) for cell in row] for row in body])
         for column in range(1, 5):

@@ -16,6 +16,7 @@ from mimobc import (
     optimal_power_split,
     sample_channel,
     solve_bc,
+    waterfill,
 )
 from mimobc._linalg import positive_finite, solve_hpd
 
@@ -86,7 +87,10 @@ class TestFiniteMatrix:
             lambda: MacCovarianceSet.from_factors([block]),
             lambda: MacCovarianceSet((block,), (np.eye(2),)),
             lambda: MacCovarianceSet((np.eye(2),), (block,)),
+            lambda: waterfill(np.array([1.0, bad]), 3.0),
+            lambda: waterfill(np.array([1.0, 2.0]), bad),
         ]
         for build in builders:
             with pytest.raises(ValidationError, match="non-finite"):
                 build()
+

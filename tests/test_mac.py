@@ -18,7 +18,7 @@ from mimobc import (
     optimal_power_split,
     sample_channel,
 )
-from mimobc._linalg import haar_unitary
+from mimobc._linalg import haar_unitary, hermitian_sqrt
 
 from conftest import random_hpd
 
@@ -319,3 +319,33 @@ class TestMacCovarianceSet:
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError):
             MacCovarianceSet.from_covariances([np.diag([1.0, -0.1])])
+
+
+class TestCovarianceSetChecks:
+    """The checks and roots run once per covariance size; each must still name its matrix."""
+
+    def test_roots_equal_the_per_matrix_roots(self):
+        rng = np.random.default_rng(4)
+        covs = [random_hpd(rng, size) for size in (2, 1, 2, 3, 1)]
+        factors = MacCovarianceSet.from_covariances(covs).factors
+        for q, t in zip(covs, factors):
+            assert np.array_equal(t, hermitian_sqrt(q))
+
+    def test_each_check_names_the_offending_covariance(self):
+        good = [np.eye(2), np.eye(1)]
+        skew = np.array([[1.0, 1.0], [0.0, 1.0]])
+        indefinite = np.diag([1.0, -1.0])
+        nan = np.diag([1.0, np.nan])
+        cases = [
+            (lambda: MacCovarianceSet((*good, skew), (*good, np.eye(2))), "covariance 2 is not Hermitian"),
+            (lambda: MacCovarianceSet((*good, indefinite), (*good, np.eye(2))),
+             "covariance 2 is not positive semidefinite"),
+            (lambda: MacCovarianceSet.from_covariances([*good, indefinite]),
+             "covariance 2 is not positive semidefinite"),
+            (lambda: MacCovarianceSet.from_covariances([*good, nan]), "covariance 2 has non-finite"),
+            (lambda: MacCovarianceSet((*good, np.eye(2)), (np.eye(2), np.eye(1), nan)),
+             "factor 2 has non-finite"),
+        ]
+        for build, message in cases:
+            with pytest.raises(ValidationError, match=message):
+                build()
