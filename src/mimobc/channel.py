@@ -22,6 +22,7 @@ from ._linalg import (
     finite_matrix,
     hermitian_sqrt,
     hermitize,
+    invert_lower,
     is_hermitian,
     logdet2_hpd,
     positive_finite,
@@ -113,7 +114,8 @@ def _factor_grams(
     ``channels`` is the ``(B, N, r)`` stack of composite channels H and
     ``grams`` their Hermitian Gram matrices.  The rank rule is
     ``_well_conditioned`` on the eigenvalues of G.  One Cholesky factor L per
-    draw gives tr(G) tr(G^-1) = ||L||_F^2 ||L^-1||_F^2, an upper bound on
+    draw and its triangular inverse (``invert_lower``) give
+    tr(G) tr(G^-1) = ||L||_F^2 ||L^-1||_F^2, an upper bound on
     lambda_max / lambda_min, so a draw whose product is at most
     ``_TRACE_MARGIN * COND_LIMIT`` is accepted at once; ``eigvalsh`` decides
     the rest, and the whole stack when a Cholesky fails (numpy then raises for
@@ -129,7 +131,7 @@ def _factor_grams(
         full_rank = _well_conditioned(np.linalg.eigvalsh(grams))
         channels, grams = channels[full_rank], grams[full_rank]
         chol = np.linalg.cholesky(grams)
-    inv_chol = np.linalg.inv(chol)
+    inv_chol = invert_lower(chol)
     bound = _squared_norm(chol) * _squared_norm(inv_chol)
     if full_rank is None:
         full_rank = bound <= _TRACE_MARGIN * COND_LIMIT
@@ -141,7 +143,7 @@ def _factor_grams(
     exact = np.flatnonzero(bound > _QR_BOUND * profile.total_antennas)
     if exact.size:
         chol[exact] = np.linalg.qr(channels[exact], mode="r").conj().swapaxes(-1, -2)
-        inv_chol[exact] = np.linalg.inv(chol[exact])
+        inv_chol[exact] = invert_lower(chol[exact])
     block_logdet2 = np.empty((len(chol), profile.num_users))
     for users, rows in profile._blocks_by_size:
         columns = inv_chol[:, :, rows].transpose(0, 2, 1, 3)  # (A, m, r, r_k)

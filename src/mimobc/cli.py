@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -97,17 +98,19 @@ def _write(config: ExperimentConfig, default_name: str, header, rows) -> str:
 
 
 def _run_table1(config: ExperimentConfig) -> int:
-    header = ["profile", "N", "closed_form_bits", "mc_mean_bits", "mc_stderr"]
+    header = ["profile", "N", "closed_form_bits", "mc_mean_bits", "mc_stderr", "mc_discarded"]
     rows = []
     for index, cell in enumerate(rate_loss_grid(config.extra_profiles)):
-        mc_mean = mc_stderr = None
+        mc_mean = mc_stderr = mc_discarded = None
         if cell.rate_loss_bits is not None and config.trials > 0:
             profile = make_profile(cell.base_antennas, cell.user_antennas)
             estimate = monte_carlo_rate_loss(
                 profile, None, trials=config.trials, seed=derive_seed(config.seed, index)
             )
-            mc_mean, mc_stderr = estimate.mean, estimate.stderr
-        rows.append([cell.label, cell.base_antennas, cell.rate_loss_bits, mc_mean, mc_stderr])
+            mc_mean, mc_stderr, mc_discarded = estimate.mean, estimate.stderr, estimate.discarded
+        rows.append(
+            [cell.label, cell.base_antennas, cell.rate_loss_bits, mc_mean, mc_stderr, mc_discarded]
+        )
     path = _write(config, "table1", header, rows)
     print(f"wrote {len(rows)} grid cells to {path}")
     return _EXIT_OK
@@ -121,6 +124,7 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
     header += [f"asym_rate_user{k + 1}" for k in range(profile.num_users)]
     header += ["dpc_asymptote_bits"]
     rows = []
+    deficient = 0
     for trial in range(config.trials):
         trial_seed = derive_seed(config.seed, trial)
         channel = sample_channel(profile, correlation, trial_seed)
@@ -131,13 +135,14 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
             rows.append([trial, trial_seed, "ok", loss, *report.rates, dpc])
         except NumericalRankError:
             # flagged, not dropped: the row stays with empty numeric fields
+            deficient += 1
             rows.append(
                 [trial, trial_seed, "rank_deficient", None]
                 + [None] * profile.num_users
                 + [None]
             )
     path = _write(config, "rate_loss", header, rows)
-    print(f"wrote {len(rows)} realizations to {path}")
+    print(f"wrote {len(rows)} realizations to {path} ({deficient} rank-deficient)")
     return _EXIT_OK
 
 
@@ -209,7 +214,9 @@ _RUNNERS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process; ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="mimobc",
         description="Broadcast-channel rate experiments: closed forms and Monte Carlo",

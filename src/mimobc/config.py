@@ -16,7 +16,7 @@ from ._linalg import positive_finite, power_from_db
 from .channel import CorrelationModel, SystemProfile, make_profile
 from .errors import ConfigurationError, ValidationError
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 _KINDS = ("table1", "rate-loss", "curves", "validate")
 
@@ -38,6 +38,9 @@ _KNOWN_KEYS = {
 }
 
 _DEFAULT_TRIALS = {"table1": 0, "rate-loss": 1000, "curves": 200, "validate": 2000}
+
+#: Largest master seed: seeds are unsigned 64-bit integers.
+_MAX_SEED = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -61,6 +64,16 @@ class ExperimentConfig:
 def _require_finite(name: str, *values: float) -> None:
     if not all(map(isfinite, values)):
         raise ConfigurationError(f"{name} must be finite, got {list(values)}")
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; ConfigurationError for a boolean or a non-integral number."""
+    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+    try:
+        return int(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
 
 
 def _require_power_db(name: str, *values: float) -> None:
@@ -112,9 +125,8 @@ def _parse_extra_profiles(raw) -> tuple[tuple[tuple[int, ...], int], ...]:
                 f"extra profile entries need exactly 'N' and 'antennas': {entry!r}"
             )
         try:
-            profiles.append(
-                (tuple(int(r) for r in entry["antennas"]), int(entry["N"]))
-            )
+            antennas = tuple(_integer("antennas", r) for r in entry["antennas"])
+            profiles.append((antennas, _integer("N", entry["N"])))
         except (KeyError, TypeError, ValueError) as exc:
             raise ConfigurationError(f"malformed extra profile {entry!r}") from exc
     return tuple(profiles)
@@ -149,18 +161,18 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
             f"config file declares experiment {declared!r} but the {kind!r} subcommand was invoked"
         )
 
+    trials = _integer("trials", merged.pop("trials", _DEFAULT_TRIALS[kind]))
+    seed = _integer("seed", merged.pop("seed", 1))
+    max_iterations = _integer("max_iterations", merged.pop("max_iterations", 500))
     try:
-        trials = int(merged.pop("trials", _DEFAULT_TRIALS[kind]))
-        seed = int(merged.pop("seed", 1))
         ptx_db = float(merged.pop("ptx_db", 30.0))
         tolerance = float(merged.pop("tolerance", 1e-8))
-        max_iterations = int(merged.pop("max_iterations", 500))
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed numeric config value: {exc}") from exc
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
-    if seed < 0:
-        raise ConfigurationError(f"seed must be nonnegative, got {seed}")
+    if not 0 <= seed <= _MAX_SEED:
+        raise ConfigurationError(f"seed must be in [0, 2**64 - 1], got {seed}")
     _require_power_db("ptx_db", ptx_db)
     _require_finite("tolerance", tolerance)
     if tolerance <= 0:
@@ -176,8 +188,8 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     antennas = merged.pop("antennas", None)
     weights = merged.pop("weights", None)
     try:
-        base = None if base is None else int(base)
-        antennas = None if antennas is None else tuple(int(r) for r in antennas)
+        base = None if base is None else _integer("N", base)
+        antennas = None if antennas is None else tuple(_integer("antennas", r) for r in antennas)
         weights = None if weights is None else tuple(float(w) for w in weights)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed profile fields: {exc}") from exc

@@ -17,7 +17,7 @@ from mimobc import (
     make_profile,
     sample_channel,
 )
-from mimobc._linalg import haar_unitary, hermitize
+from mimobc._linalg import haar_unitary, hermitize, invert_lower
 from mimobc.channel import _draw, _factor_grams, _well_conditioned
 from mimobc.cli import main
 
@@ -246,6 +246,28 @@ class TestChannelRealization:
         assert np.linalg.norm(product - np.eye(4)) < 1e-10
 
 
+def mpmath_complex(a):
+    return mp.matrix([[mp.mpc(float(x.real), float(x.imag)) for x in row] for row in a])
+
+
+def mpmath_inverse(a):
+    """The inverse of a float matrix, at 60 digits, rounded to complex128."""
+    with mp.workdps(60):
+        return np.array((mpmath_complex(a) ** -1).tolist(), dtype=complex)
+
+
+def mpmath_rate_loss(h, profile):
+    """The rate loss of channel ``h`` in bits and its inverse Gram matrix, at 60 digits."""
+    with mp.workdps(60):
+        big = mpmath_complex(h)
+        gram = big.H * big
+        inverse = gram**-1
+        total = mp.log(mp.re(mp.det(gram)))
+        for sl in profile.block_slices:
+            total += mp.log(mp.re(mp.det(inverse[sl.start : sl.stop, sl.start : sl.stop])))
+        return float(total / mp.log(2)), np.array(inverse.tolist(), dtype=complex)
+
+
 class TestFactorGrams:
     """The rate-loss kernel: its rank verdict is the eigenvalue rule on every draw."""
 
@@ -281,16 +303,6 @@ class TestFactorGrams:
 
     def test_ill_conditioned_draws_match_mpmath(self):
         # a Cholesky of G = H^H H alone loses about cond(G) eps: 1e-6 bits at cond(G) = 1e11
-        def reference(h, profile):
-            with mp.workdps(60):
-                big = mp.matrix([[mp.mpc(float(x.real), float(x.imag)) for x in row] for row in h])
-                gram = big.H * big
-                inverse = gram**-1
-                total = mp.log(mp.re(mp.det(gram)))
-                for sl in profile.block_slices:
-                    total += mp.log(mp.re(mp.det(inverse[sl.start : sl.stop, sl.start : sl.stop])))
-                return float(total / mp.log(2)), np.array(inverse.tolist(), dtype=complex)
-
         for profile in (make_profile(6, [2, 2, 2]), make_profile(7, [1, 3, 2])):
             channels = conditioned_channels(
                 np.random.default_rng(5), profile.base_antennas, profile.total_antennas,
@@ -299,12 +311,46 @@ class TestFactorGrams:
             factors = _factor_grams(channels, gram_stack(channels), profile)
             assert factors.full_rank.all()
             for h, loss in zip(channels, factors.rate_loss):
-                expected_loss, expected_inverse = reference(h, profile)
+                expected_loss, expected_inverse = mpmath_rate_loss(h, profile)
                 assert abs(loss - expected_loss) <= 1e-10
                 blocks = [h[:, sl] for sl in profile.block_slices]
                 inverse = ChannelRealization.from_blocks(profile, blocks).gram_inverse
                 error = np.linalg.norm(inverse - expected_inverse)
                 assert error <= 1e-10 * np.linalg.norm(expected_inverse)
+
+    @pytest.mark.parametrize("copies", [1, 6], ids=["trtri", "substitution"])
+    def test_both_inverse_loops_match_mpmath(self, copies):
+        # a stack of one inverts its factor by trtri, a stack of at least r by forward substitution
+        profile = make_profile(6, [2, 2, 2])
+        channels = conditioned_channels(
+            np.random.default_rng(7), 6, 6, np.geomspace(1e2, 1e11, 8)
+        )
+        qr_factored = 0
+        for h in channels:
+            stack = np.repeat(h[None], copies, axis=0)
+            factors = _factor_grams(stack, gram_stack(stack), profile)
+            assert factors.full_rank.all()
+            for factor, inverse in zip(factors.chol, factors.inv_chol):
+                expected = mpmath_inverse(factor)
+                assert np.linalg.norm(inverse - expected) <= 1e-12 * np.linalg.norm(expected)
+            expected_loss, expected_inverse = mpmath_rate_loss(h, profile)
+            assert np.all(np.abs(factors.rate_loss - expected_loss) <= 1e-10)
+            errors = np.linalg.norm(factors.inverse - expected_inverse, axis=(-2, -1))
+            assert np.all(errors <= 1e-10 * np.linalg.norm(expected_inverse))
+            bound = np.linalg.norm(factors.chol[0]) ** 2 * np.linalg.norm(factors.inv_chol[0]) ** 2
+            qr_factored += bool(bound > channel_module._QR_BOUND * 6)
+        assert qr_factored > 0  # some draws took their factor from a QR of H
+
+    def test_a_stack_of_singular_grams_has_no_factors(self):
+        profile = make_profile(5, [2, 2])
+        rng = np.random.default_rng(6)
+        block = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
+        channels = np.concatenate([block, block[:, :, ::-1]], axis=-1)
+        factors = _factor_grams(channels, gram_stack(channels), profile)
+        assert factors.full_rank.tolist() == [False] * 3
+        assert factors.chol.shape == factors.inv_chol.shape == (0, 4, 4)
+        assert factors.rate_loss.shape == (0,)
+        assert invert_lower(factors.chol).shape == (0, 4, 4)
 
     def test_singular_gram_in_a_stack_is_flagged(self):
         # numpy's Cholesky raises for a whole stack; the kernel flags the one singular draw
@@ -348,7 +394,9 @@ class TestFactorGrams:
         with pytest.raises(NumericalRankError):
             read(ChannelRealization.from_blocks(profile, [block, block[:, ::-1]]))
 
-    def test_rate_loss_row_of_a_duplicated_column_channel_is_flagged(self, tmp_path, monkeypatch):
+    def test_rate_loss_row_of_a_duplicated_column_channel_is_flagged(
+        self, tmp_path, monkeypatch, capsys
+    ):
         rng = np.random.default_rng(2)
         block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         monkeypatch.setattr(
@@ -361,6 +409,7 @@ class TestFactorGrams:
         config.write_text('{"N": 5, "antennas": [2, 2]}')
         out = tmp_path / "x.csv"
         assert main(["rate-loss", "--config", str(config), "--trials", "2", "--out", str(out)]) == 0
+        assert capsys.readouterr().out.endswith("(2 rank-deficient)\n")
         with open(out) as handle:
             rows = list(csv.DictReader(line for line in handle if not line.startswith("#")))
         assert [row["status"] for row in rows] == ["rank_deficient", "rank_deficient"]

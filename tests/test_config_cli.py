@@ -6,8 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from mimobc.cli import main
+from mimobc.cli import _build_parser, main
 from mimobc.config import SCHEMA_VERSION, load_config, parse_grid
+from mimobc.ergodic import MonteCarloEstimate
 from mimobc.errors import ConfigurationError
 
 
@@ -60,6 +61,47 @@ class TestConfig:
         with pytest.raises(ConfigurationError, match="tolerance"):
             load_config("curves", path)
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"seed": 1.5}, {"seed": True}, {"seed": 2**64}, {"seed": -1},
+            {"trials": 2.9}, {"trials": False}, {"max_iterations": 2.5},
+            {"max_iterations": True}, {"seed": float("inf")}, {"N": 5.5},
+        ],
+        ids=[
+            "seed-fraction", "seed-bool", "seed-2-64", "seed-negative", "trials-fraction",
+            "trials-bool", "max-iterations-fraction", "max-iterations-bool", "seed-inf",
+            "N-fraction",
+        ],
+    )
+    def test_integer_values_are_not_coerced(self, tmp_path, payload):
+        config = write_config(
+            tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "trials": 1, **payload}
+        )
+        with pytest.raises(ConfigurationError, match=next(iter(payload))):
+            load_config("rate-loss", config)
+        out = tmp_path / "x.csv"
+        assert main(["rate-loss", "--config", config, "--out", str(out)]) == 2
+        assert not out.exists()
+
+    def test_integral_values_and_the_largest_seed_are_accepted(self, tmp_path):
+        config = write_config(
+            tmp_path / "c.json", {"seed": 2**64 - 1, "trials": 3.0, "max_iterations": 7}
+        )
+        loaded = load_config("curves", config)
+        assert (loaded.seed, loaded.trials, loaded.max_iterations) == (2**64 - 1, 3, 7)
+        assert type(loaded.trials) is int
+
+    def test_seed_flag_beyond_64_bits_is_rejected(self, tmp_path, capsys):
+        out = tmp_path / "x.csv"
+        assert main(["table1", "--seed", str(2**64), "--out", str(out)]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not out.exists()
+        assert main(["table1", "--seed", str(2**64 - 1), "--out", str(out)]) == 0
+        with pytest.raises(SystemExit) as exited:
+            main(["table1", "--seed", "1.5", "--out", str(out)])
+        assert exited.value.code == 2  # argparse rejects a non-integer flag itself
+
     def test_defaults_per_kind(self):
         assert load_config("table1").trials == 0
         assert load_config("rate-loss").trials == 1000
@@ -71,7 +113,10 @@ class TestTable1Command:
         out = tmp_path / "table.csv"
         assert main(["table1", "--out", str(out)]) == 0
         header, body = read_csv(out)
-        assert header == ["profile", "N", "closed_form_bits", "mc_mean_bits", "mc_stderr"]
+        assert header == [
+            "profile", "N", "closed_form_bits", "mc_mean_bits", "mc_stderr", "mc_discarded"
+        ]
+        assert all(row[3:] == ["", "", ""] for row in body)  # no Monte Carlo without trials
         values = {(row[0], row[1]): row[2] for row in body}
         assert float(values[("1,1,1,1,1", "5")]) == pytest.approx(9.257, abs=5e-4)
         assert float(values[("2,2", "4")]) == pytest.approx(3.366, abs=5e-4)
@@ -86,12 +131,25 @@ class TestTable1Command:
         checked = 0
         for row in body:
             if row[2] == "":
-                assert row[3] == "" and row[4] == ""
+                assert row[3] == "" and row[4] == "" and row[5] == ""
                 continue
             mean, stderr = float(row[3]), float(row[4])
             assert abs(mean - float(row[2])) < 4 * stderr
+            assert int(row[5]) >= 0
             checked += 1
         assert checked == 32
+
+    def test_discarded_draws_are_reported_per_cell(self, tmp_path, monkeypatch):
+        def estimate(profile, correlation, trials, seed):
+            return MonteCarloEstimate(1.0, 0.1, trials, seed, discarded=profile.num_users)
+
+        monkeypatch.setattr("mimobc.cli.monte_carlo_rate_loss", estimate)
+        out = tmp_path / "table.csv"
+        assert main(["table1", "--out", str(out), "--trials", "10"]) == 0
+        _, body = read_csv(out)
+        for row in body:
+            expected = str(len(row[0].split(","))) if row[2] else ""
+            assert row[5] == expected
 
     def test_json_format(self, tmp_path):
         out = tmp_path / "table.json"
@@ -149,6 +207,31 @@ class TestRateLossCommand:
     def test_missing_profile_is_a_config_error(self, tmp_path):
         out = tmp_path / "loss.csv"
         assert main(["rate-loss", "--out", str(out), "--trials", "5"]) == 2
+
+    def test_summary_counts_rank_deficient_rows(self, tmp_path, capsys):
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        out = tmp_path / "loss.csv"
+        assert main(["rate-loss", "--config", config, "--out", str(out), "--trials", "3"]) == 0
+        assert capsys.readouterr().out == f"wrote 3 realizations to {out} (0 rank-deficient)\n"
+
+
+class TestParser:
+    def test_main_runs_twice_in_one_process(self, tmp_path, capsys):
+        # the parser is built once; a second call must not inherit the first call's options
+        config = write_config(tmp_path / "c.json", {"N": 4, "antennas": [1, 1]})
+        loss = tmp_path / "loss.csv"
+        table = tmp_path / "table.csv"
+        assert main(["rate-loss", "--config", config, "--trials", "4", "--out", str(loss)]) == 0
+        assert main(["table1", "--out", str(table)]) == 0
+        assert _build_parser() is _build_parser()
+        assert len(read_csv(loss)[1]) == 4
+        _, body = read_csv(table)
+        assert len(body) == 65 and all(row[3] == "" for row in body)
+        with pytest.raises(SystemExit) as exited:
+            main(["curves", "--format", "xml"])
+        assert exited.value.code == 2
+        assert "invalid choice: 'xml'" in capsys.readouterr().err
+        assert main(["table1", "--config", str(tmp_path / "missing.json")]) == 2
 
 
 class TestCurvesCommand:
@@ -298,7 +381,7 @@ class TestExitCodes:
         assert main(argv) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("antennas", [[0, 2], [-1, 3], []])
+    @pytest.mark.parametrize("antennas", [[0, 2], [-1, 3], [], [1.5, 2], [True, 2]])
     def test_invalid_extra_profile(self, tmp_path, antennas):
         config = write_config(
             tmp_path / "c.json", {"extra_profiles": [{"N": 5, "antennas": antennas}]}

@@ -18,7 +18,8 @@ from mimobc import (
     solve_bc,
     waterfill,
 )
-from mimobc._linalg import positive_finite, solve_hpd
+import mimobc._linalg as linalg_module
+from mimobc._linalg import invert_lower, positive_finite, solve_hpd
 
 from conftest import random_hpd
 
@@ -44,6 +45,69 @@ class TestSolveHpd:
         a = np.diag([1.0, -1.0, 2.0]).astype(complex)
         with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
             solve_hpd(a, np.eye(3))
+
+
+def cholesky_stack(rng, count, size):
+    """Cholesky factors of ``count`` well-conditioned random HPD matrices of one size."""
+    return np.array([np.linalg.cholesky(random_hpd(rng, size)) for _ in range(count)])
+
+
+class TestInvertLower:
+    """The triangular inverse: forward substitution on stacks of at least r factors, else trtri."""
+
+    @pytest.mark.parametrize(
+        "count, size",
+        [(200, 6), (6, 6), (7, 3), (3, 1), (1, 1), (5, 6), (1, 4), (1, 64), (2, 16)],
+    )
+    def test_matches_the_lu_inverse(self, count, size):
+        factors = cholesky_stack(np.random.default_rng(count * 100 + size), count, size)
+        inverse = invert_lower(factors)
+        expected = np.linalg.inv(factors)
+        assert inverse.shape == factors.shape and inverse.flags.c_contiguous
+        for got, want in zip(inverse, expected):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+            assert np.array_equal(got, np.tril(got))
+
+    @pytest.mark.parametrize("count, size, lapack", [(6, 6, False), (40, 3, False), (5, 6, True)])
+    def test_the_loop_follows_the_shorter_axis(self, monkeypatch, count, size, lapack):
+        looked_up = []
+
+        def lookup(names, arrays):
+            looked_up.extend(names)
+            return get_lapack_funcs(names, arrays)
+
+        get_lapack_funcs = linalg_module.get_lapack_funcs
+        monkeypatch.setattr(linalg_module, "get_lapack_funcs", lookup)
+        invert_lower(cholesky_stack(np.random.default_rng(1), count, size))
+        assert looked_up == (["trtri"] if lapack else [])
+
+    @pytest.mark.parametrize("count", [0, 3, 12])
+    def test_complex_diagonals(self, count):
+        # QR factors R^H may carry complex or negative diagonals
+        rng = np.random.default_rng(count)
+        size = 4
+        noise = rng.standard_normal((count, size, size)) + 1j * rng.standard_normal((count, size, size))
+        phases = np.exp(2j * np.pi * rng.random((count, size)))
+        factors = np.tril(noise, -1) + phases[..., None] * (2.0 + np.eye(size)) * np.eye(size)
+        inverse = invert_lower(factors)
+        assert inverse.shape == (count, size, size) and inverse.flags.c_contiguous
+        for got, factor in zip(inverse, factors):
+            assert np.linalg.norm(got - np.linalg.inv(factor)) <= 1e-12 * np.linalg.norm(got)
+            assert np.allclose(got @ factor, np.eye(size), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("size", [1, 4, 64])
+    def test_empty_stack(self, size):
+        inverse = invert_lower(np.empty((0, size, size), dtype=complex))
+        assert inverse.shape == (0, size, size) and inverse.dtype == complex
+        assert inverse.flags.c_contiguous
+
+    def test_contiguous_result_from_a_strided_stack(self):
+        factors = cholesky_stack(np.random.default_rng(9), 8, 3)
+        for view in (factors[::2], factors[:1]):
+            inverse = invert_lower(view)
+            assert inverse.flags.c_contiguous
+            assert inverse.view(np.float64).shape == (len(view), 3, 6)
+            np.testing.assert_allclose(inverse, np.linalg.inv(view), rtol=1e-12, atol=0)
 
 
 PROFILE = make_profile(5, [2, 2])

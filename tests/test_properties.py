@@ -36,6 +36,14 @@ def channels(draw):
     return make_profile(n, antennas), h
 
 
+def in_a_stack(h):
+    """``h`` first in a stack of r + 1 channels, the rest unit-variance Gaussian draws."""
+    n, r = h.shape
+    rng = np.random.default_rng(r)
+    others = rng.standard_normal((r, n, r)) + 1j * rng.standard_normal((r, n, r))
+    return np.concatenate([h[None], others])
+
+
 def reference_rate_loss(gram, profile):
     """slogdet(G) + sum_k slogdet([inv(G)]_kk), in bits."""
     inverse = np.linalg.inv(gram)
@@ -52,8 +60,12 @@ def test_kernel_matches_the_eigenvalue_rule_and_the_lu_reference(case):
     gram = hermitize(h.conj().T @ h)
     eigenvalues = np.linalg.eigvalsh(gram)
     full_rank = bool(_well_conditioned(eigenvalues))
+    # a stack of one inverts its factor by trtri, a stack of r + 1 by forward substitution
     factors = _factor_grams(h[None], gram[None], profile)
     assert bool(factors.full_rank[0]) == full_rank
+    stack = in_a_stack(h)
+    stacked = _factor_grams(stack, hermitize(stack.conj().swapaxes(-1, -2) @ stack), profile)
+    assert bool(stacked.full_rank[0]) == full_rank
 
     blocks = [h[:, sl] for sl in profile.block_slices]
     channel = ChannelRealization.from_blocks(profile, blocks)
@@ -64,4 +76,6 @@ def test_kernel_matches_the_eigenvalue_rule_and_the_lu_reference(case):
     loss = float(factors.rate_loss[0])
     assert instantaneous_rate_loss(channel) == loss
     if eigenvalues[-1] <= REFERENCE_CONDITION * eigenvalues[0]:
-        assert abs(loss - reference_rate_loss(gram, profile)) <= 1e-9
+        reference = reference_rate_loss(gram, profile)
+        assert abs(loss - reference) <= 1e-9
+        assert abs(float(stacked.rate_loss[0]) - reference) <= 1e-9
