@@ -29,7 +29,7 @@ from math import isfinite, log2
 import numpy as np
 
 from ._linalg import LN2, hermitize, positive_finite, power_from_db
-from .bc import _bc_exact_rates, solve_bc
+from .bc import _bc_exact_rates, bc_precoder
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -39,15 +39,9 @@ from .channel import (
 )
 from .ergodic import ergodic_block_logdet, ergodic_dpc_logdet
 from .errors import ValidationError
-from .mac import MacCovarianceSet
+from .mac import MacCovarianceSet, _objective
 
-__all__ = [
-    "CurvePoint",
-    "SumCapacityResult",
-    "dual_mac_sum_capacity",
-    "generate_curves",
-    "waterfill",
-]
+__all__ = ["dual_mac_sum_capacity"]
 
 #: Line-search step sizes tried per iteration, largest first.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 2**-8, 2**-12, 2**-16)
@@ -101,11 +95,6 @@ class SumCapacityResult:
     @property
     def total_power(self) -> float:
         return self.covariances.total_power
-
-
-def _objective(gram: np.ndarray, covariance: np.ndarray) -> np.ndarray:
-    """log2 |I + Q G| for a composite covariance Q, or for each of a stack of them."""
-    return np.linalg.slogdet(np.eye(gram.shape[-1]) + covariance @ gram)[1] / LN2
 
 
 def _waterfill_direction(
@@ -276,7 +265,7 @@ def generate_curves(
     for t in range(trials):
         channel = sample_channel(profile, correlation, derive_seed(seed, t))
         # unit-power precoder directions: at power P the covariances scale by P / r
-        directions = solve_bc(channel, float(r)).precoders
+        directions = [bc_precoder(channel, float(r), k) for k in range(profile.num_users)]
         linear_values[:, t] = _bc_exact_rates(channel, directions, np.divide(powers, r)).sum(axis=1)
         for i, power in enumerate(powers):
             result = dual_mac_sum_capacity(channel, power, tolerance, max_iterations)

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._linalg import (
     haar_unitary,
+    hermitian_sqrt,
     hermitize,
     logdet2_hpd,
     normalize_eigenvector_phases,
@@ -27,18 +28,7 @@ from .channel import ChannelRealization, block_index_range
 from .errors import DegeneracyError, ValidationError
 from .mac import MacCovarianceSet, _check_dims, _check_user
 
-__all__ = [
-    "BcSolution",
-    "asymptotic_receiver",
-    "bc_covariance",
-    "bc_exact_user_rate",
-    "bc_precoder",
-    "decorrelation_basis",
-    "eigenbasis_optimality_check",
-    "mmse_receiver_exact",
-    "scaling_factors",
-    "solve_bc",
-]
+__all__ = ["solve_bc"]
 
 
 def mmse_receiver_exact(
@@ -46,16 +36,15 @@ def mmse_receiver_exact(
 ) -> np.ndarray:
     """MMSE receive filter of one user in the dual uplink.
 
-    Returns T_k^H H_k^H (I + H T T^H H^H)^{-1} as a B_k x N matrix.
+    Returns T_k^H H_k^H (I + sum_l H_l Q_l H_l^H)^{-1} as an r_k x N matrix,
+    with T_k the principal square root of the user's covariance Q_k.
     """
     _check_user(channel, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
-    ht = np.concatenate(
-        [h @ t for h, t in zip(channel.blocks, covariances.factors)], axis=1
-    )
-    a = np.eye(n, dtype=complex) + hermitize(ht @ ht.conj().T)
-    rhs = channel.blocks[user] @ covariances.factors[user]
+    received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances))
+    a = np.eye(n, dtype=complex) + hermitize(received)
+    rhs = channel.blocks[user] @ hermitian_sqrt(covariances.covariances[user])
     return solve_hpd(a, rhs).conj().T
 
 

@@ -34,8 +34,6 @@ __all__ = [
     "COND_LIMIT",
     "ChannelRealization",
     "CorrelationModel",
-    "SystemProfile",
-    "block_index_range",
     "derive_seed",
     "make_profile",
     "sample_channel",

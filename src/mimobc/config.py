@@ -76,6 +76,16 @@ def _integer(name: str, value) -> int:
         raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float; ConfigurationError for a boolean or a non-numeric value."""
+    if isinstance(value, bool):
+        raise ConfigurationError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigurationError(f"{name} must be a number, got {value!r}") from exc
+
+
 def _require_power_db(name: str, *values: float) -> None:
     """ConfigurationError unless every dB value is a positive finite linear power."""
     for db in values:
@@ -104,8 +114,8 @@ def parse_grid(spec) -> tuple[float, ...]:
         grid = tuple(start + i * step for i in range(count))
     else:
         try:
-            grid = tuple(float(p) for p in spec)
-        except (TypeError, ValueError) as exc:
+            grid = tuple(_number("grid point", p) for p in spec)
+        except TypeError as exc:
             raise ConfigurationError(
                 f"grid must be a list of dB values or a string, got {spec!r}"
             ) from exc
@@ -164,11 +174,8 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     trials = _integer("trials", merged.pop("trials", _DEFAULT_TRIALS[kind]))
     seed = _integer("seed", merged.pop("seed", 1))
     max_iterations = _integer("max_iterations", merged.pop("max_iterations", 500))
-    try:
-        ptx_db = float(merged.pop("ptx_db", 30.0))
-        tolerance = float(merged.pop("tolerance", 1e-8))
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed numeric config value: {exc}") from exc
+    ptx_db = _number("ptx_db", merged.pop("ptx_db", 30.0))
+    tolerance = _number("tolerance", merged.pop("tolerance", 1e-8))
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
     if not 0 <= seed <= _MAX_SEED:
@@ -190,7 +197,7 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     try:
         base = None if base is None else _integer("N", base)
         antennas = None if antennas is None else tuple(_integer("antennas", r) for r in antennas)
-        weights = None if weights is None else tuple(float(w) for w in weights)
+        weights = None if weights is None else tuple(_number("weight", w) for w in weights)
     except (TypeError, ValueError) as exc:
         raise ConfigurationError(f"malformed profile fields: {exc}") from exc
 
@@ -240,16 +247,19 @@ def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> Corre
     if spec == "identity" or spec is None:
         return None
     if isinstance(spec, dict) and set(spec) == {"scalars"}:
-        return CorrelationModel.scalar(profile, spec["scalars"])
+        return CorrelationModel.scalar(
+            profile, [_number("correlation scalar", c) for c in spec["scalars"]]
+        )
     if isinstance(spec, dict) and set(spec) == {"matrices"}:
         blocks = []
         for raw in spec["matrices"]:
             matrix = np.array(
                 [
                     [
-                        complex(entry[0], entry[1])
+                        complex(_number("correlation entry", entry[0]),
+                                _number("correlation entry", entry[1]))
                         if isinstance(entry, (list, tuple))
-                        else complex(entry)
+                        else _number("correlation entry", entry)
                         for entry in row
                     ]
                     for row in raw

@@ -27,18 +27,12 @@ from .errors import ConfigurationError, DomainError, NumericalRankError, Validat
 from .mac import _batch_rate_loss
 
 __all__ = [
-    "EULER_GAMMA",
-    "MonteCarloEstimate",
-    "RateLossCell",
-    "default_trials",
     "digamma_int",
     "ergodic_block_logdet",
     "ergodic_dpc_logdet",
     "ergodic_rate_loss",
-    "ergodic_rate_loss_equal",
     "monte_carlo_rate_loss",
     "power_offset_db",
-    "rate_loss_grid",
 ]
 
 #: Euler-Mascheroni constant.

@@ -1,7 +1,7 @@
 """Rate computations in the dual uplink (multiple access) channel.
 
-Covers the exact per-user rate with inter-user interference, the equivalent
-Gram-matrix determinant form, the high-power asymptotes that decouple the
+Covers the exact per-user rates with inter-user interference, evaluated on
+the channel's r x r Gram matrix, the high-power asymptotes that decouple the
 users, the weight-proportional asymptotic power split, the dirty-paper-coding
 sum-rate asymptote, and the power-independent rate loss of linear filtering.
 """
@@ -13,32 +13,11 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import (
-    finite_matrix,
-    hermitian_sqrt,
-    hermitize,
-    is_hermitian,
-    logdet2_hpd,
-    positive_finite,
-    solve_hpd,
-)
+from ._linalg import LN2, hermitize, is_hermitian, positive_finite
 from .channel import ChannelRealization, SystemProfile, _factor_grams
 from .errors import ValidationError
 
-__all__ = [
-    "MacAsymptoticSolution",
-    "MacCovarianceSet",
-    "RateReport",
-    "asymptotic_rate_report",
-    "asymptotic_user_rate",
-    "asymptotic_weighted_sum_rate",
-    "dpc_asymptotic_sum_rate",
-    "exact_rate_report",
-    "exact_user_rate",
-    "exact_user_rate_gram_form",
-    "instantaneous_rate_loss",
-    "optimal_power_split",
-]
+__all__ = ["instantaneous_rate_loss"]
 
 #: Tolerance for PSD checks on user covariances, relative to the largest entry.
 _PSD_TOL = 1e-12
@@ -66,26 +45,16 @@ def _stacks_by_shape(matrices, what: str) -> list[tuple[list[int], np.ndarray]]:
 
 @dataclass(frozen=True)
 class MacCovarianceSet:
-    """Per-user uplink transmit covariances Q_k together with factors T_k.
-
-    The factors satisfy Q_k = T_k T_k^H; the composite factor is block
-    diagonal with the T_k on its diagonal.
-    """
+    """Per-user uplink transmit covariances Q_k, each Hermitian positive semidefinite."""
 
     covariances: tuple[np.ndarray, ...] = field(repr=False)
-    factors: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.covariances) != len(self.factors):
-            raise ValidationError("covariance and factor counts differ")
         # the checks run once per group of equally shaped matrices
         stacks = _stacks_by_shape(self.covariances, "covariance")
-        _stacks_by_shape(self.factors, "factor")
-        for k, (q, t) in enumerate(zip(self.covariances, self.factors)):
+        for k, q in enumerate(self.covariances):
             if q.ndim != 2 or q.shape[0] != q.shape[1]:
                 raise ValidationError(f"covariance {k} is not square: shape {q.shape}")
-            if t.shape[0] != q.shape[0]:
-                raise ValidationError(f"factor {k} has {t.shape[0]} rows for a {q.shape} covariance")
         for users, stack in stacks:
             if not stack.shape[-1]:
                 continue
@@ -101,28 +70,14 @@ class MacCovarianceSet:
 
     @classmethod
     def from_covariances(cls, covariances) -> "MacCovarianceSet":
-        """Build from Hermitian PSD covariances, factoring each via its principal root."""
-        covs = tuple(np.asarray(q, dtype=complex) for q in covariances)
-        factors = [None] * len(covs)
-        for users, stack in _stacks_by_shape(covs, "covariance"):
-            roots = hermitian_sqrt(stack, [f"covariance {k}" for k in users])
-            for k, root in zip(users, roots):
-                factors[k] = root
-        return cls(covs, tuple(factors))
-
-    @classmethod
-    def from_factors(cls, factors) -> "MacCovarianceSet":
-        facs = tuple(finite_matrix(t, f"factor {k}") for k, t in enumerate(factors))
-        covs = tuple(hermitize(t @ t.conj().T) for t in facs)
-        return cls(covs, facs)
+        """Build from Hermitian PSD covariances, given as anything ``np.asarray`` takes."""
+        return cls(tuple(np.asarray(q, dtype=complex) for q in covariances))
 
     @classmethod
     def uniform(cls, profile: SystemProfile, total_power: float) -> "MacCovarianceSet":
         """Even split over all antennas: Q_k = (P / r) I for every user."""
         level = positive_finite(total_power, "transmit power") / profile.total_antennas
-        covs = tuple(level * np.eye(r, dtype=complex) for r in profile.user_antennas)
-        factors = tuple(np.sqrt(level) * np.eye(r, dtype=complex) for r in profile.user_antennas)
-        return cls(covs, factors)
+        return cls(tuple(level * np.eye(r, dtype=complex) for r in profile.user_antennas))
 
     @property
     def total_power(self) -> float:
@@ -151,15 +106,12 @@ class MacAsymptoticSolution:
             raise ValidationError("power levels must be nonnegative")
 
     def covariances(self) -> MacCovarianceSet:
-        covs = tuple(
-            lam * np.eye(r, dtype=complex)
-            for lam, r in zip(self.power_levels, self.profile.user_antennas)
+        return MacCovarianceSet(
+            tuple(
+                lam * np.eye(r, dtype=complex)
+                for lam, r in zip(self.power_levels, self.profile.user_antennas)
+            )
         )
-        factors = tuple(
-            np.sqrt(lam) * np.eye(r, dtype=complex)
-            for lam, r in zip(self.power_levels, self.profile.user_antennas)
-        )
-        return MacCovarianceSet(covs, factors)
 
 
 @dataclass(frozen=True)
@@ -203,52 +155,6 @@ def _check_dims(channel: ChannelRealization, covariances: MacCovarianceSet) -> N
     for k, (q, r_k) in enumerate(zip(covariances.covariances, antennas)):
         if q.shape != (r_k, r_k):
             raise ValidationError(f"covariance {k} has shape {q.shape}, expected ({r_k}, {r_k})")
-
-
-def exact_user_rate(
-    channel: ChannelRealization, covariances: MacCovarianceSet, user: int
-) -> float:
-    """Exact uplink rate of one user with all other users acting as noise.
-
-    Returns log2 |I + (I + sum_{l != k} H_l Q_l H_l^H)^{-1} H_k Q_k H_k^H|
-    in bits/s/Hz, evaluated as a difference of Cholesky log-determinants.
-    """
-    _check_user(channel, user)
-    _check_dims(channel, covariances)
-    n = channel.profile.base_antennas
-    other = np.eye(n, dtype=complex)
-    for k, (h, q) in enumerate(zip(channel.blocks, covariances.covariances)):
-        if k != user:
-            other += h @ q @ h.conj().T
-    h_k = channel.blocks[user]
-    full = other + h_k @ covariances.covariances[user] @ h_k.conj().T
-    rate = logdet2_hpd(hermitize(full)) - logdet2_hpd(hermitize(other))
-    return max(0.0, rate)
-
-
-def exact_user_rate_gram_form(
-    channel: ChannelRealization, covariances: MacCovarianceSet, user: int
-) -> float:
-    """Exact uplink rate via the composite Gram form.
-
-    Returns -log2 of the determinant of the user's diagonal block of
-    (I_b + T^H H^H H T)^{-1}, with T the block-diagonal composite factor.
-    Algebraically identical to :func:`exact_user_rate` for Q_k = T_k T_k^H.
-    """
-    _check_user(channel, user)
-    _check_dims(channel, covariances)
-    factors = covariances.factors
-    cols = [t.shape[1] for t in factors]
-    total = sum(cols)
-    # H T assembled without materializing the block-diagonal composite factor
-    ht = np.concatenate([h @ t for h, t in zip(channel.blocks, factors)], axis=1)
-    m = np.eye(total, dtype=complex) + hermitize(ht.conj().T @ ht)
-    offset = sum(cols[:user])
-    sl = slice(offset, offset + cols[user])
-    rhs = np.zeros((total, cols[user]), dtype=complex)
-    rhs[sl] = np.eye(cols[user])
-    block = hermitize(solve_hpd(m, rhs)[sl, :])
-    return -logdet2_hpd(block)
 
 
 def asymptotic_user_rate(
@@ -306,13 +212,37 @@ def instantaneous_rate_loss(channel: ChannelRealization) -> float:
     return float(channel._gram_factors.rate_loss[0])
 
 
+def _objective(gram: np.ndarray, covariance: np.ndarray) -> np.ndarray:
+    """log2 |I + Q G| for a composite covariance Q, or for each of a stack of them.
+
+    By Sylvester's determinant identity this is log2 |I + H Q H^H| with
+    G = H^H H, but every matrix is r x r: the N - r unit eigenvalues of the
+    N x N form, which cost it digits at high power, never appear.
+    """
+    return np.linalg.slogdet(np.eye(gram.shape[-1]) + covariance @ gram)[1] / LN2
+
+
 def exact_rate_report(
     channel: ChannelRealization, covariances: MacCovarianceSet
 ) -> RateReport:
-    rates = tuple(
-        exact_user_rate(channel, covariances, k) for k in range(channel.profile.num_users)
-    )
-    return RateReport(rates, channel.profile.weights, asymptotic=False)
+    """Exact uplink rates of every user with all other users acting as noise.
+
+    User k's rate log2 |I + (I + sum_{l != k} H_l Q_l H_l^H)^{-1} H_k Q_k
+    H_k^H| is log2 |I + Q G| - log2 |I + Q_{-k} G|, Q being the block
+    diagonal composite covariance and Q_{-k} the same without user k's
+    block; one batched log-determinant evaluates all K + 1 terms.  Rates
+    are clamped at 0, so a user with a zero covariance gets exactly 0.
+    """
+    _check_dims(channel, covariances)
+    profile = channel.profile
+    r = profile.total_antennas
+    composite = np.zeros((r, r), dtype=complex)
+    for sl, q in zip(profile.block_slices, covariances.covariances):
+        composite[sl, sl] = q
+    stack = np.concatenate([composite[None], composite * profile._other_columns])
+    values = _objective(channel.gram, stack)
+    rates = np.maximum(values[0] - values[1:], 0.0)
+    return RateReport(tuple(rates.tolist()), profile.weights, asymptotic=False)
 
 
 def asymptotic_rate_report(channel: ChannelRealization, total_power: float) -> RateReport:

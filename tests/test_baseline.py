@@ -10,13 +10,11 @@ from mimobc import (
     ValidationError,
     derive_seed,
     dual_mac_sum_capacity,
-    generate_curves,
     make_profile,
     sample_channel,
-    waterfill,
 )
 from mimobc._linalg import haar_unitary, hermitize
-from mimobc.baseline import _objective
+from mimobc.baseline import _objective, generate_curves, waterfill
 
 #: 60-digit arithmetic for the references, apart from the global mpmath context.
 _MP = mpmath.MPContext()

@@ -1,23 +1,19 @@
 import numpy as np
 import pytest
 
-from mimobc import (
-    ChannelRealization,
-    MacCovarianceSet,
+from mimobc import ChannelRealization, make_profile, sample_channel, solve_bc
+from mimobc.bc import (
     asymptotic_receiver,
-    asymptotic_user_rate,
     bc_covariance,
     bc_exact_user_rate,
     bc_precoder,
     decorrelation_basis,
     eigenbasis_optimality_check,
-    make_profile,
     mmse_receiver_exact,
-    sample_channel,
     scaling_factors,
-    solve_bc,
 )
-from mimobc._linalg import haar_unitary, hermitize, logdet2_hpd
+from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
+from mimobc._linalg import haar_unitary, hermitian_sqrt, hermitize, logdet2_hpd
 from mimobc.bc import _bc_exact_rates
 
 
@@ -43,16 +39,16 @@ class TestMmseReceiver:
     def test_vanishing_factors_give_zero_filter(self):
         profile = make_profile(5, [2, 2])
         channel = sample_channel(profile, seed=1)
-        tiny = MacCovarianceSet.from_factors(
-            [1e-9 * np.eye(2), 1e-9 * np.eye(2)]
-        )
+        # covariances of the factors 1e-9 I
+        tiny = MacCovarianceSet.from_covariances([1e-18 * np.eye(2), 1e-18 * np.eye(2)])
         for k in range(2):
             assert np.linalg.norm(mmse_receiver_exact(channel, tiny, k)) < 1e-8
 
     def test_identity_channel_scalar_filter(self):
         channel = identity_channel([2, 2])
         t = 1.7
-        covariances = MacCovarianceSet.from_factors([t * np.eye(2), t * np.eye(2)])
+        # covariances of the factors t I, whose principal roots are t I
+        covariances = MacCovarianceSet.from_covariances([t**2 * np.eye(2), t**2 * np.eye(2)])
         for k in range(2):
             expected = np.zeros((2, 4))
             sl = channel.profile.block_slices[k]
@@ -66,9 +62,8 @@ class TestMmseReceiver:
         channel = sample_channel(profile, seed=8)
         covariances = MacCovarianceSet.uniform(profile, 12.0)
         h = channel.composite
-        ht = np.concatenate(
-            [hk @ t for hk, t in zip(channel.blocks, covariances.factors)], axis=1
-        )
+        factors = [hermitian_sqrt(q) for q in covariances.covariances]
+        ht = np.concatenate([hk @ t for hk, t in zip(channel.blocks, factors)], axis=1)
         x = np.eye(6) + ht @ ht.conj().T
         for k in range(2):
             g = mmse_receiver_exact(channel, covariances, k)

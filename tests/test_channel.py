@@ -12,13 +12,12 @@ from mimobc import (
     CorrelationModel,
     NumericalRankError,
     ValidationError,
-    block_index_range,
     derive_seed,
     make_profile,
     sample_channel,
 )
 from mimobc._linalg import haar_unitary, hermitize, invert_lower
-from mimobc.channel import _draw, _factor_grams, _well_conditioned
+from mimobc.channel import _draw, _factor_grams, _well_conditioned, block_index_range
 from mimobc.cli import main
 
 from conftest import random_hpd

@@ -390,6 +390,27 @@ class TestExitCodes:
         assert main(["table1", "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "kind, payload",
+        [
+            ("rate-loss", {"weights": [True, 1]}),
+            ("rate-loss", {"ptx_db": True}),
+            ("curves", {"tolerance": True}),
+            ("curves", {"ptx_grid_db": [True, 5]}),
+            ("rate-loss", {"correlation": {"scalars": [True, 2]}}),
+            ("rate-loss", {"correlation": {"matrices": [[[True, 0], [0, 1]], [[1, 0], [0, 1]]]}}),
+            ("rate-loss", {"correlation": {"matrices": [[[[1, False], 0], [0, 1]], [[1, 0], [0, 1]]]}}),
+        ],
+        ids=["weights", "ptx-db", "tolerance", "grid-list", "scalars", "matrix-entry", "matrix-pair"],
+    )
+    def test_boolean_in_a_float_field(self, tmp_path, capsys, kind, payload):
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2], **payload})
+        out = tmp_path / "x.csv"
+        argv = [kind, "--config", config, "--trials", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):
         def fail(channel):
             raise np.linalg.LinAlgError("Matrix is not positive definite")

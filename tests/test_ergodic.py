@@ -9,23 +9,20 @@ from mimobc import (
     ChannelRealization,
     CorrelationModel,
     DomainError,
-    EULER_GAMMA,
     ValidationError,
     derive_seed,
-    default_trials,
     digamma_int,
     ergodic_block_logdet,
     ergodic_dpc_logdet,
     ergodic_rate_loss,
-    ergodic_rate_loss_equal,
     instantaneous_rate_loss,
     make_profile,
     monte_carlo_rate_loss,
     power_offset_db,
-    rate_loss_grid,
     sample_channel,
 )
 from mimobc.channel import _draw
+from mimobc.ergodic import EULER_GAMMA, default_trials, ergodic_rate_loss_equal, rate_loss_grid
 
 from conftest import random_hpd
 from reference_table import REFERENCE_RATE_LOSS

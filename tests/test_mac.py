@@ -3,22 +3,22 @@ import pytest
 
 from mimobc import (
     ChannelRealization,
-    MacCovarianceSet,
     NumericalRankError,
     ValidationError,
+    instantaneous_rate_loss,
+    make_profile,
+    sample_channel,
+)
+from mimobc._linalg import haar_unitary, hermitian_sqrt
+from mimobc.mac import (
+    MacCovarianceSet,
     asymptotic_rate_report,
     asymptotic_user_rate,
     asymptotic_weighted_sum_rate,
     dpc_asymptotic_sum_rate,
     exact_rate_report,
-    exact_user_rate,
-    exact_user_rate_gram_form,
-    instantaneous_rate_loss,
-    make_profile,
     optimal_power_split,
-    sample_channel,
 )
-from mimobc._linalg import haar_unitary, hermitian_sqrt
 
 from conftest import random_hpd
 
@@ -71,19 +71,20 @@ class TestExactUserRate:
     def test_scalar_unit_channel(self):
         channel = identity_channel(1)
         covariances = MacCovarianceSet.from_covariances([np.eye(1)])
-        assert exact_user_rate(channel, covariances, 0) == pytest.approx(1.0, abs=1e-12)
+        assert exact_rate_report(channel, covariances).rates[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_parallel_awgn_channels(self):
         power = 9.0
         channel = identity_channel(3)
         covariances = MacCovarianceSet.uniform(channel.profile, 3 * power)
         expected = 3 * np.log2(1 + power)
-        assert exact_user_rate(channel, covariances, 0) == pytest.approx(expected, abs=1e-10)
+        assert exact_rate_report(channel, covariances).rates[0] == pytest.approx(expected, abs=1e-10)
 
     def test_seeded_channel_against_determinant_oracle(self):
         profile = make_profile(4, [2, 2])
         channel = sample_channel(profile, seed=42)
         covariances = MacCovarianceSet.uniform(profile, 8.0)
+        rates = exact_rate_report(channel, covariances).rates
         for k, frozen in enumerate(SEEDED_RATE_ORACLE):
             other = np.eye(4, dtype=complex)
             for l in range(2):
@@ -96,13 +97,13 @@ class TestExactUserRate:
             )
             oracle = float(np.log2(abs(np.linalg.det(mat))))
             assert oracle == pytest.approx(frozen, abs=1e-10)
-            assert exact_user_rate(channel, covariances, k) == pytest.approx(frozen, abs=1e-10)
+            assert rates[k] == pytest.approx(frozen, abs=1e-10)
 
     def test_dimension_mismatch(self):
         channel = sample_channel(make_profile(4, [2, 2]), seed=0)
         bad = MacCovarianceSet.from_covariances([np.eye(2), np.eye(1)])
         with pytest.raises(ValidationError):
-            exact_user_rate(channel, bad, 0)
+            exact_rate_report(channel, bad)
 
 
 class TestGramForm:
@@ -113,11 +114,11 @@ class TestGramForm:
         profile = make_profile(5, [3])
         channel = sample_channel(profile, seed=2)
         covariances = random_covariances(np.random.default_rng(3), profile)
-        t = covariances.factors[0]
+        t = hermitian_sqrt(covariances.covariances[0])
         expected = np.log2(
             abs(np.linalg.det(np.eye(3) + t.conj().T @ channel.gram @ t))
         )
-        assert exact_user_rate_gram_form(channel, covariances, 0) == pytest.approx(
+        assert exact_rate_report(channel, covariances).rates[0] == pytest.approx(
             expected, abs=1e-10
         )
 
@@ -125,8 +126,7 @@ class TestGramForm:
         profile = make_profile(4, [2, 2])
         channel = sample_channel(profile, seed=5)
         covariances = MacCovarianceSet.from_covariances([np.zeros((2, 2)), np.eye(2)])
-        assert exact_user_rate_gram_form(channel, covariances, 0) == pytest.approx(0.0, abs=1e-12)
-        assert exact_user_rate(channel, covariances, 0) == pytest.approx(0.0, abs=1e-12)
+        assert exact_rate_report(channel, covariances).rates[0] == 0.0
 
 
 class TestAsymptoticUserRate:
@@ -144,8 +144,9 @@ class TestAsymptoticUserRate:
         channel = sample_channel(profile, seed=3)
         power = 1e6
         covariances = MacCovarianceSet.uniform(profile, power)
+        rates = exact_rate_report(channel, covariances).rates
         for k in range(2):
-            exact = exact_user_rate(channel, covariances, k)
+            exact = rates[k]
             asym = asymptotic_user_rate(channel, power / 4, k)
             assert abs(exact - asym) < 1e-3
 
@@ -225,7 +226,7 @@ class TestWeightedSumRate:
         channel = sample_channel(profile, seed=3)
         power = 1e4
         covariances = MacCovarianceSet.uniform(profile, power)
-        exact_sum = sum(exact_user_rate(channel, covariances, k) for k in range(2))
+        exact_sum = exact_rate_report(channel, covariances).sum_rate
         assert abs(asymptotic_weighted_sum_rate(channel, power) - exact_sum) < 1e-2
 
     def test_concavity_of_the_split(self, checks):
@@ -304,13 +305,6 @@ class TestRateReports:
 
 
 class TestMacCovarianceSet:
-    def test_factor_roundtrip(self):
-        rng = np.random.default_rng(16)
-        covs = [random_hpd(rng, 3, ridge=0.0)]
-        cset = MacCovarianceSet.from_covariances(covs)
-        rebuilt = cset.factors[0] @ cset.factors[0].conj().T
-        assert np.linalg.norm(rebuilt - covs[0]) < 1e-12
-
     def test_uniform_total_power(self):
         profile = make_profile(6, [2, 3])
         cset = MacCovarianceSet.uniform(profile, 30.0)
@@ -322,14 +316,7 @@ class TestMacCovarianceSet:
 
 
 class TestCovarianceSetChecks:
-    """The checks and roots run once per covariance size; each must still name its matrix."""
-
-    def test_roots_equal_the_per_matrix_roots(self):
-        rng = np.random.default_rng(4)
-        covs = [random_hpd(rng, size) for size in (2, 1, 2, 3, 1)]
-        factors = MacCovarianceSet.from_covariances(covs).factors
-        for q, t in zip(covs, factors):
-            assert np.array_equal(t, hermitian_sqrt(q))
+    """The checks run once per covariance size; each must still name its matrix."""
 
     def test_each_check_names_the_offending_covariance(self):
         good = [np.eye(2), np.eye(1)]
@@ -337,14 +324,11 @@ class TestCovarianceSetChecks:
         indefinite = np.diag([1.0, -1.0])
         nan = np.diag([1.0, np.nan])
         cases = [
-            (lambda: MacCovarianceSet((*good, skew), (*good, np.eye(2))), "covariance 2 is not Hermitian"),
-            (lambda: MacCovarianceSet((*good, indefinite), (*good, np.eye(2))),
-             "covariance 2 is not positive semidefinite"),
+            (lambda: MacCovarianceSet((*good, skew)), "covariance 2 is not Hermitian"),
+            (lambda: MacCovarianceSet((*good, indefinite)), "covariance 2 is not positive semidefinite"),
             (lambda: MacCovarianceSet.from_covariances([*good, indefinite]),
              "covariance 2 is not positive semidefinite"),
             (lambda: MacCovarianceSet.from_covariances([*good, nan]), "covariance 2 has non-finite"),
-            (lambda: MacCovarianceSet((*good, np.eye(2)), (np.eye(2), np.eye(1), nan)),
-             "factor 2 has non-finite"),
         ]
         for build, message in cases:
             with pytest.raises(ValidationError, match=message):
