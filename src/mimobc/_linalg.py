@@ -162,8 +162,9 @@ def hermitian_sqrt(a: np.ndarray, what="matrix") -> np.ndarray:
 
 
 def normalize_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column so its largest-magnitude entry is real positive."""
-    lead = vectors[np.argmax(np.abs(vectors), axis=0), np.arange(vectors.shape[1])]
+    """Make each column's largest-magnitude entry real positive, in a matrix or a stack."""
+    leading = np.argmax(np.abs(vectors), axis=-2)[..., None, :]
+    lead = np.take_along_axis(vectors, leading, axis=-2)
     return vectors / (lead / np.abs(lead))
 
 

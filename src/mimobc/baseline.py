@@ -29,7 +29,7 @@ from math import isfinite, log2
 import numpy as np
 
 from ._linalg import LN2, hermitize, positive_finite, power_from_db
-from .bc import _bc_exact_rates, bc_precoder
+from .bc import _bc_exact_rates, _bd_directions
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -265,7 +265,7 @@ def generate_curves(
     for t in range(trials):
         channel = sample_channel(profile, correlation, derive_seed(seed, t))
         # unit-power precoder directions: at power P the covariances scale by P / r
-        directions = [bc_precoder(channel, float(r), k) for k in range(profile.num_users)]
+        directions = [d / c for _, d, c in _bd_directions(channel)]
         linear_values[:, t] = _bc_exact_rates(channel, directions, np.divide(powers, r)).sum(axis=1)
         for i, power in enumerate(powers):
             result = dual_mac_sum_capacity(channel, power, tolerance, max_iterations)

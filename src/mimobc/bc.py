@@ -16,7 +16,6 @@ from math import sqrt
 import numpy as np
 
 from ._linalg import (
-    haar_unitary,
     hermitian_sqrt,
     hermitize,
     logdet2_hpd,
@@ -26,7 +25,7 @@ from ._linalg import (
 )
 from .channel import ChannelRealization, block_index_range
 from .errors import DegeneracyError, ValidationError
-from .mac import MacCovarianceSet, _check_dims, _check_user
+from .mac import MacCovarianceSet, _check_dims
 
 __all__ = ["solve_bc"]
 
@@ -39,7 +38,7 @@ def mmse_receiver_exact(
     Returns T_k^H H_k^H (I + sum_l H_l Q_l H_l^H)^{-1} as an r_k x N matrix,
     with T_k the principal square root of the user's covariance Q_k.
     """
-    _check_user(channel, user)
+    block_index_range(channel.profile, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
     received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances))
@@ -56,76 +55,35 @@ def asymptotic_receiver(
     Returns sqrt(r / P) times the user's row block of the channel
     pseudo-inverse, which zero-forces all other users exactly.
     """
-    _check_user(channel, user)
-    total_power = positive_finite(total_power, "transmit power")
     sl = block_index_range(channel.profile, user)
+    total_power = positive_finite(total_power, "transmit power")
     scale = sqrt(channel.profile.total_antennas / total_power)
     return scale * channel.pseudo_inverse[sl, :]
 
 
-def decorrelation_basis(channel: ChannelRealization, user: int) -> np.ndarray:
-    """Unitary eigenbasis of the user's block of the inverse Gram matrix.
+def _bd_directions(channel: ChannelRealization) -> list[tuple[np.ndarray, ...]]:
+    """Every user's BD (basis W_k, direction H (H^H H)^{-1} E_k W_k, its column norms).
 
+    The decorrelation basis W_k is the unitary eigenbasis of the user's block
+    of the inverse Gram matrix, one ``eigh`` per block size for all users.
     Columns are ordered by ascending eigenvalue; each column's phase is fixed
     by making its largest-magnitude entry real positive, so the output is
-    deterministic up to degenerate eigenvalues.
+    deterministic up to degenerate eigenvalues.  The column norms are the
+    diagonal renormalizer: their squares are the diagonal of W^H (block of
+    (H^H H)^{-1}) W, computed as the actual norms.
     """
-    _check_user(channel, user)
-    block = channel.gram_inverse_block(user)
-    _, vectors = np.linalg.eigh(block)
-    return normalize_eigenvector_phases(vectors)
-
-
-def scaling_factors(
-    channel: ChannelRealization,
-    total_power: float,
-    user: int,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Duality scaling factors: sqrt(P / r) over the decorrelated receiver row norms."""
-    receiver = asymptotic_receiver(channel, total_power, user)
-    if basis is None:
-        basis = decorrelation_basis(channel, user)
-    rows = basis.conj().T @ receiver
-    norms = np.linalg.norm(rows, axis=1)
-    if np.any(norms <= 0.0):
-        raise DegeneracyError(f"zero receiver row for user {user}")
-    return sqrt(total_power / channel.profile.total_antennas) / norms
-
-
-def _basis_directions_scales(
-    channel: ChannelRealization, user: int, basis: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if basis is None:
-        basis = decorrelation_basis(channel, user)
-    sl = block_index_range(channel.profile, user)
-    # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
-    directions = channel.pseudo_inverse[sl, :].conj().T @ basis
-    # the diagonal renormalizer: its squared entries are the diagonal of
-    # W^H (block of (H^H H)^{-1}) W, computed here as the actual column norms
-    scales = np.linalg.norm(directions, axis=0)
-    if np.any(scales <= 0.0):
-        raise DegeneracyError(f"nonpositive column scale for user {user}")
-    return basis, directions, scales
-
-
-def bc_precoder(
-    channel: ChannelRealization,
-    total_power: float,
-    user: int,
-    basis: np.ndarray | None = None,
-) -> np.ndarray:
-    """Closed-form block-diagonalizing downlink precoder of one user.
-
-    Returns sqrt(P / r) H (H^H H)^{-1} E_k W_k D_k^{-1} where the diagonal
-    D_k renormalizes every column to norm sqrt(P / r).  The default basis
-    W_k is the decorrelation eigenbasis; any other unitary yields a valid
-    precoder but a lower rate.
-    """
-    _check_user(channel, user)
-    total_power = positive_finite(total_power, "transmit power")
-    _, directions, scales = _basis_directions_scales(channel, user, basis)
-    return sqrt(total_power / channel.profile.total_antennas) * directions / scales
+    profile = channel.profile
+    pieces: list = [None] * profile.num_users
+    for users, rows, columns in profile._block_indices:
+        _, vectors = np.linalg.eigh(hermitize(channel.gram_inverse[rows, columns]))
+        for k, basis in zip(users.flat, normalize_eigenvector_phases(vectors)):
+            # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
+            directions = channel.pseudo_inverse[profile.block_slices[k], :].conj().T @ basis
+            scales = np.linalg.norm(directions, axis=0)
+            if np.any(scales <= 0.0):
+                raise DegeneracyError(f"nonpositive column scale for user {k}")
+            pieces[k] = (basis, directions, scales)
+    return pieces
 
 
 def bc_covariance(
@@ -137,9 +95,8 @@ def bc_covariance(
     is basis-free, has r_k eigenvalues equal to P / r and N - r_k zeros, and
     equals P_k P_k^H for every block-diagonalizing basis choice.
     """
-    _check_user(channel, user)
-    total_power = positive_finite(total_power, "transmit power")
     sl = block_index_range(channel.profile, user)
+    total_power = positive_finite(total_power, "transmit power")
     rows = channel.pseudo_inverse[sl, :]
     block = channel.gram_inverse_block(user)
     scale = total_power / channel.profile.total_antennas
@@ -186,36 +143,8 @@ def bc_exact_user_rate(
     H_k^H P_k P_k^H H_k| without assuming the interference terms vanish, so
     block diagonalization is verified rather than presumed.
     """
-    _check_user(channel, user)
+    block_index_range(channel.profile, user)
     return float(_bc_exact_rates(channel, precoders, [1.0])[0, user])
-
-
-def eigenbasis_optimality_check(
-    channel: ChannelRealization, user: int, trials: int, seed: int = 0
-) -> tuple[bool, float]:
-    """Verify that the decorrelation eigenbasis maximizes the downlink rate.
-
-    For random unitary bases W, the log2-determinant of the diagonal squared
-    scales satisfies sum_i log2 d_i^2(W) >= log2 |block| (Hadamard inequality
-    on the positive-definite block), with equality exactly when W
-    diagonalizes the block.  Returns (all slacks nonnegative within 1e-9,
-    minimum observed slack); the eigenbasis itself is included as trial zero.
-    """
-    _check_user(channel, user)
-    if trials < 1:
-        raise ValidationError(f"need at least one trial, got {trials}")
-    block = channel.gram_inverse_block(user)
-    r_k = block.shape[0]
-    reference = channel.inverse_block_logdet2[user]
-    rng = np.random.default_rng(int(seed) & ((1 << 64) - 1))
-    worst = float("inf")
-    bases = [decorrelation_basis(channel, user)]
-    bases.extend(haar_unitary(r_k, rng) for _ in range(trials))
-    for w in bases:
-        squares = np.diagonal(hermitize(w.conj().T @ block @ w)).real
-        slack = float(np.sum(np.log2(squares))) - reference
-        worst = min(worst, slack)
-    return worst >= -1e-9, worst
 
 
 @dataclass(frozen=True)
@@ -224,8 +153,7 @@ class BcSolution:
 
     Holds, per user, the precoder, the decorrelation basis, the positive
     diagonal column scales, the transmit covariance, and the exact achieved
-    rate.  The duality scaling factors equal (P / r) / column_scales; see
-    :func:`scaling_factors`.
+    rate.
     """
 
     total_power: float
@@ -240,6 +168,12 @@ class BcSolution:
         return float(sum(self.rates))
 
     @property
+    def scaling_factors(self) -> tuple[np.ndarray, ...]:
+        """Duality scaling factors of every user: (P / r) over the column scales."""
+        per_stream = self.total_power / sum(len(scales) for scales in self.column_scales)
+        return tuple(per_stream / scales for scales in self.column_scales)
+
+    @property
     def total_transmit_power(self) -> float:
         return float(sum(np.trace(s).real for s in self.covariances))
 
@@ -247,24 +181,17 @@ class BcSolution:
 def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
     """Build the full block-diagonalizing downlink solution for one channel."""
     total_power = positive_finite(total_power, "transmit power")
-    num_users = channel.profile.num_users
-    bases = []
-    scales = []
-    precoders = []
-    covariances = []
     column_norm = sqrt(total_power / channel.profile.total_antennas)
-    for k in range(num_users):
-        basis, directions, scale = _basis_directions_scales(channel, k, None)
-        bases.append(basis)
-        scales.append(scale)
-        precoders.append(column_norm * directions / scale)
-        covariances.append(bc_covariance(channel, total_power, k))
-    rates = tuple(_bc_exact_rates(channel, precoders, [1.0])[0].tolist())
+    bases, directions, scales = zip(*_bd_directions(channel))
+    precoders = tuple(column_norm * d / c for d, c in zip(directions, scales))
+    covariances = tuple(
+        bc_covariance(channel, total_power, k) for k in range(channel.profile.num_users)
+    )
     return BcSolution(
         total_power=total_power,
-        precoders=tuple(precoders),
-        bases=tuple(bases),
-        column_scales=tuple(scales),
-        covariances=tuple(covariances),
-        rates=rates,
+        precoders=precoders,
+        bases=bases,
+        column_scales=scales,
+        covariances=covariances,
+        rates=tuple(_bc_exact_rates(channel, precoders, [1.0])[0].tolist()),
     )

@@ -237,6 +237,22 @@ def build_profile(config: ExperimentConfig) -> SystemProfile:
     return make_profile(config.base_antennas, config.antennas, config.weights)
 
 
+def _list(name: str, value) -> list:
+    """``value`` itself; ConfigurationError unless it is a list."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+    return value
+
+
+def _correlation_entry(entry) -> complex:
+    """A correlation matrix entry: a real number or an [re, im] pair of numbers."""
+    if not isinstance(entry, (list, tuple)):
+        return _number("correlation entry", entry)
+    if len(entry) != 2:
+        raise ConfigurationError(f"a correlation entry pair must be [re, im], got {entry!r}")
+    return complex(_number("correlation entry", entry[0]), _number("correlation entry", entry[1]))
+
+
 def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> CorrelationModel | None:
     """Instantiate the configured correlation model for a profile.
 
@@ -247,25 +263,16 @@ def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> Corre
     if spec == "identity" or spec is None:
         return None
     if isinstance(spec, dict) and set(spec) == {"scalars"}:
-        return CorrelationModel.scalar(
-            profile, [_number("correlation scalar", c) for c in spec["scalars"]]
-        )
+        scalars = _list("correlation scalars", spec["scalars"])
+        return CorrelationModel.scalar(profile, [_number("correlation scalar", c) for c in scalars])
     if isinstance(spec, dict) and set(spec) == {"matrices"}:
         blocks = []
-        for raw in spec["matrices"]:
-            matrix = np.array(
-                [
-                    [
-                        complex(_number("correlation entry", entry[0]),
-                                _number("correlation entry", entry[1]))
-                        if isinstance(entry, (list, tuple))
-                        else _number("correlation entry", entry)
-                        for entry in row
-                    ]
-                    for row in raw
-                ]
-            )
-            blocks.append(matrix)
+        for k, raw in enumerate(_list("correlation matrices", spec["matrices"])):
+            name = f"correlation matrix {k}"
+            rows = [_list(f"a row of {name}", row) for row in _list(name, raw)]
+            if len({len(row) for row in rows}) > 1:
+                raise ConfigurationError(f"the rows of {name} differ in length")
+            blocks.append(np.array([[_correlation_entry(entry) for entry in row] for row in rows]))
         return CorrelationModel.from_blocks(blocks)
     raise ConfigurationError(
         "correlation must be 'identity', {'scalars': [...]}, or {'matrices': [...]}, "

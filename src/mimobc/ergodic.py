@@ -19,6 +19,7 @@ from ._linalg import LN2
 from .channel import (
     CorrelationModel,
     SystemProfile,
+    block_index_range,
     derive_seed,
     make_profile,
     _draw,
@@ -94,8 +95,7 @@ def ergodic_block_logdet(
     freedom, giving -(1/ln 2) sum_{l=0}^{r_k-1} psi(N - r + r_k - l); the
     user's correlation block contributes -log2 |C_k|.
     """
-    if not 0 <= user < profile.num_users:
-        raise IndexError(f"user index {user} out of range for {profile.num_users} users")
+    block_index_range(profile, user)
     r_k = profile.user_antennas[user]
     first = profile.base_antennas - profile.total_antennas + r_k
     total = -_psi_sum(first, r_k) / LN2

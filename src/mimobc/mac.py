@@ -14,7 +14,7 @@ from math import log2
 import numpy as np
 
 from ._linalg import LN2, hermitize, is_hermitian, positive_finite
-from .channel import ChannelRealization, SystemProfile, _factor_grams
+from .channel import ChannelRealization, SystemProfile, _factor_grams, block_index_range
 from .errors import ValidationError
 
 __all__ = ["instantaneous_rate_loss"]
@@ -136,14 +136,8 @@ class RateReport:
 
     @property
     def weighted_sum(self) -> float:
-        return float(sum(w * r for w, r in zip(self.weights, self.rates)))
-
-
-def _check_user(channel: ChannelRealization, user: int) -> None:
-    if not 0 <= user < channel.profile.num_users:
-        raise IndexError(
-            f"user index {user} out of range for {channel.profile.num_users} users"
-        )
+        """Weighted sum of the rates; a zero-weight user adds nothing, even at -inf."""
+        return float(sum(w * r for w, r in zip(self.weights, self.rates) if w > 0))
 
 
 def _check_dims(channel: ChannelRealization, covariances: MacCovarianceSet) -> None:
@@ -164,7 +158,7 @@ def asymptotic_user_rate(
 
     Returns r_k log2(power_level) - log2 |user block of (H^H H)^{-1}|.
     """
-    _check_user(channel, user)
+    block_index_range(channel.profile, user)
     power_level = positive_finite(power_level, "power level")
     r_k = channel.profile.user_antennas[user]
     return r_k * log2(power_level) - channel.inverse_block_logdet2[user]
@@ -185,13 +179,7 @@ def asymptotic_weighted_sum_rate(channel: ChannelRealization, total_power: float
 
     Zero-weight users receive no power and contribute nothing.
     """
-    profile = channel.profile
-    split = optimal_power_split(profile, total_power)
-    total = 0.0
-    for k, (w, level) in enumerate(zip(profile.weights, split.power_levels)):
-        if w > 0:
-            total += w * asymptotic_user_rate(channel, level, k)
-    return total
+    return asymptotic_rate_report(channel, total_power).weighted_sum
 
 
 def dpc_asymptotic_sum_rate(channel: ChannelRealization, total_power: float) -> float:

@@ -248,6 +248,17 @@ class TestGenerateCurves:
         second = generate_curves(profile, correlation, [10.0, 20.0], trials=3, seed=5)
         assert first == second
 
+    def test_builds_no_transmit_covariance(self, fig_setup, monkeypatch):
+        # the BD rate needs only the precoder directions, never the covariances
+        profile, correlation = fig_setup
+        expected = generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4)
+
+        def fail(*args):
+            raise AssertionError("generate_curves built a BD transmit covariance")
+
+        monkeypatch.setattr("mimobc.bc.bc_covariance", fail)
+        assert generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4) == expected
+
     def test_rejects_bad_grid(self, fig_setup):
         profile, correlation = fig_setup
         with pytest.raises(ValidationError):

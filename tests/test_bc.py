@@ -3,18 +3,21 @@ import pytest
 
 from mimobc import ChannelRealization, make_profile, sample_channel, solve_bc
 from mimobc.bc import (
+    _bc_exact_rates,
     asymptotic_receiver,
     bc_covariance,
     bc_exact_user_rate,
-    bc_precoder,
-    decorrelation_basis,
-    eigenbasis_optimality_check,
     mmse_receiver_exact,
-    scaling_factors,
 )
 from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
-from mimobc._linalg import haar_unitary, hermitian_sqrt, hermitize, logdet2_hpd
-from mimobc.bc import _bc_exact_rates
+from mimobc._linalg import (
+    haar_unitary,
+    hermitian_sqrt,
+    hermitize,
+    logdet2_hpd,
+    normalize_eigenvector_phases,
+)
+from mimobc.validation import _eigenbasis_slack
 
 
 def identity_channel(antennas) -> ChannelRealization:
@@ -111,12 +114,11 @@ class TestAsymptoticReceiver:
 class TestDecorrelationBasis:
     def test_scalar_block(self):
         channel = sample_channel(make_profile(4, [1, 2]), seed=2)
-        np.testing.assert_allclose(decorrelation_basis(channel, 0), np.eye(1))
+        np.testing.assert_allclose(solve_bc(channel, 1.0).bases[0], np.eye(1))
 
     def test_unitary_and_diagonalizing(self):
         channel = sample_channel(make_profile(6, [3, 2]), seed=9)
-        for k in range(2):
-            w = decorrelation_basis(channel, k)
+        for k, w in enumerate(solve_bc(channel, 1.0).bases):
             assert np.linalg.norm(w.conj().T @ w - np.eye(w.shape[0])) < 1e-12
             rotated = w.conj().T @ channel.gram_inverse_block(k) @ w
             off = rotated - np.diag(np.diagonal(rotated))
@@ -127,13 +129,30 @@ class TestDecorrelationBasis:
 
     def test_deterministic_phase_convention(self):
         channel = sample_channel(make_profile(6, [3, 2]), seed=9)
-        w = decorrelation_basis(channel, 0)
-        again = decorrelation_basis(channel, 0)
+        w = solve_bc(channel, 1.0).bases[0]
+        again = solve_bc(channel, 2.0).bases[0]
         np.testing.assert_array_equal(w, again)
         lead = np.abs(w).argmax(axis=0)
         lead_entries = w[lead, range(w.shape[1])]
         assert np.all(np.abs(lead_entries.imag) < 1e-12)
         assert np.all(lead_entries.real > 0)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_one_eigh_per_block_size_equals_the_per_user_construction(self, seed):
+        # two block sizes with interleaved users: user 1 is alone in its group
+        channel = sample_channel(make_profile(6, [2, 1, 2]), seed=seed)
+        power = 6.0
+        solution = solve_bc(channel, power)
+        for k, sl in enumerate(channel.profile.block_slices):
+            _, vectors = np.linalg.eigh(channel.gram_inverse_block(k))
+            basis = normalize_eigenvector_phases(vectors)
+            directions = channel.pseudo_inverse[sl, :].conj().T @ basis
+            scales = np.linalg.norm(directions, axis=0)
+            np.testing.assert_array_equal(solution.bases[k], basis)
+            np.testing.assert_array_equal(solution.column_scales[k], scales)
+            np.testing.assert_array_equal(
+                solution.precoders[k], np.sqrt(power / 5) * directions / scales
+            )
 
 
 class TestScalingFactors:
@@ -141,21 +160,20 @@ class TestScalingFactors:
         channel = identity_channel([2, 2])
         power = 10.0
         np.testing.assert_allclose(
-            scaling_factors(channel, power, 0), power / 4 * np.ones(2), atol=1e-12
+            solve_bc(channel, power).scaling_factors[0], power / 4 * np.ones(2), atol=1e-12
         )
 
     def test_linear_in_power(self):
         channel = sample_channel(make_profile(5, [2, 2]), seed=11)
-        base = scaling_factors(channel, 10.0, 1)
-        doubled = scaling_factors(channel, 20.0, 1)
+        base = solve_bc(channel, 10.0).scaling_factors[1]
+        doubled = solve_bc(channel, 20.0).scaling_factors[1]
         np.testing.assert_allclose(doubled, 2.0 * base, rtol=1e-12)
 
     def test_column_norms_follow(self):
         channel = sample_channel(make_profile(6, [2, 3]), seed=12)
         power = 7.0
         target = np.sqrt(power / 5)
-        for k in range(2):
-            p = bc_precoder(channel, power, k)
+        for p in solve_bc(channel, power).precoders:
             np.testing.assert_allclose(np.linalg.norm(p, axis=0), target, atol=1e-10)
 
 
@@ -163,17 +181,16 @@ class TestBcPrecoder:
     def test_orthonormal_channel_short_form(self):
         channel = orthonormal_channel(6, [2, 2])
         power = 8.0
-        for k in range(2):
-            w = decorrelation_basis(channel, k)
+        solution = solve_bc(channel, power)
+        for k, (w, p) in enumerate(zip(solution.bases, solution.precoders)):
             sl = channel.profile.block_slices[k]
             expected = np.sqrt(power / 4) * channel.composite[:, sl] @ w
-            np.testing.assert_allclose(bc_precoder(channel, power, k), expected, atol=1e-9)
+            np.testing.assert_allclose(p, expected, atol=1e-9)
 
     def test_block_diagonalization(self):
         channel = sample_channel(make_profile(7, [2, 3]), seed=13)
         power = 15.0
-        for k in range(2):
-            p = bc_precoder(channel, power, k)
+        for k, p in enumerate(solve_bc(channel, power).precoders):
             other = channel.blocks[1 - k]
             residual = np.linalg.norm(other.conj().T @ p)
             assert residual < 1e-9 * np.linalg.norm(other) * np.linalg.norm(p)
@@ -183,8 +200,7 @@ class TestBcPrecoder:
         # rate written directly through the inverse Gram block
         channel = sample_channel(make_profile(5, [2, 2]), seed=3)
         power = 40.0
-        for k in range(2):
-            w = decorrelation_basis(channel, k)
+        for k, w in enumerate(solve_bc(channel, power).bases):
             block = channel.gram_inverse_block(k)
             squares = np.diagonal(hermitize(w.conj().T @ block @ w)).real
             via_scales = float(
@@ -283,15 +299,14 @@ class TestEigenbasisOptimality:
     def test_eigenbasis_attains_equality(self):
         channel = sample_channel(make_profile(5, [2, 2]), seed=19)
         block = channel.gram_inverse_block(0)
-        w = decorrelation_basis(channel, 0)
+        w = solve_bc(channel, 1.0).bases[0]
         squares = np.diagonal(hermitize(w.conj().T @ block @ w)).real
         slack = float(np.sum(np.log2(squares))) - logdet2_hpd(block)
         assert abs(slack) < 1e-9
 
     def test_scalar_block_always_equal(self):
         channel = sample_channel(make_profile(4, [1, 2]), seed=20)
-        passed, worst = eigenbasis_optimality_check(channel, 0, trials=20, seed=1)
-        assert passed
+        worst = _eigenbasis_slack(channel, 0, trials=20, seed=1)
         assert abs(worst) < 1e-9
 
     def test_random_bases_never_beat_the_eigenbasis(self, checks):

@@ -13,12 +13,15 @@ from mimobc import (
     NumericalRankError,
     ValidationError,
     derive_seed,
+    ergodic_block_logdet,
     make_profile,
     sample_channel,
 )
 from mimobc._linalg import haar_unitary, hermitize, invert_lower
 from mimobc.channel import _draw, _factor_grams, _well_conditioned, block_index_range
+from mimobc.bc import bc_covariance, mmse_receiver_exact
 from mimobc.cli import main
+from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
 
 from conftest import random_hpd
 
@@ -99,6 +102,26 @@ class TestBlockIndexRange:
             block_index_range(profile, 2)
         with pytest.raises(IndexError):
             block_index_range(profile, -1)
+
+    @pytest.mark.parametrize("user", [-1, 2])
+    @pytest.mark.parametrize(
+        "entry",
+        [
+            lambda channel, k: asymptotic_user_rate(channel, 1.0, k),
+            lambda channel, k: bc_covariance(channel, 1.0, k),
+            lambda channel, k: mmse_receiver_exact(
+                channel, MacCovarianceSet.uniform(channel.profile, 1.0), k
+            ),
+            lambda channel, k: ergodic_block_logdet(channel.profile, None, k),
+        ],
+        ids=[
+            "asymptotic_user_rate", "bc_covariance", "mmse_receiver_exact", "ergodic_block_logdet"
+        ],
+    )
+    def test_every_entry_point_rejects_a_user_outside_the_profile(self, entry, user):
+        channel = sample_channel(make_profile(4, [2, 2]), seed=1)
+        with pytest.raises(IndexError, match=f"user index {user} out of range for 2 users"):
+            entry(channel, user)
 
 
 class TestCorrelationModel:

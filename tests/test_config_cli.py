@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from mimobc.cli import _build_parser, main
-from mimobc.config import SCHEMA_VERSION, load_config, parse_grid
+from mimobc.config import SCHEMA_VERSION, build_correlation, build_profile, load_config, parse_grid
 from mimobc.ergodic import MonteCarloEstimate
 from mimobc.errors import ConfigurationError
 
@@ -409,6 +409,30 @@ class TestExitCodes:
         argv = [kind, "--config", config, "--trials", "2", "--out", str(out)]
         assert main(argv) == 2
         assert "must be a number" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "correlation",
+        [
+            {"scalars": 5},
+            {"matrices": 3},
+            {"matrices": [[1], [[1]]]},
+            {"matrices": [[[1, [1]], [0, 1]], [[1, 0], [0, 1]]]},
+            {"matrices": [[[[1, 0, 7], 0], [0, 1]], [[1, 0], [0, 1]]]},
+            {"matrices": [[[1, 0], [0]], [[1, 0], [0, 1]]]},
+        ],
+        ids=["scalars-number", "matrices-number", "matrix-row-number", "one-number-pair",
+             "three-number-pair", "ragged-rows"],
+    )
+    def test_malformed_correlation(self, tmp_path, correlation):
+        config = write_config(
+            tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "correlation": correlation}
+        )
+        loaded = load_config("rate-loss", config)
+        with pytest.raises(ConfigurationError):
+            build_correlation(loaded, build_profile(loaded))
+        out = tmp_path / "x.csv"
+        assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
         assert not out.exists()
 
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):

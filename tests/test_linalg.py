@@ -11,7 +11,7 @@ from mimobc import (
     solve_bc,
 )
 from mimobc.baseline import waterfill
-from mimobc.bc import asymptotic_receiver, bc_covariance, bc_precoder
+from mimobc.bc import asymptotic_receiver, bc_covariance
 from mimobc.mac import (
     MacCovarianceSet,
     asymptotic_user_rate,
@@ -117,7 +117,6 @@ CHANNEL = sample_channel(PROFILE, seed=3)
 POWER_ENTRY_POINTS = {
     "dual_mac_sum_capacity": lambda p: dual_mac_sum_capacity(CHANNEL, p),
     "asymptotic_receiver": lambda p: asymptotic_receiver(CHANNEL, p, 0),
-    "bc_precoder": lambda p: bc_precoder(CHANNEL, p, 0),
     "bc_covariance": lambda p: bc_covariance(CHANNEL, p, 0),
     "solve_bc": lambda p: solve_bc(CHANNEL, p),
     "optimal_power_split": lambda p: optimal_power_split(PROFILE, p),

@@ -303,6 +303,13 @@ class TestRateReports:
         assert report.asymptotic
         assert report.rates[1] == float("-inf")
 
+    def test_zero_weight_user_adds_nothing_to_the_weighted_sum(self):
+        profile = make_profile(4, [2, 2], weights=[1.0, 0.0])
+        channel = sample_channel(profile, seed=3)
+        report = asymptotic_rate_report(channel, 100.0)
+        assert report.weighted_sum == report.rates[0]
+        assert asymptotic_weighted_sum_rate(channel, 100.0) == report.weighted_sum
+
 
 class TestMacCovarianceSet:
     def test_uniform_total_power(self):

@@ -1,11 +1,16 @@
 """The package's public surface: exactly the names the CLI, the benchmark and the README use."""
 
+import functools
+import importlib
+import importlib.util
 import re
 from pathlib import Path
 
 import mimobc
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+TRACER = ROOT / "bench" / "tracer.py"
 
 PUBLIC_NAMES = {
     # used by the benchmark as mimobc.<name>
@@ -36,3 +41,18 @@ def test_readme_example_runs():
     assert blocks, "README has no python example"
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_every_benchmark_tracer_hook_exists():
+    # the tracer reports a vanished boundary as absent and its metrics read 0
+    spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, _ in tracer.HOOKS:
+        module = importlib.import_module(module_name)
+        owner_name, _, prop = attr.rpartition(".")
+        if owner_name:
+            descriptor = vars(getattr(module, owner_name)).get(prop)
+            assert isinstance(descriptor, functools.cached_property), f"{module_name}.{attr}"
+        else:
+            assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
