@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import groupby
 from math import isfinite
 from typing import NamedTuple
 
@@ -167,6 +168,11 @@ def derive_seed(master_seed: int, index: int) -> int:
     return (z ^ (z >> 31)) & _MASK64
 
 
+def _equal_runs(sizes) -> tuple[tuple[int, int], ...]:
+    """(size, length) of every run of consecutive equal entries of ``sizes``, in order."""
+    return tuple((size, len(list(run))) for size, run in groupby(sizes))
+
+
 def _readonly(a: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(a)
     out.flags.writeable = False
@@ -221,6 +227,11 @@ class SystemProfile:
     def block_slices(self) -> tuple[slice, ...]:
         edges = np.concatenate(([0], np.cumsum(self.user_antennas)))
         return tuple(slice(int(a), int(b)) for a, b in zip(edges[:-1], edges[1:]))
+
+    @cached_property
+    def _antenna_runs(self) -> tuple[tuple[int, int], ...]:
+        """``_equal_runs`` of the user antenna counts: the sampler's unit of work."""
+        return _equal_runs(self.user_antennas)
 
     @cached_property
     def _blocks_by_size(self) -> tuple[tuple[list[int], np.ndarray], ...]:
@@ -331,6 +342,15 @@ class CorrelationModel:
             for k, c in enumerate(self.blocks)
         )
 
+    @cached_property
+    def _root_runs(self) -> tuple[np.ndarray, ...]:
+        """``sqrt_blocks`` stacked per run of consecutive equal-size blocks: ``(m, r_k, r_k)``."""
+        roots, start, stacks = self.sqrt_blocks, 0, []
+        for _, m in _equal_runs(self.antennas):
+            stacks.append(_readonly(np.stack(roots[start : start + m])))
+            start += m
+        return tuple(stacks)
+
     def block_logdet2(self, user: int) -> float:
         """log2-determinant of one correlation block."""
         return logdet2_hpd(self.blocks[user])
@@ -434,33 +454,49 @@ class ChannelRealization:
 
 
 def _draw(
-    rng: np.random.Generator, profile: SystemProfile, sqrt_blocks, count: int
+    rng: np.random.Generator,
+    profile: SystemProfile,
+    correlation: CorrelationModel | None,
+    count: int,
 ) -> list[np.ndarray]:
     """Draw ``count`` channels from ``rng`` as per-user ``(count, N, r_k)`` stacks.
 
     One call draws every standard normal; split in user order, user k's
     ``(count, 2, N, r_k)`` block gives the real and then the imaginary parts
     of ``count`` raw matrices (unit variance per complex entry), which are
-    right-multiplied by the user's correlation root.  With ``count == 1``
-    this is the stream of ``sample_channel``.
+    right-multiplied by the user's correlation root.  A run of m consecutive
+    users with equal antenna counts is assembled at once and shaped by one
+    batched product with its stacked roots; the values are those of one user
+    at a time.  With ``count == 1`` this is the stream of ``sample_channel``.
     """
+    roots = None
+    if correlation is not None:
+        if correlation.antennas != profile.user_antennas:
+            raise ValidationError(
+                f"correlation blocks sized {correlation.antennas} do not match "
+                f"user antennas {profile.user_antennas}"
+            )
+        roots = correlation._root_runs
     n = profile.base_antennas
     normals = rng.standard_normal(count * 2 * n * profile.total_antennas)
     blocks = []
     end = 0
-    for k, r_k in enumerate(profile.user_antennas):
-        start, end = end, end + count * 2 * n * r_k
-        parts = normals[start:end].reshape(count, 2, n, r_k)
-        raw = (parts[:, 0] + 1j * parts[:, 1]) * np.sqrt(0.5)
-        if sqrt_blocks is not None:
-            raw = (raw.reshape(count * n, r_k) @ sqrt_blocks[k]).reshape(count, n, r_k)
-        blocks.append(raw)
+    for j, (r_k, m) in enumerate(profile._antenna_runs):
+        start, end = end, end + m * count * 2 * n * r_k
+        parts = normals[start:end].reshape(m, count, 2, n, r_k)
+        raw = (parts[:, :, 0] + 1j * parts[:, :, 1]) * np.sqrt(0.5)
+        if roots is not None:
+            raw = (raw.reshape(m, count * n, r_k) @ roots[j]).reshape(m, count, n, r_k)
+        blocks.extend(raw)
     return blocks
 
 
-def _sample_blocks(profile: SystemProfile, sqrt_blocks, seed: int) -> list[np.ndarray]:
+def _sample_blocks(
+    profile: SystemProfile, correlation: CorrelationModel | None, seed: int
+) -> list[np.ndarray]:
+    """The per-user ``(N, r_k)`` blocks of one channel, drawn from its own ``seed``."""
     rng = np.random.default_rng(int(seed) & _MASK64)
-    return [block[0] for block in _draw(rng, profile, sqrt_blocks, 1)]
+    return [block[0] for block in _draw(rng, profile, correlation, 1)]
 
 
 def sample_channel(
@@ -476,12 +512,4 @@ def sample_channel(
     matrix.  Identical (profile, correlation, seed) inputs yield bit-identical
     output; seeds are interpreted modulo 2**64.
     """
-    roots = None
-    if correlation is not None:
-        if correlation.antennas != profile.user_antennas:
-            raise ValidationError(
-                f"correlation blocks sized {correlation.antennas} do not match "
-                f"user antennas {profile.user_antennas}"
-            )
-        roots = correlation.sqrt_blocks
-    return ChannelRealization(profile, tuple(_sample_blocks(profile, roots, seed)))
+    return ChannelRealization(profile, tuple(_sample_blocks(profile, correlation, seed)))

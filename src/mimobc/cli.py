@@ -20,7 +20,7 @@ import numpy as np
 
 from ._linalg import power_from_db
 from .baseline import generate_curves
-from .channel import derive_seed, make_profile, sample_channel
+from .channel import _sample_blocks, derive_seed, make_profile
 from .config import (
     SCHEMA_VERSION,
     ExperimentConfig,
@@ -36,7 +36,7 @@ from .errors import (
     NumericalRankError,
     ValidationError,
 )
-from .mac import asymptotic_rate_report, dpc_asymptotic_sum_rate, instantaneous_rate_loss
+from .mac import _asymptotes, _batch_rate_loss, optimal_power_split
 from .validation import run_all_checks
 
 _EXIT_OK = 0
@@ -117,9 +117,10 @@ def _run_table1(config: ExperimentConfig) -> int:
 
 
 def _run_rate_loss(config: ExperimentConfig) -> int:
+    """One row per trial t, from the channel ``sample_channel`` draws for seed derive_seed(s, t)."""
     profile = build_profile(config)
     correlation = build_correlation(config, profile)
-    reference_power = power_from_db(config.ptx_db)
+    split = optimal_power_split(profile, power_from_db(config.ptx_db))
     header = ["trial", "seed", "status", "rate_loss_bits"]
     header += [f"asym_rate_user{k + 1}" for k in range(profile.num_users)]
     header += ["dpc_asymptote_bits"]
@@ -127,20 +128,17 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
     deficient = 0
     for trial in range(config.trials):
         trial_seed = derive_seed(config.seed, trial)
-        channel = sample_channel(profile, correlation, trial_seed)
-        try:
-            loss = instantaneous_rate_loss(channel)
-            report = asymptotic_rate_report(channel, reference_power)
-            dpc = dpc_asymptotic_sum_rate(channel, reference_power)
-            rows.append([trial, trial_seed, "ok", loss, *report.rates, dpc])
-        except NumericalRankError:
+        channel = np.concatenate(_sample_blocks(profile, correlation, trial_seed), axis=1)
+        factors = _batch_rate_loss(channel[None], profile)
+        if factors.full_rank[0]:
+            rates, dpc = _asymptotes(
+                split, float(factors.logdet2[0]), factors.block_logdet2[0].tolist()
+            )
+            rows.append([trial, trial_seed, "ok", float(factors.rate_loss[0]), *rates, dpc])
+        else:
             # flagged, not dropped: the row stays with empty numeric fields
             deficient += 1
-            rows.append(
-                [trial, trial_seed, "rank_deficient", None]
-                + [None] * profile.num_users
-                + [None]
-            )
+            rows.append([trial, trial_seed, "rank_deficient"] + [None] * (profile.num_users + 2))
     path = _write(config, "rate_loss", header, rows)
     print(f"wrote {len(rows)} realizations to {path} ({deficient} rank-deficient)")
     return _EXIT_OK

@@ -129,7 +129,7 @@ def parse_grid(spec) -> tuple[float, ...]:
 
 def _parse_extra_profiles(raw) -> tuple[tuple[tuple[int, ...], int], ...]:
     profiles = []
-    for entry in raw:
+    for entry in _list("extra_profiles", raw):
         if not isinstance(entry, dict) or set(entry) - {"N", "antennas"}:
             raise ConfigurationError(
                 f"extra profile entries need exactly 'N' and 'antennas': {entry!r}"

@@ -213,15 +213,6 @@ def monte_carlo_rate_loss(
         trials = default_trials(profile)
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
-    roots = None
-    if correlation is not None:
-        if correlation.antennas != profile.user_antennas:
-            raise ValidationError(
-                f"correlation blocks sized {correlation.antennas} do not match "
-                f"user antennas {profile.user_antennas}"
-            )
-        roots = correlation.sqrt_blocks
-
     max_discards = int(_DISCARD_FRACTION * trials)
     discarded = 0
     values = np.empty(trials, dtype=float)
@@ -232,11 +223,11 @@ def monte_carlo_rate_loss(
         start = batch * _BATCH
         count = min(_BATCH, trials - start)
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, batch)))
-        channels = np.concatenate(_draw(rng, profile, roots, count), axis=-1)
-        full_rank, loss = _batch_rate_loss(channels, profile)
+        channels = np.concatenate(_draw(rng, profile, correlation, count), axis=-1)
+        factors = _batch_rate_loss(channels, profile)
         batch_values = values[start : start + count]
-        batch_values[full_rank] = loss
-        for i in np.flatnonzero(~full_rank):
+        batch_values[factors.full_rank] = factors.rate_loss
+        for i in np.flatnonzero(~factors.full_rank):
             if reserve is None:
                 reserve = np.random.Generator(np.random.Philox(key=derive_seed(seed, batches)))
             while True:
@@ -246,10 +237,10 @@ def monte_carlo_rate_loss(
                         f"more than {max_discards} rank-deficient draws in "
                         f"{trials} trials"
                     )
-                channels = np.concatenate(_draw(reserve, profile, roots, 1), axis=-1)
-                redrawn, loss = _batch_rate_loss(channels, profile)
-                if redrawn[0]:
-                    batch_values[i] = loss[0]
+                channels = np.concatenate(_draw(reserve, profile, correlation, 1), axis=-1)
+                redrawn = _batch_rate_loss(channels, profile)
+                if redrawn.full_rank[0]:
+                    batch_values[i] = redrawn.rate_loss[0]
                     break
 
     mean = float(np.mean(values))

@@ -14,7 +14,13 @@ from math import log2
 import numpy as np
 
 from ._linalg import LN2, hermitize, is_hermitian, positive_finite
-from .channel import ChannelRealization, SystemProfile, _factor_grams, block_index_range
+from .channel import (
+    ChannelRealization,
+    GramFactors,
+    SystemProfile,
+    _factor_grams,
+    block_index_range,
+)
 from .errors import ValidationError
 
 __all__ = ["instantaneous_rate_loss"]
@@ -160,8 +166,32 @@ def asymptotic_user_rate(
     """
     block_index_range(channel.profile, user)
     power_level = positive_finite(power_level, "power level")
-    r_k = channel.profile.user_antennas[user]
-    return r_k * log2(power_level) - channel.inverse_block_logdet2[user]
+    return _user_asymptote(
+        channel.profile.user_antennas[user], power_level, channel.inverse_block_logdet2[user]
+    )
+
+
+def _user_asymptote(antennas: int, power_level: float, block_logdet2: float) -> float:
+    """r_k log2(power_level) - log2|[G^-1]_kk|, one user's high-power rate."""
+    return antennas * log2(power_level) - block_logdet2
+
+
+def _asymptotes(
+    split: MacAsymptoticSolution, gram_logdet2: float, block_logdet2
+) -> tuple[tuple[float, ...], float]:
+    """The high-power rates of one channel from log2|G| and every user's log2|[G^-1]_kk|.
+
+    Returns each user's asymptotic rate at the power levels of ``split``
+    (-inf for a user without power) and the DPC sum-rate asymptote at the
+    split's total power.
+    """
+    profile = split.profile
+    rates = tuple(
+        _user_asymptote(r_k, level, block) if level > 0 else float("-inf")
+        for r_k, level, block in zip(profile.user_antennas, split.power_levels, block_logdet2)
+    )
+    r = profile.total_antennas
+    return rates, r * log2(split.total_power) - r * log2(r) + gram_logdet2
 
 
 def optimal_power_split(profile: SystemProfile, total_power: float) -> MacAsymptoticSolution:
@@ -184,9 +214,8 @@ def asymptotic_weighted_sum_rate(channel: ChannelRealization, total_power: float
 
 def dpc_asymptotic_sum_rate(channel: ChannelRealization, total_power: float) -> float:
     """High-power sum rate of dirty paper coding: the cooperating point-to-point limit."""
-    total_power = positive_finite(total_power, "transmit power")
-    r = channel.profile.total_antennas
-    return r * log2(total_power) - r * log2(r) + channel.gram_logdet2
+    split = optimal_power_split(channel.profile, total_power)
+    return _asymptotes(split, channel.gram_logdet2, channel.inverse_block_logdet2)[1]
 
 
 def instantaneous_rate_loss(channel: ChannelRealization) -> float:
@@ -235,25 +264,19 @@ def exact_rate_report(
 
 def asymptotic_rate_report(channel: ChannelRealization, total_power: float) -> RateReport:
     """Per-user asymptotic rates at the optimal split; zero-weight users get -inf."""
-    profile = channel.profile
-    split = optimal_power_split(profile, total_power)
-    rates = tuple(
-        asymptotic_user_rate(channel, level, k) if level > 0 else float("-inf")
-        for k, level in enumerate(split.power_levels)
-    )
-    return RateReport(rates, profile.weights, asymptotic=True)
+    split = optimal_power_split(channel.profile, total_power)
+    rates, _ = _asymptotes(split, channel.gram_logdet2, channel.inverse_block_logdet2)
+    return RateReport(rates, channel.profile.weights, asymptotic=True)
 
 
-def _batch_rate_loss(
-    channels: np.ndarray, profile: SystemProfile
-) -> tuple[np.ndarray, np.ndarray]:
-    """Rate loss over a ``(B, N, r)`` stack of composite channels, screened for numerical rank.
+def _batch_rate_loss(channels: np.ndarray, profile: SystemProfile) -> GramFactors:
+    """The rate-loss kernel ``channel._factor_grams`` on a ``(B, N, r)`` stack of channels H.
 
-    Returns the stack's full-rank mask and, for its full-rank draws in stack
-    order, log2|G| + sum_k log2|[G^-1]_kk| with G = H^H H, both from one call
-    of the rate-loss kernel ``channel._factor_grams``; rank-deficient draws
-    get no value.  The entry point of the Monte Carlo estimators.
+    Forms the Gram matrices G = H^H H and returns their factors: the stack's
+    full-rank mask and, for its full-rank draws in stack order, log2|G|, every
+    user's log2|[G^-1]_kk| and the rate loss, their sum; rank-deficient draws
+    get no values.  The entry point of the Monte Carlo estimators and of the
+    ``rate-loss`` rows.
     """
     grams = hermitize(channels.conj().swapaxes(-1, -2) @ channels)
-    factors = _factor_grams(channels, grams, profile)
-    return factors.full_rank, factors.rate_loss
+    return _factor_grams(channels, grams, profile)

@@ -175,16 +175,22 @@ class TestSampleChannel:
             [random_hpd(np.random.default_rng(k), r) for k, r in enumerate(profile.user_antennas)]
         )
         for seed in range(20):
-            drawn = _draw(np.random.default_rng(seed), profile, correlation.sqrt_blocks, 1)
+            drawn = _draw(np.random.default_rng(seed), profile, correlation, 1)
             blocks = sample_channel(profile, correlation, seed).blocks
             for stack, block in zip(drawn, blocks):
                 assert stack.shape == (1,) + block.shape
                 assert stack[0].tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("correlated", [False, True])
-    def test_one_normal_call_keeps_the_per_user_stream(self, correlated):
-        # one standard_normal call split in user order is the per-user loop, bit for bit
-        profile = make_profile(7, [1, 3, 2])
+    @pytest.mark.parametrize(
+        "base, antennas",
+        [(7, (1, 3, 2)), (80, (4,) * 16), (6, (1,) * 6), (8, (2, 2, 1, 1, 2))],
+        ids=["mixed", "16x4", "6x1", "runs"],
+    )
+    def test_one_normal_call_keeps_the_per_user_stream(self, base, antennas, correlated):
+        # one standard_normal call split in user order, with each run of equal-size
+        # users shaped at once, is the per-user loop, bit for bit
+        profile = make_profile(base, antennas)
         correlation = roots = None
         if correlated:
             correlation = CorrelationModel.from_blocks(
@@ -195,9 +201,10 @@ class TestSampleChannel:
             reference = per_user_draw(np.random.default_rng(seed), profile, roots, 1)
             blocks = sample_channel(profile, correlation, seed).blocks
             assert [b.tobytes() for b in blocks] == [b[0].tobytes() for b in reference]
-        for count in (1, 7):
+        for count in (1, 7, 200):
             key = derive_seed(3, count)
-            drawn = _draw(np.random.Generator(np.random.Philox(key=key)), profile, roots, count)
+            rng = np.random.Generator(np.random.Philox(key=key))
+            drawn = _draw(rng, profile, correlation, count)
             reference = per_user_draw(
                 np.random.Generator(np.random.Philox(key=key)), profile, roots, count
             )
@@ -422,10 +429,8 @@ class TestFactorGrams:
         rng = np.random.default_rng(2)
         block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         monkeypatch.setattr(
-            "mimobc.cli.sample_channel",
-            lambda profile, correlation, seed: ChannelRealization.from_blocks(
-                profile, [block, block[:, ::-1]]
-            ),
+            "mimobc.cli._sample_blocks",
+            lambda profile, correlation, seed: [block, block[:, ::-1]],
         )
         config = tmp_path / "c.json"
         config.write_text('{"N": 5, "antennas": [2, 2]}')

@@ -6,10 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from mimobc import derive_seed, instantaneous_rate_loss, sample_channel
+from mimobc._linalg import power_from_db
 from mimobc.cli import _build_parser, main
 from mimobc.config import SCHEMA_VERSION, build_correlation, build_profile, load_config, parse_grid
 from mimobc.ergodic import MonteCarloEstimate
 from mimobc.errors import ConfigurationError
+from mimobc.mac import asymptotic_rate_report, dpc_asymptotic_sum_rate
 
 
 def read_csv(path):
@@ -204,6 +207,39 @@ class TestRateLossCommand:
             ) == 0
         assert first.read_bytes() == second.read_bytes()
 
+    def test_rows_are_the_library_values_on_the_channel_of_their_seed(self, tmp_path):
+        # the seed contract: row t reports derive_seed(s, t), and its values are the
+        # library's on sample_channel(profile, correlation, that seed)
+        matrices = [[[1.5]], [[2, [0.3, 0.2]], [[0.3, -0.2], 1]], [[1, 0.4], [0.4, 0.5]]]
+        config = write_config(
+            tmp_path / "c.json",
+            {"N": 6, "antennas": [1, 2, 2], "weights": [0, 1, 2], "ptx_db": 25,
+             "correlation": {"matrices": matrices}, "seed": 4},
+        )
+        loaded = load_config("rate-loss", config)
+        profile = build_profile(loaded)
+        correlation = build_correlation(loaded, profile)
+        power = power_from_db(25)
+        for fmt in ("csv", "json"):
+            argv = ["rate-loss", "--config", config, "--trials", "30", "--format", fmt]
+            assert main(argv + ["--out", str(tmp_path / f"loss.{fmt}")]) == 0
+        header, body = read_csv(tmp_path / "loss.csv")
+        records = json.loads((tmp_path / "loss.json").read_text())["rows"]
+        assert len(body) == len(records) == 30
+        for trial, (row, record) in enumerate(zip(body, records)):
+            seed = derive_seed(4, trial)
+            assert row[:3] == [str(trial), str(seed), "ok"]
+            assert [record[k] for k in header[:3]] == [trial, seed, "ok"]
+            channel = sample_channel(profile, correlation, seed)
+            expected = [
+                instantaneous_rate_loss(channel),
+                *asymptotic_rate_report(channel, power).rates,
+                dpc_asymptotic_sum_rate(channel, power),
+            ]
+            assert expected[1] == float("-inf")
+            assert row[3:] == [f"{value:.12g}" for value in expected]
+            assert [record[k] for k in header[3:]] == [float(f"{v:.12g}") for v in expected]
+
     def test_missing_profile_is_a_config_error(self, tmp_path):
         out = tmp_path / "loss.csv"
         assert main(["rate-loss", "--out", str(out), "--trials", "5"]) == 2
@@ -381,11 +417,13 @@ class TestExitCodes:
         assert main(argv) == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("antennas", [[0, 2], [-1, 3], [], [1.5, 2], [True, 2]])
-    def test_invalid_extra_profile(self, tmp_path, antennas):
-        config = write_config(
-            tmp_path / "c.json", {"extra_profiles": [{"N": 5, "antennas": antennas}]}
-        )
+    @pytest.mark.parametrize(
+        "extra_profiles",
+        [[{"N": 5, "antennas": a}] for a in ([0, 2], [-1, 3], [], [1.5, 2], [True, 2])]
+        + [5, None, True, 1.5],
+    )
+    def test_invalid_extra_profile(self, tmp_path, extra_profiles):
+        config = write_config(tmp_path / "c.json", {"extra_profiles": extra_profiles})
         out = tmp_path / "x.csv"
         assert main(["table1", "--config", config, "--out", str(out)]) == 2
         assert not out.exists()
@@ -436,10 +474,10 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):
-        def fail(channel):
+        def fail(channels, profile):
             raise np.linalg.LinAlgError("Matrix is not positive definite")
 
-        monkeypatch.setattr("mimobc.cli.instantaneous_rate_loss", fail)
+        monkeypatch.setattr("mimobc.cli._batch_rate_loss", fail)
         config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
         assert main(["rate-loss", "--config", config, "--trials", "2",
                      "--out", str(tmp_path / "x.csv")]) == 3
