@@ -5,7 +5,6 @@ from __future__ import annotations
 from math import inf
 
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
 
 from .errors import ValidationError
 
@@ -16,6 +15,13 @@ HERMITIAN_TOL = 1e-12
 
 #: Eigenvalues of a nominally PSD matrix may undershoot zero by this much.
 PSD_CLAMP = 1e-12
+
+#: ``invert_lower`` inverts factors of at most this size by forward substitution
+#: even one at a time.  ``trtri`` is faster per factor (about 6 against 27-40 us
+#: at r = 4-8, 8 against 120 us at r = 16, on one factor), but the first LAPACK
+#: call loads its wrappers (``_lapack``), about 0.3 s: the cost of over 7,000
+#: substitutions at these sizes.
+SUBSTITUTION_MAX_SIZE = 8
 
 
 def positive_finite(value, what: str) -> float:
@@ -71,37 +77,40 @@ def logdet2_hpd(a: np.ndarray):
     return float(value) if a.ndim == 2 else value
 
 
+def _lapack(name: str, *arrays: np.ndarray):
+    """LAPACK routine ``name`` typed for ``arrays``; the one place scipy is imported.
+
+    ``scipy.linalg`` takes about half of a cold start of the CLI, so it
+    loads on the first call, only when a routine actually runs.
+    """
+    from scipy.linalg.lapack import get_lapack_funcs
+
+    (routine,) = get_lapack_funcs((name,), arrays)
+    return routine
+
+
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B with A Hermitian positive definite.
 
-    Calls LAPACK ``potrf``/``potrs`` directly (upper Cholesky factor, as
-    ``scipy.linalg.cho_factor``/``cho_solve`` do, with the same results)
-    because the scipy wrappers cost as much as the factorization on the
-    small matrices used here.  Raises ``ValueError`` for non-finite input and
-    ``numpy.linalg.LinAlgError`` when A is not positive definite.
+    Calls LAPACK ``potrf``/``potrs`` directly (upper Cholesky factor, with
+    the results of ``cho_factor``/``cho_solve``) because those wrappers cost
+    as much as the factorization on the small matrices used here.  Raises
+    ``ValueError`` for non-finite input and ``numpy.linalg.LinAlgError`` when
+    A is not positive definite.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    (potrf,) = get_lapack_funcs(("potrf",), (a,))
-    factor, info = potrf(a, lower=False, overwrite_a=False, clean=False)
+    factor, info = _lapack("potrf", a)(a, lower=False, overwrite_a=False, clean=False)
     if info > 0:
         raise np.linalg.LinAlgError(
             f"{info}-th leading minor of the array is not positive definite"
         )
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal potrf")
-    return solve_cholesky(factor, b, lower=False)
-
-
-def solve_cholesky(factor: np.ndarray, b: np.ndarray, lower: bool = True) -> np.ndarray:
-    """Solve A X = B from a Cholesky factor of A: L with A = L L^H, or U with A = U^H U.
-
-    LAPACK ``potrs``, which reads only the factor's own triangle.
-    """
-    (potrs,) = get_lapack_funcs(("potrs",), (factor, b))
-    x, info = potrs(factor, b, lower=lower, overwrite_b=False)
+    # potrs reads only the factor's upper triangle
+    x, info = _lapack("potrs", factor, b)(factor, b, lower=False, overwrite_b=False)
     if info < 0:
         raise ValueError(f"illegal value in argument {-info} of internal potrs")
     return x
@@ -111,15 +120,17 @@ def invert_lower(factors: np.ndarray) -> np.ndarray:
     """Inverse of every nonsingular lower-triangular matrix of a ``(B, r, r)`` stack.
 
     The factors' entries above the diagonal must be zero; their diagonals may
-    be complex.  Returns a new C-contiguous stack.  The Python loop runs over
-    the shorter axis: a stack of at least r factors is inverted by forward
-    substitution, row i of every L^-1 at once in step i; a shorter one by
-    LAPACK ``trtri``, one factor at a time.  Either way the inverse costs
-    about a third of the flops of an LU inverse.
+    be complex.  Returns a new C-contiguous stack.  A stack of at least r
+    factors, or of factors of at most ``SUBSTITUTION_MAX_SIZE``, is inverted
+    by forward substitution, row i of every L^-1 at once in step i; a shorter
+    stack of larger factors by LAPACK ``trtri``, one factor at a time.  Either
+    way the inverse costs about a third of the flops of an LU inverse.
     """
     count, r = factors.shape[0], factors.shape[-1]
     out = np.zeros(factors.shape, dtype=factors.dtype)
-    if count >= r:
+    if not count:
+        return out
+    if count >= r or r <= SUBSTITUTION_MAX_SIZE:
         inv_diag = 1.0 / np.diagonal(factors, axis1=-2, axis2=-1)
         diagonal = np.arange(r)
         out[:, diagonal, diagonal] = inv_diag
@@ -130,7 +141,7 @@ def invert_lower(factors: np.ndarray) -> np.ndarray:
             np.matmul(factors[:, i : i + 1, :i], out[:, :i, :i], out=row)
             row *= scales[:, i]
         return out
-    (trtri,) = get_lapack_funcs(("trtri",), (factors,))
+    trtri = _lapack("trtri", factors)
     for factor, inverse in zip(factors, out):
         x, info = trtri(factor, lower=1)
         if info != 0:

@@ -23,7 +23,8 @@ approximations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from math import isfinite, log2
 
 import numpy as np
@@ -85,12 +86,21 @@ def waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
 class SumCapacityResult:
     """Outcome of the iterative waterfilling solver."""
 
-    covariances: MacCovarianceSet
+    profile: SystemProfile = field(repr=False)
+    #: The r x r block-diagonal composite covariance of every user.
+    covariance: np.ndarray = field(repr=False)
     sum_rate_bits: float
     converged: bool
     iterations: int
     objective_history: tuple[float, ...]
     optimality_gap_bits: float
+
+    @cached_property
+    def covariances(self) -> MacCovarianceSet:
+        """Every user's diagonal block of ``covariance``, checked on first access."""
+        return MacCovarianceSet.from_covariances(
+            [self.covariance[sl, sl] for sl in self.profile.block_slices]
+        )
 
     @property
     def total_power(self) -> float:
@@ -98,17 +108,22 @@ class SumCapacityResult:
 
 
 def _waterfill_direction(
-    gram: np.ndarray, covariance: np.ndarray, profile: SystemProfile, total_power: float
+    gram: np.ndarray,
+    covariance: np.ndarray,
+    identity: np.ndarray,
+    other_columns: np.ndarray,
+    blocks: tuple,
+    total_power: float,
 ) -> np.ndarray:
     """Composite covariance of simultaneous waterfilling against the whitened channels.
 
-    With the mask ``SystemProfile._other_columns``, (G Q) * mask[k] = G Q_{-k};
-    one solve then gives every user's whitened channel, and one ``eigh`` per
-    block size their modes.
+    ``identity`` is I_r, and ``other_columns`` and ``blocks`` are the
+    profile's ``_other_columns`` and ``_block_indices``.  With that mask,
+    (G Q) * mask[k] = G Q_{-k}; one solve then gives every user's whitened
+    channel, and one ``eigh`` per block size their modes.
     """
     r = gram.shape[-1]
-    blocks = profile._block_indices
-    whitened = np.linalg.solve(np.eye(r) + (gram @ covariance) * profile._other_columns, gram)
+    whitened = np.linalg.solve(identity + (gram @ covariance) * other_columns, gram)
     modes = [np.linalg.eigh(hermitize(whitened[index])) for index in blocks]
     gains = np.concatenate([values.ravel() for values, _ in modes])
     powers = waterfill(np.maximum(gains, 0.0), total_power)
@@ -169,12 +184,16 @@ def dual_mac_sum_capacity(
     profile = channel.profile
     gram = channel.gram
     r = profile.total_antennas
+    identity = np.eye(r)
+    other_columns, blocks = profile._other_columns, profile._block_indices
     current = (total_power / r) * np.eye(r, dtype=complex)
     history = [float(_objective(gram, current))]
     converged = False
 
     for _ in range(max_iterations):
-        refilled = _waterfill_direction(gram, current, profile, total_power)
+        refilled = _waterfill_direction(
+            gram, current, identity, other_columns, blocks, total_power
+        )
         # backtracking line search keeps the objective monotone for any K; the
         # candidates are exactly Hermitian as convex combinations of two such
         candidates = _KEEP_WEIGHTS * current + _STEP_WEIGHTS * refilled
@@ -194,9 +213,8 @@ def dual_mac_sum_capacity(
 
     gap = _certified_gap(gram, current, profile, total_power)
     return SumCapacityResult(
-        covariances=MacCovarianceSet.from_covariances(
-            [current[sl, sl] for sl in profile.block_slices]
-        ),
+        profile=profile,
+        covariance=current,
         sum_rate_bits=history[-1],
         converged=converged,
         iterations=len(history) - 1,

@@ -27,7 +27,6 @@ from ._linalg import (
     is_hermitian,
     logdet2_hpd,
     positive_finite,
-    solve_cholesky,
 )
 from .errors import ConfigurationError, NumericalRankError, ValidationError
 
@@ -437,9 +436,10 @@ class ChannelRealization:
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
-        """Left pseudo-inverse (H^H H)^{-1} H^H from the Gram's factor L (valid since N >= r)."""
+        """Left pseudo-inverse (H^H H)^{-1} H^H = L^-H (L^-1 H^H) (valid since N >= r)."""
         self.require_full_rank()
-        return _readonly(solve_cholesky(self._gram_factors.chol[0], self.composite.conj().T))
+        inv_chol = self._gram_factors.inv_chol[0]
+        return _readonly(inv_chol.conj().T @ (inv_chol @ self.composite.conj().T))
 
     def gram_inverse_block(self, user: int) -> np.ndarray:
         """User's diagonal block of the inverse Gram matrix."""

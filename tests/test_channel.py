@@ -17,7 +17,7 @@ from mimobc import (
     make_profile,
     sample_channel,
 )
-from mimobc._linalg import haar_unitary, hermitize, invert_lower
+from mimobc._linalg import SUBSTITUTION_MAX_SIZE, haar_unitary, hermitize, invert_lower
 from mimobc.channel import _draw, _factor_grams, _well_conditioned, block_index_range
 from mimobc.bc import bc_covariance, mmse_receiver_exact
 from mimobc.cli import main
@@ -347,18 +347,26 @@ class TestFactorGrams:
                 error = np.linalg.norm(inverse - expected_inverse)
                 assert error <= 1e-10 * np.linalg.norm(expected_inverse)
 
-    @pytest.mark.parametrize("copies", [1, 6], ids=["trtri", "substitution"])
-    def test_both_inverse_loops_match_mpmath(self, copies):
-        # a stack of one inverts its factor by trtri, a stack of at least r by forward substitution
-        profile = make_profile(6, [2, 2, 2])
+    @pytest.mark.parametrize(
+        "antennas, copies, lapack",
+        [((3, 3, 4), 1, True), ((2, 2, 2), 1, False), ((2, 2, 2), 6, False)],
+        ids=["trtri", "short-substitution", "substitution"],
+    )
+    def test_both_inverse_loops_match_mpmath(self, lapack_calls, antennas, copies, lapack):
+        # a stack of one inverts its factor by trtri above SUBSTITUTION_MAX_SIZE (r = 10);
+        # a stack of at least r, or of smaller factors (r = 6), by forward substitution
+        r = sum(antennas)
+        assert (r > SUBSTITUTION_MAX_SIZE) == lapack
+        profile = make_profile(r, list(antennas))
         channels = conditioned_channels(
-            np.random.default_rng(7), 6, 6, np.geomspace(1e2, 1e11, 8)
+            np.random.default_rng(7), r, r, np.geomspace(1e2, 1e11, 8)
         )
         qr_factored = 0
         for h in channels:
             stack = np.repeat(h[None], copies, axis=0)
             factors = _factor_grams(stack, gram_stack(stack), profile)
             assert factors.full_rank.all()
+            assert ("trtri" in lapack_calls) == lapack
             for factor, inverse in zip(factors.chol, factors.inv_chol):
                 expected = mpmath_inverse(factor)
                 assert np.linalg.norm(inverse - expected) <= 1e-12 * np.linalg.norm(expected)
@@ -367,7 +375,7 @@ class TestFactorGrams:
             errors = np.linalg.norm(factors.inverse - expected_inverse, axis=(-2, -1))
             assert np.all(errors <= 1e-10 * np.linalg.norm(expected_inverse))
             bound = np.linalg.norm(factors.chol[0]) ** 2 * np.linalg.norm(factors.inv_chol[0]) ** 2
-            qr_factored += bool(bound > channel_module._QR_BOUND * 6)
+            qr_factored += bool(bound > channel_module._QR_BOUND * r)
         assert qr_factored > 0  # some draws took their factor from a QR of H
 
     def test_a_stack_of_singular_grams_has_no_factors(self):

@@ -18,7 +18,7 @@ from mimobc.mac import (
     dpc_asymptotic_sum_rate,
     optimal_power_split,
 )
-import mimobc._linalg as linalg_module
+from mimobc._linalg import SUBSTITUTION_MAX_SIZE as CUTOFF
 from mimobc._linalg import invert_lower, positive_finite, solve_hpd
 
 from conftest import random_hpd
@@ -49,15 +49,18 @@ class TestSolveHpd:
 
 def cholesky_stack(rng, count, size):
     """Cholesky factors of ``count`` well-conditioned random HPD matrices of one size."""
-    return np.array([np.linalg.cholesky(random_hpd(rng, size)) for _ in range(count)])
+    factors = [np.linalg.cholesky(random_hpd(rng, size)) for _ in range(count)]
+    return np.array(factors, dtype=complex).reshape(count, size, size)
 
 
 class TestInvertLower:
-    """The triangular inverse: forward substitution on stacks of at least r factors, else trtri."""
+    """The triangular inverse: forward substitution on stacks of at least r factors or of
+    factors of at most ``SUBSTITUTION_MAX_SIZE``, else trtri."""
 
     @pytest.mark.parametrize(
         "count, size",
-        [(200, 6), (6, 6), (7, 3), (3, 1), (1, 1), (5, 6), (1, 4), (1, 64), (2, 16)],
+        [(200, 6), (6, 6), (7, 3), (3, 1), (1, 1), (5, 6), (1, 4), (1, CUTOFF),
+         (1, CUTOFF + 1), (1, 64), (2, 16)],
     )
     def test_matches_the_lu_inverse(self, count, size):
         factors = cholesky_stack(np.random.default_rng(count * 100 + size), count, size)
@@ -68,18 +71,25 @@ class TestInvertLower:
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
             assert np.array_equal(got, np.tril(got))
 
-    @pytest.mark.parametrize("count, size, lapack", [(6, 6, False), (40, 3, False), (5, 6, True)])
-    def test_the_loop_follows_the_shorter_axis(self, monkeypatch, count, size, lapack):
-        looked_up = []
-
-        def lookup(names, arrays):
-            looked_up.extend(names)
-            return get_lapack_funcs(names, arrays)
-
-        get_lapack_funcs = linalg_module.get_lapack_funcs
-        monkeypatch.setattr(linalg_module, "get_lapack_funcs", lookup)
+    @pytest.mark.parametrize(
+        "count, size, lapack",
+        [
+            (6, 6, False),
+            (40, 3, False),
+            (5, 6, False),
+            (1, CUTOFF, False),
+            (1, CUTOFF + 1, True),
+            (CUTOFF, CUTOFF + 1, True),
+            (CUTOFF + 1, CUTOFF + 1, False),
+            (2, 16, True),
+            (0, 64, False),
+        ],
+    )
+    def test_the_shape_rule_picks_the_loop(self, lapack_calls, count, size, lapack):
+        # trtri only for a stack shorter than r of factors larger than the cutoff;
+        # an empty stack looks nothing up
         invert_lower(cholesky_stack(np.random.default_rng(1), count, size))
-        assert looked_up == (["trtri"] if lapack else [])
+        assert lapack_calls == (["trtri"] if lapack else [])
 
     @pytest.mark.parametrize("count", [0, 3, 12])
     def test_complex_diagonals(self, count):

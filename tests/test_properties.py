@@ -60,7 +60,7 @@ def test_kernel_matches_the_eigenvalue_rule_and_the_lu_reference(case):
     gram = hermitize(h.conj().T @ h)
     eigenvalues = np.linalg.eigvalsh(gram)
     full_rank = bool(_well_conditioned(eigenvalues))
-    # a stack of one inverts its factor by trtri, a stack of r + 1 by forward substitution
+    # r <= 8, so forward substitution inverts the factors of both the stack of one and of r + 1
     factors = _factor_grams(h[None], gram[None], profile)
     assert bool(factors.full_rank[0]) == full_rank
     stack = in_a_stack(h)

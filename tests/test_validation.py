@@ -5,6 +5,7 @@ The session fixture ``checks`` runs them once with the settings of
 same checks on the same data.
 """
 
+import json
 import subprocess
 import sys
 
@@ -32,3 +33,46 @@ def test_import_loads_no_test_framework():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert completed.stdout.strip() == "[]"
+
+
+#: The curves config of the README, at 3 trials.
+README_CURVES = {
+    "N": 5,
+    "antennas": [2, 2],
+    "weights": [1, 1],
+    "correlation": {"scalars": [1.0, 2.0]},
+    "ptx_grid_db": "0:5:40",
+    "trials": 3,
+    "seed": 1,
+    "ptx_db": 30,
+    "format": "csv",
+}
+
+#: 16 users of 4 antennas: each rate-loss row inverts one 64 x 64 factor by trtri.
+WIDE_RATE_LOSS = {"N": 80, "antennas": [4] * 16, "trials": 2, "seed": 1, "ptx_db": 30}
+
+
+@pytest.mark.parametrize(
+    "command, config, loaded",
+    [
+        (None, None, False),
+        (["table1", "--trials", "20"], None, False),
+        (["curves"], README_CURVES, False),
+        (["rate-loss"], WIDE_RATE_LOSS, True),
+    ],
+    ids=["import", "table1", "curves", "rate-loss"],
+)
+def test_scipy_linalg_loads_only_for_a_lapack_call(tmp_path, command, config, loaded):
+    # scipy.linalg is half of a cold start; only trtri above the cutoff and solve_hpd need it
+    code = "import sys, mimobc, mimobc.cli\n"
+    if command is not None:
+        argv = [*command, "--out", str(tmp_path / "out.csv")]
+        if config is not None:
+            (tmp_path / "config.json").write_text(json.dumps(config))
+            argv += ["--config", str(tmp_path / "config.json")]
+        code += f"assert mimobc.cli.main({argv!r}) == 0\n"
+    code += "print('scipy.linalg' in sys.modules)"
+    completed = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+    )
+    assert completed.stdout.split()[-1] == str(loaded)
