@@ -17,11 +17,16 @@ HERMITIAN_TOL = 1e-12
 PSD_CLAMP = 1e-12
 
 #: ``invert_lower`` inverts factors of at most this size by forward substitution
-#: even one at a time.  ``trtri`` is faster per factor (about 6 against 27-40 us
-#: at r = 4-8, 8 against 120 us at r = 16, on one factor), but the first LAPACK
-#: call loads its wrappers (``_lapack``), about 0.3 s: the cost of over 7,000
-#: substitutions at these sizes.
+#: even one at a time: its cost grows with r (about 20 us at r = 2 to 65 us at
+#: r = 8, one factor), while the block inverse of a shorter stack costs about
+#: 60 us at any r up to ``_INVERSE_BLOCK``, and the two cross at r = 7-8.
 SUBSTITUTION_MAX_SIZE = 8
+
+#: Diagonal block size of ``invert_lower``'s block forward substitution.  On
+#: one r = 64 factor (x86_64, one BLAS thread): LU on 16 x 16 blocks about
+#: 165 us, on 8 x 8 or 32 x 32 blocks about 190 us.  LAPACK ``trtri`` takes about 85 us, but loading its
+#: scipy wrappers (``_lapack``) costs about 0.3 s and 20 MiB.
+_INVERSE_BLOCK = 16
 
 
 def positive_finite(value, what: str) -> float:
@@ -120,11 +125,15 @@ def invert_lower(factors: np.ndarray) -> np.ndarray:
     """Inverse of every nonsingular lower-triangular matrix of a ``(B, r, r)`` stack.
 
     The factors' entries above the diagonal must be zero; their diagonals may
-    be complex.  Returns a new C-contiguous stack.  A stack of at least r
-    factors, or of factors of at most ``SUBSTITUTION_MAX_SIZE``, is inverted
-    by forward substitution, row i of every L^-1 at once in step i; a shorter
-    stack of larger factors by LAPACK ``trtri``, one factor at a time.  Either
-    way the inverse costs about a third of the flops of an LU inverse.
+    be complex.  Returns a new C-contiguous, exactly lower-triangular stack.
+    A stack of at least r factors, or of factors of at most
+    ``SUBSTITUTION_MAX_SIZE``, is inverted by forward substitution, row i of
+    every L^-1 at once in step i.  A shorter stack of larger factors is
+    inverted by block forward substitution on ``_INVERSE_BLOCK`` rows: one
+    batched LU inverse of all diagonal blocks, the last one padded with the
+    identity, then block row I of every L^-1 at once in step I.  Either way the
+    inverse costs about a third of the flops of an LU inverse of the whole
+    factor.
     """
     count, r = factors.shape[0], factors.shape[-1]
     out = np.zeros(factors.shape, dtype=factors.dtype)
@@ -141,12 +150,22 @@ def invert_lower(factors: np.ndarray) -> np.ndarray:
             np.matmul(factors[:, i : i + 1, :i], out[:, :i, :i], out=row)
             row *= scales[:, i]
         return out
-    trtri = _lapack("trtri", factors)
-    for factor, inverse in zip(factors, out):
-        x, info = trtri(factor, lower=1)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"trtri failed with info={info}")
-        inverse[...] = x
+    b = _INVERSE_BLOCK
+    edges = [*range(0, r, b), r]
+    spans = list(zip(edges, edges[1:]))
+    blocks = np.zeros((count, len(spans), b, b), dtype=factors.dtype)
+    if r % b:
+        blocks[:, -1] = np.eye(b)
+    for j, (lo, hi) in enumerate(spans):
+        blocks[:, j, : hi - lo, : hi - lo] = factors[:, lo:hi, lo:hi]
+    # LU leaves rounding above the diagonal of a triangular inverse
+    inverses = np.tril(np.linalg.inv(blocks))
+    for j, (lo, hi) in enumerate(spans):
+        inverse = inverses[:, j, : hi - lo, : hi - lo]
+        out[:, lo:hi, lo:hi] = inverse
+        if lo:
+            # X[I, :s] = -X_II (L[I, :s] X[:s, :s]), from L X = I with X lower-triangular
+            np.matmul(-inverse, factors[:, lo:hi, :lo] @ out[:, :lo, :lo], out=out[:, lo:hi, :lo])
     return out
 
 

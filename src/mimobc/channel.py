@@ -110,9 +110,11 @@ def _factor_grams(
     """Screen a stack of Gram matrices G = H^H H and factor its full-rank draws.
 
     ``channels`` is the ``(B, N, r)`` stack of composite channels H and
-    ``grams`` their Hermitian Gram matrices.  The rank rule is
+    ``grams`` their Gram matrices, of which only the lower triangles are read
+    (the imaginary parts of their diagonals are ignored).  The rank rule is
     ``_well_conditioned`` on the eigenvalues of G.  One Cholesky factor L per
-    draw and its triangular inverse (``invert_lower``) give
+    draw and its triangular inverse (``invert_lower``, in numpy for every stack
+    shape) give
     tr(G) tr(G^-1) = ||L||_F^2 ||L^-1||_F^2, an upper bound on
     lambda_max / lambda_min, so a draw whose product is at most
     ``_TRACE_MARGIN * COND_LIMIT`` is accepted at once; ``eigvalsh`` decides
@@ -458,16 +460,17 @@ def _draw(
     profile: SystemProfile,
     correlation: CorrelationModel | None,
     count: int,
-) -> list[np.ndarray]:
-    """Draw ``count`` channels from ``rng`` as per-user ``(count, N, r_k)`` stacks.
+) -> np.ndarray:
+    """Draw ``count`` composite channels from ``rng`` as one ``(count, N, r)`` stack.
 
     One call draws every standard normal; split in user order, user k's
     ``(count, 2, N, r_k)`` block gives the real and then the imaginary parts
     of ``count`` raw matrices (unit variance per complex entry), which are
-    right-multiplied by the user's correlation root.  A run of m consecutive
-    users with equal antenna counts is assembled at once and shaped by one
-    batched product with its stacked roots; the values are those of one user
-    at a time.  With ``count == 1`` this is the stream of ``sample_channel``.
+    right-multiplied by the user's correlation root and fill the user's
+    columns.  A run of m consecutive users with equal antenna counts is
+    assembled at once, shaped by one batched product with its stacked roots
+    and written into its m r_k columns; the values are those of one user at a
+    time.  With ``count == 1`` this is the stream of ``sample_channel``.
     """
     roots = None
     if correlation is not None:
@@ -479,24 +482,26 @@ def _draw(
         roots = correlation._root_runs
     n = profile.base_antennas
     normals = rng.standard_normal(count * 2 * n * profile.total_antennas)
-    blocks = []
-    end = 0
+    channels = np.empty((count, n, profile.total_antennas), dtype=complex)
+    end = column = 0
     for j, (r_k, m) in enumerate(profile._antenna_runs):
         start, end = end, end + m * count * 2 * n * r_k
         parts = normals[start:end].reshape(m, count, 2, n, r_k)
         raw = (parts[:, :, 0] + 1j * parts[:, :, 1]) * np.sqrt(0.5)
         if roots is not None:
             raw = (raw.reshape(m, count * n, r_k) @ roots[j]).reshape(m, count, n, r_k)
-        blocks.extend(raw)
-    return blocks
+        run = channels[:, :, column : column + m * r_k].reshape(count, n, m, r_k, copy=False)
+        run[...] = raw.transpose(1, 2, 0, 3)
+        column += m * r_k
+    return channels
 
 
 def _sample_blocks(
     profile: SystemProfile, correlation: CorrelationModel | None, seed: int
-) -> list[np.ndarray]:
-    """The per-user ``(N, r_k)`` blocks of one channel, drawn from its own ``seed``."""
+) -> np.ndarray:
+    """The ``(N, r)`` composite channel of one draw from its own ``seed``."""
     rng = np.random.default_rng(int(seed) & _MASK64)
-    return [block[0] for block in _draw(rng, profile, correlation, 1)]
+    return _draw(rng, profile, correlation, 1)[0]
 
 
 def sample_channel(
@@ -512,4 +517,5 @@ def sample_channel(
     matrix.  Identical (profile, correlation, seed) inputs yield bit-identical
     output; seeds are interpreted modulo 2**64.
     """
-    return ChannelRealization(profile, tuple(_sample_blocks(profile, correlation, seed)))
+    composite = _sample_blocks(profile, correlation, seed)
+    return ChannelRealization(profile, tuple(composite[:, sl] for sl in profile.block_slices))

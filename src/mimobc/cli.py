@@ -128,7 +128,7 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
     deficient = 0
     for trial in range(config.trials):
         trial_seed = derive_seed(config.seed, trial)
-        channel = np.concatenate(_sample_blocks(profile, correlation, trial_seed), axis=1)
+        channel = _sample_blocks(profile, correlation, trial_seed)
         factors = _batch_rate_loss(channel[None], profile)
         if factors.full_rank[0]:
             rates, dpc = _asymptotes(

@@ -223,7 +223,7 @@ def monte_carlo_rate_loss(
         start = batch * _BATCH
         count = min(_BATCH, trials - start)
         rng = np.random.Generator(np.random.Philox(key=derive_seed(seed, batch)))
-        channels = np.concatenate(_draw(rng, profile, correlation, count), axis=-1)
+        channels = _draw(rng, profile, correlation, count)
         factors = _batch_rate_loss(channels, profile)
         batch_values = values[start : start + count]
         batch_values[factors.full_rank] = factors.rate_loss
@@ -237,7 +237,7 @@ def monte_carlo_rate_loss(
                         f"more than {max_discards} rank-deficient draws in "
                         f"{trials} trials"
                     )
-                channels = np.concatenate(_draw(reserve, profile, correlation, 1), axis=-1)
+                channels = _draw(reserve, profile, correlation, 1)
                 redrawn = _batch_rate_loss(channels, profile)
                 if redrawn.full_rank[0]:
                     batch_values[i] = redrawn.rate_loss[0]

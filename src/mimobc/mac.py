@@ -13,7 +13,7 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import LN2, hermitize, is_hermitian, positive_finite
+from ._linalg import LN2, is_hermitian, positive_finite
 from .channel import (
     ChannelRealization,
     GramFactors,
@@ -278,5 +278,6 @@ def _batch_rate_loss(channels: np.ndarray, profile: SystemProfile) -> GramFactor
     get no values.  The entry point of the Monte Carlo estimators and of the
     ``rate-loss`` rows.
     """
-    grams = hermitize(channels.conj().swapaxes(-1, -2) @ channels)
+    # not hermitized: the Cholesky and eigvalsh of the kernel read one triangle
+    grams = channels.conj().swapaxes(-1, -2) @ channels
     return _factor_grams(channels, grams, profile)

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 import mimobc._linalg as linalg_module
@@ -42,3 +43,17 @@ def lapack_calls(monkeypatch):
 
     monkeypatch.setattr(linalg_module, "_lapack", recording)
     return calls
+
+
+@pytest.fixture
+def block_inverses(monkeypatch):
+    """Shapes of the stacks ``np.linalg.inv`` inverts during the test, in order."""
+    shapes = []
+    inv = np.linalg.inv
+
+    def recording(a):
+        shapes.append(a.shape)
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    return shapes

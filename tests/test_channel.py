@@ -177,9 +177,10 @@ class TestSampleChannel:
         for seed in range(20):
             drawn = _draw(np.random.default_rng(seed), profile, correlation, 1)
             blocks = sample_channel(profile, correlation, seed).blocks
-            for stack, block in zip(drawn, blocks):
-                assert stack.shape == (1,) + block.shape
-                assert stack[0].tobytes() == block.tobytes()
+            assert drawn.shape == (1, profile.base_antennas, profile.total_antennas)
+            for sl, block in zip(profile.block_slices, blocks):
+                assert drawn[0][:, sl].shape == block.shape
+                assert np.ascontiguousarray(drawn[0][:, sl]).tobytes() == block.tobytes()
 
     @pytest.mark.parametrize("correlated", [False, True])
     @pytest.mark.parametrize(
@@ -208,7 +209,8 @@ class TestSampleChannel:
             reference = per_user_draw(
                 np.random.Generator(np.random.Philox(key=key)), profile, roots, count
             )
-            assert [b.tobytes() for b in drawn] == [b.tobytes() for b in reference]
+            assert drawn.shape == (count, base, profile.total_antennas)
+            assert drawn.tobytes() == np.concatenate(reference, axis=-1).tobytes()
 
     def test_correlation_dimension_mismatch(self):
         profile = make_profile(5, [2, 2])
@@ -348,15 +350,23 @@ class TestFactorGrams:
                 assert error <= 1e-10 * np.linalg.norm(expected_inverse)
 
     @pytest.mark.parametrize(
-        "antennas, copies, lapack",
-        [((3, 3, 4), 1, True), ((2, 2, 2), 1, False), ((2, 2, 2), 6, False)],
-        ids=["trtri", "short-substitution", "substitution"],
+        "antennas, copies, blocked",
+        [
+            ((3, 3, 4), 1, True),
+            ((4, 4, 4, 4, 4), 1, True),
+            ((2, 2, 2), 1, False),
+            ((2, 2, 2), 6, False),
+        ],
+        ids=["block", "ragged-block", "short-substitution", "substitution"],
     )
-    def test_both_inverse_loops_match_mpmath(self, lapack_calls, antennas, copies, lapack):
-        # a stack of one inverts its factor by trtri above SUBSTITUTION_MAX_SIZE (r = 10);
-        # a stack of at least r, or of smaller factors (r = 6), by forward substitution
+    def test_both_inverse_loops_match_mpmath(
+        self, lapack_calls, block_inverses, antennas, copies, blocked
+    ):
+        # a stack of one inverts its factor by blocks above SUBSTITUTION_MAX_SIZE: r = 10 in one
+        # padded block, r = 20 in a full block and a ragged one of 4; a stack of at least r, or
+        # of smaller factors (r = 6), by forward substitution; neither looks up LAPACK
         r = sum(antennas)
-        assert (r > SUBSTITUTION_MAX_SIZE) == lapack
+        assert (r > SUBSTITUTION_MAX_SIZE) == blocked
         profile = make_profile(r, list(antennas))
         channels = conditioned_channels(
             np.random.default_rng(7), r, r, np.geomspace(1e2, 1e11, 8)
@@ -366,10 +376,12 @@ class TestFactorGrams:
             stack = np.repeat(h[None], copies, axis=0)
             factors = _factor_grams(stack, gram_stack(stack), profile)
             assert factors.full_rank.all()
-            assert ("trtri" in lapack_calls) == lapack
+            assert bool(block_inverses) == blocked and lapack_calls == []
             for factor, inverse in zip(factors.chol, factors.inv_chol):
                 expected = mpmath_inverse(factor)
                 assert np.linalg.norm(inverse - expected) <= 1e-12 * np.linalg.norm(expected)
+                # an LU inverse of these factors leaves rounding above the diagonal
+                assert np.array_equal(inverse, np.tril(inverse))
             expected_loss, expected_inverse = mpmath_rate_loss(h, profile)
             assert np.all(np.abs(factors.rate_loss - expected_loss) <= 1e-10)
             errors = np.linalg.norm(factors.inverse - expected_inverse, axis=(-2, -1))
@@ -438,7 +450,7 @@ class TestFactorGrams:
         block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         monkeypatch.setattr(
             "mimobc.cli._sample_blocks",
-            lambda profile, correlation, seed: [block, block[:, ::-1]],
+            lambda profile, correlation, seed: np.concatenate([block, block[:, ::-1]], axis=1),
         )
         config = tmp_path / "c.json"
         config.write_text('{"N": 5, "antennas": [2, 2]}')

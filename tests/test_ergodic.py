@@ -258,12 +258,12 @@ class TestMonteCarloRateLoss:
         scalar = []
         for batch, count in enumerate((ergodic_module._BATCH, 64)):
             rng = np.random.Generator(np.random.Philox(key=derive_seed(5, batch)))
-            blocks = _draw(rng, profile, None, count)
+            channels = _draw(rng, profile, None, count)
             scalar += [
                 instantaneous_rate_loss(
-                    ChannelRealization.from_blocks(profile, [b[t] for b in blocks])
+                    ChannelRealization.from_blocks(profile, [h[:, sl] for sl in profile.block_slices])
                 )
-                for t in range(count)
+                for h in channels
             ]
         assert estimate.mean == pytest.approx(float(np.mean(scalar)), abs=1e-12)
 

@@ -19,6 +19,7 @@ from mimobc.mac import (
     optimal_power_split,
 )
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE as CUTOFF
+from mimobc._linalg import _INVERSE_BLOCK as BLOCK
 from mimobc._linalg import invert_lower, positive_finite, solve_hpd
 
 from conftest import random_hpd
@@ -55,24 +56,27 @@ def cholesky_stack(rng, count, size):
 
 class TestInvertLower:
     """The triangular inverse: forward substitution on stacks of at least r factors or of
-    factors of at most ``SUBSTITUTION_MAX_SIZE``, else trtri."""
+    factors of at most ``SUBSTITUTION_MAX_SIZE``, else block forward substitution."""
 
     @pytest.mark.parametrize(
         "count, size",
         [(200, 6), (6, 6), (7, 3), (3, 1), (1, 1), (5, 6), (1, 4), (1, CUTOFF),
-         (1, CUTOFF + 1), (1, 64), (2, 16)],
+         (1, CUTOFF + 1), (1, 64), (2, 16), (1, 20), (1, 65), (6, 16)],
     )
     def test_matches_the_lu_inverse(self, count, size):
+        # (1, 20) and (1, 65) end on a ragged diagonal block; every other factor of a
+        # stack is a strided stack, of three r = 16 factors for (6, 16)
         factors = cholesky_stack(np.random.default_rng(count * 100 + size), count, size)
-        inverse = invert_lower(factors)
-        expected = np.linalg.inv(factors)
-        assert inverse.shape == factors.shape and inverse.flags.c_contiguous
-        for got, want in zip(inverse, expected):
-            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
-            assert np.array_equal(got, np.tril(got))
+        for stack in (factors, factors[::2]):
+            inverse = invert_lower(stack)
+            expected = np.linalg.inv(stack)
+            assert inverse.shape == stack.shape and inverse.flags.c_contiguous
+            for got, want in zip(inverse, expected):
+                assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+                assert np.array_equal(got, np.tril(got))
 
     @pytest.mark.parametrize(
-        "count, size, lapack",
+        "count, size, blocked",
         [
             (6, 6, False),
             (40, 3, False),
@@ -82,14 +86,20 @@ class TestInvertLower:
             (CUTOFF, CUTOFF + 1, True),
             (CUTOFF + 1, CUTOFF + 1, False),
             (2, 16, True),
+            (1, 64, True),
+            (3, 20, True),
             (0, 64, False),
         ],
     )
-    def test_the_shape_rule_picks_the_loop(self, lapack_calls, count, size, lapack):
-        # trtri only for a stack shorter than r of factors larger than the cutoff;
-        # an empty stack looks nothing up
+    def test_the_shape_rule_picks_the_loop(
+        self, lapack_calls, block_inverses, count, size, blocked
+    ):
+        # blocks only for a stack shorter than r of factors larger than the cutoff, all
+        # diagonal blocks in one LU call; no shape looks up LAPACK, an empty stack inverts nothing
         invert_lower(cholesky_stack(np.random.default_rng(1), count, size))
-        assert lapack_calls == (["trtri"] if lapack else [])
+        assert lapack_calls == []
+        blocks = -(-size // BLOCK)
+        assert block_inverses == ([(count, blocks, BLOCK, BLOCK)] if blocked else [])
 
     @pytest.mark.parametrize("count", [0, 3, 12])
     def test_complex_diagonals(self, count):
@@ -112,12 +122,14 @@ class TestInvertLower:
         assert inverse.flags.c_contiguous
 
     def test_contiguous_result_from_a_strided_stack(self):
-        factors = cholesky_stack(np.random.default_rng(9), 8, 3)
-        for view in (factors[::2], factors[:1]):
-            inverse = invert_lower(view)
-            assert inverse.flags.c_contiguous
-            assert inverse.view(np.float64).shape == (len(view), 3, 6)
-            np.testing.assert_allclose(inverse, np.linalg.inv(view), rtol=1e-12, atol=0)
+        # at r = 16 both views are shorter than r: the block loop
+        for size in (3, 16):
+            factors = cholesky_stack(np.random.default_rng(9), 8, size)
+            for view in (factors[::2], factors[:1]):
+                inverse = invert_lower(view)
+                assert inverse.flags.c_contiguous
+                assert inverse.view(np.float64).shape == (len(view), size, 2 * size)
+                np.testing.assert_allclose(inverse, np.linalg.inv(view), rtol=1e-12, atol=0)
 
 
 PROFILE = make_profile(5, [2, 2])

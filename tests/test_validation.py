@@ -48,7 +48,13 @@ README_CURVES = {
     "format": "csv",
 }
 
-#: 16 users of 4 antennas: each rate-loss row inverts one 64 x 64 factor by trtri.
+#: Ten terminal antennas: every curves trial inverts one 10 x 10 factor by blocks.
+R10_CURVES = dict(
+    README_CURVES, N=12, antennas=[4, 3, 3], weights=[1, 1, 1],
+    correlation={"scalars": [1.0, 2.0, 0.5]},
+)
+
+#: 16 users of 4 antennas: each rate-loss row inverts one 64 x 64 factor by blocks.
 WIDE_RATE_LOSS = {"N": 80, "antennas": [4] * 16, "trials": 2, "seed": 1, "ptx_db": 30}
 
 
@@ -58,14 +64,19 @@ WIDE_RATE_LOSS = {"N": 80, "antennas": [4] * 16, "trials": 2, "seed": 1, "ptx_db
         (None, None, False),
         (["table1", "--trials", "20"], None, False),
         (["curves"], README_CURVES, False),
-        (["rate-loss"], WIDE_RATE_LOSS, True),
+        (["curves"], R10_CURVES, False),
+        (["rate-loss"], WIDE_RATE_LOSS, False),
+        ("mimobc.solve_bc(mimobc.sample_channel(mimobc.make_profile(5, [2, 2]), seed=3), 10.0)",
+         None, True),
     ],
-    ids=["import", "table1", "curves", "rate-loss"],
+    ids=["import", "table1", "curves", "curves-r10", "rate-loss", "solve_bc"],
 )
 def test_scipy_linalg_loads_only_for_a_lapack_call(tmp_path, command, config, loaded):
-    # scipy.linalg is half of a cold start; only trtri above the cutoff and solve_hpd need it
+    # scipy.linalg is half of a cold start; only solve_hpd (potrf/potrs) needs it
     code = "import sys, mimobc, mimobc.cli\n"
-    if command is not None:
+    if isinstance(command, str):
+        code += command + "\n"
+    elif command is not None:
         argv = [*command, "--out", str(tmp_path / "out.csv")]
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
