@@ -24,8 +24,7 @@ SUBSTITUTION_MAX_SIZE = 8
 
 #: Diagonal block size of ``invert_lower``'s block forward substitution.  On
 #: one r = 64 factor (x86_64, one BLAS thread): LU on 16 x 16 blocks about
-#: 165 us, on 8 x 8 or 32 x 32 blocks about 190 us.  LAPACK ``trtri`` takes about 85 us, but loading its
-#: scipy wrappers (``_lapack``) costs about 0.3 s and 20 MiB.
+#: 165 us, on 8 x 8 or 32 x 32 blocks about 190 us; numpy has no LAPACK ``trtri``.
 _INVERSE_BLOCK = 16
 
 
@@ -72,53 +71,42 @@ def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL):
     return bool(ok) if a.ndim == 2 else ok
 
 
+def log2_diagonal(factor: np.ndarray) -> np.ndarray:
+    """log2|R^H R| from a stack of triangular factors R (or their adjoints)."""
+    return 2.0 * np.log(np.abs(np.diagonal(factor, axis1=-2, axis2=-1))).sum(axis=-1) / LN2
+
+
 def logdet2_hpd(a: np.ndarray):
     """log2-determinant of a Hermitian positive-definite matrix via Cholesky.
 
     On a stack of matrices, an array with one value per matrix.
     """
-    chol = np.linalg.cholesky(a)
-    value = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1).real), axis=-1) / LN2
+    value = log2_diagonal(np.linalg.cholesky(a))
     return float(value) if a.ndim == 2 else value
-
-
-def _lapack(name: str, *arrays: np.ndarray):
-    """LAPACK routine ``name`` typed for ``arrays``; the one place scipy is imported.
-
-    ``scipy.linalg`` takes about half of a cold start of the CLI, so it
-    loads on the first call, only when a routine actually runs.
-    """
-    from scipy.linalg.lapack import get_lapack_funcs
-
-    (routine,) = get_lapack_funcs((name,), arrays)
-    return routine
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve A X = B with A Hermitian positive definite.
 
-    Calls LAPACK ``potrf``/``potrs`` directly (upper Cholesky factor, with
-    the results of ``cho_factor``/``cho_solve``) because those wrappers cost
-    as much as the factorization on the small matrices used here.  Raises
-    ``ValueError`` for non-finite input and ``numpy.linalg.LinAlgError`` when
-    A is not positive definite.
+    X = L^-H (L^-1 B) from the Cholesky factor L of A and its triangular
+    inverse (``invert_lower``).  Raises ``ValueError`` for non-finite input and
+    ``numpy.linalg.LinAlgError``, naming the first leading block that is not
+    positive definite, when A is not.
     """
     a = np.asarray(a)
     b = np.asarray(b)
     if not (np.isfinite(a).all() and np.isfinite(b).all()):
         raise ValueError("array must not contain infs or NaNs")
-    factor, info = _lapack("potrf", a)(a, lower=False, overwrite_a=False, clean=False)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
+    try:
+        inverse = invert_lower(np.linalg.cholesky(a)[None])[0]
+    except np.linalg.LinAlgError:
+        size = next(
+            (i for i in range(1, len(a)) if np.linalg.eigvalsh(a[:i, :i])[0] <= 0), len(a)
         )
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal potrf")
-    # potrs reads only the factor's upper triangle
-    x, info = _lapack("potrs", factor, b)(factor, b, lower=False, overwrite_b=False)
-    if info < 0:
-        raise ValueError(f"illegal value in argument {-info} of internal potrs")
-    return x
+        raise np.linalg.LinAlgError(
+            f"{size}-th leading minor of the array is not positive definite"
+        ) from None
+    return inverse.conj().T @ (inverse @ b)
 
 
 def invert_lower(factors: np.ndarray) -> np.ndarray:

@@ -19,12 +19,12 @@ from typing import NamedTuple
 import numpy as np
 
 from ._linalg import (
-    LN2,
     finite_matrix,
     hermitian_sqrt,
     hermitize,
     invert_lower,
     is_hermitian,
+    log2_diagonal,
     logdet2_hpd,
     positive_finite,
 )
@@ -94,11 +94,6 @@ class GramFactors(NamedTuple):
         return loss
 
 
-def _log2_diagonal(factor: np.ndarray) -> np.ndarray:
-    """log2|R^H R| from a stack of triangular factors R (or their adjoints)."""
-    return 2.0 * np.log(np.abs(np.diagonal(factor, axis1=-2, axis2=-1))).sum(axis=-1) / LN2
-
-
 def _squared_norm(a: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a contiguous complex stack."""
     return np.square(a.view(np.float64)).sum(axis=(-2, -1))
@@ -148,12 +143,12 @@ def _factor_grams(
     for users, rows in profile._blocks_by_size:
         columns = inv_chol[:, :, rows].transpose(0, 2, 1, 3)  # (A, m, r, r_k)
         blocks = columns.conj().swapaxes(-1, -2) @ columns
-        block_logdet2[:, users] = _log2_diagonal(np.linalg.cholesky(blocks))
+        block_logdet2[:, users] = log2_diagonal(np.linalg.cholesky(blocks))
         if exact.size:
-            block_logdet2[np.ix_(exact, users)] = _log2_diagonal(
+            block_logdet2[np.ix_(exact, users)] = log2_diagonal(
                 np.linalg.qr(columns[exact], mode="r")
             )
-    return GramFactors(full_rank, chol, inv_chol, _log2_diagonal(chol), block_logdet2)
+    return GramFactors(full_rank, chol, inv_chol, log2_diagonal(chol), block_logdet2)
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -455,6 +450,15 @@ class ChannelRealization:
         return tuple(self._gram_factors.block_logdet2[0].tolist())
 
 
+def check_correlation(profile: SystemProfile, correlation: CorrelationModel | None) -> None:
+    """ValidationError unless ``correlation`` is None or holds one r_k x r_k block per user."""
+    if correlation is not None and correlation.antennas != profile.user_antennas:
+        raise ValidationError(
+            f"correlation blocks sized {correlation.antennas} do not match "
+            f"user antennas {profile.user_antennas}"
+        )
+
+
 def _draw(
     rng: np.random.Generator,
     profile: SystemProfile,
@@ -472,14 +476,8 @@ def _draw(
     and written into its m r_k columns; the values are those of one user at a
     time.  With ``count == 1`` this is the stream of ``sample_channel``.
     """
-    roots = None
-    if correlation is not None:
-        if correlation.antennas != profile.user_antennas:
-            raise ValidationError(
-                f"correlation blocks sized {correlation.antennas} do not match "
-                f"user antennas {profile.user_antennas}"
-            )
-        roots = correlation._root_runs
+    check_correlation(profile, correlation)
+    roots = None if correlation is None else correlation._root_runs
     n = profile.base_antennas
     normals = rng.standard_normal(count * 2 * n * profile.total_antennas)
     channels = np.empty((count, n, profile.total_antennas), dtype=complex)

@@ -67,8 +67,8 @@ def _require_finite(name: str, *values: float) -> None:
 
 
 def _integer(name: str, value) -> int:
-    """``value`` as an int; ConfigurationError for a boolean or a non-integral number."""
-    if isinstance(value, bool) or (isinstance(value, float) and not value.is_integer()):
+    """``value`` as an int; ConfigurationError for a boolean, a string or a non-integral number."""
+    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
         raise ConfigurationError(f"{name} must be an integer, got {value!r}")
     try:
         return int(value)
@@ -77,8 +77,8 @@ def _integer(name: str, value) -> int:
 
 
 def _number(name: str, value) -> float:
-    """``value`` as a float; ConfigurationError for a boolean or a non-numeric value."""
-    if isinstance(value, bool):
+    """``value`` as a float; ConfigurationError for a boolean, a string or a non-numeric value."""
+    if isinstance(value, (bool, str)):
         raise ConfigurationError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
@@ -135,9 +135,9 @@ def _parse_extra_profiles(raw) -> tuple[tuple[tuple[int, ...], int], ...]:
                 f"extra profile entries need exactly 'N' and 'antennas': {entry!r}"
             )
         try:
-            antennas = tuple(_integer("antennas", r) for r in entry["antennas"])
+            antennas = tuple(_integer("antennas", r) for r in _list("antennas", entry["antennas"]))
             profiles.append((antennas, _integer("N", entry["N"])))
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
             raise ConfigurationError(f"malformed extra profile {entry!r}") from exc
     return tuple(profiles)
 
@@ -194,12 +194,11 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     base = merged.pop("N", None)
     antennas = merged.pop("antennas", None)
     weights = merged.pop("weights", None)
-    try:
-        base = None if base is None else _integer("N", base)
-        antennas = None if antennas is None else tuple(_integer("antennas", r) for r in antennas)
-        weights = None if weights is None else tuple(_number("weight", w) for w in weights)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"malformed profile fields: {exc}") from exc
+    base = None if base is None else _integer("N", base)
+    if antennas is not None:
+        antennas = tuple(_integer("antennas", r) for r in _list("antennas", antennas))
+    if weights is not None:
+        weights = tuple(_number("weight", w) for w in _list("weights", weights))
 
     grid_spec = merged.pop("ptx_grid_db", None)
     grid = parse_grid(grid_spec) if grid_spec is not None else parse_grid("-10:5:40")

@@ -20,6 +20,7 @@ from .channel import (
     CorrelationModel,
     SystemProfile,
     block_index_range,
+    check_correlation,
     derive_seed,
     make_profile,
     _draw,
@@ -80,6 +81,7 @@ def ergodic_dpc_logdet(
     Equals (1/ln 2) sum_{l=0}^{r-1} psi(N - l) plus the log2-determinants of
     the per-user correlation blocks; correlations only shift the curve.
     """
+    check_correlation(profile, correlation)
     total = _psi_sum(profile.base_antennas, profile.total_antennas) / LN2
     if correlation is not None:
         total += sum(correlation.block_logdet2(k) for k in range(profile.num_users))
@@ -96,6 +98,7 @@ def ergodic_block_logdet(
     user's correlation block contributes -log2 |C_k|.
     """
     block_index_range(profile, user)
+    check_correlation(profile, correlation)
     r_k = profile.user_antennas[user]
     first = profile.base_antennas - profile.total_antennas + r_k
     total = -_psi_sum(first, r_k) / LN2

@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-import mimobc._linalg as linalg_module
 from mimobc import CorrelationModel, make_profile, sample_channel
 from mimobc.validation import random_hpd, run_all_checks  # noqa: F401  (random_hpd serves the test modules)
 
@@ -29,20 +28,6 @@ def fig_setup():
 @pytest.fixture
 def seeded_channel():
     return sample_channel(make_profile(5, [2, 2]), seed=3)
-
-
-@pytest.fixture
-def lapack_calls(monkeypatch):
-    """Names of the LAPACK routines ``mimobc._linalg`` looks up during the test, in order."""
-    calls = []
-    lapack = linalg_module._lapack
-
-    def recording(name, *arrays):
-        calls.append(name)
-        return lapack(name, *arrays)
-
-    monkeypatch.setattr(linalg_module, "_lapack", recording)
-    return calls
 
 
 @pytest.fixture

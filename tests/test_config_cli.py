@@ -70,11 +70,12 @@ class TestConfig:
             {"seed": 1.5}, {"seed": True}, {"seed": 2**64}, {"seed": -1},
             {"trials": 2.9}, {"trials": False}, {"max_iterations": 2.5},
             {"max_iterations": True}, {"seed": float("inf")}, {"N": 5.5},
+            {"antennas": "22"}, {"weights": "11"}, {"seed": "7"}, {"ptx_db": "30"},
         ],
         ids=[
             "seed-fraction", "seed-bool", "seed-2-64", "seed-negative", "trials-fraction",
             "trials-bool", "max-iterations-fraction", "max-iterations-bool", "seed-inf",
-            "N-fraction",
+            "N-fraction", "antennas-string", "weights-string", "seed-string", "ptx-db-string",
         ],
     )
     def test_integer_values_are_not_coerced(self, tmp_path, payload):
@@ -419,8 +420,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "extra_profiles",
-        [[{"N": 5, "antennas": a}] for a in ([0, 2], [-1, 3], [], [1.5, 2], [True, 2])]
-        + [5, None, True, 1.5],
+        [[{"N": 5, "antennas": a}] for a in ([0, 2], [-1, 3], [], [1.5, 2], [True, 2], "33")]
+        + [[{"N": "6", "antennas": [3, 3]}], 5, None, True, 1.5],
     )
     def test_invalid_extra_profile(self, tmp_path, extra_profiles):
         config = write_config(tmp_path / "c.json", {"extra_profiles": extra_profiles})
@@ -471,6 +472,18 @@ class TestExitCodes:
             build_correlation(loaded, build_profile(loaded))
         out = tmp_path / "x.csv"
         assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["curves", "rate-loss"])
+    def test_correlation_that_does_not_fit_the_profile(self, tmp_path, capsys, kind):
+        # one correlation block for two users
+        config = write_config(
+            tmp_path / "c.json",
+            {"N": 5, "antennas": [2, 2], "correlation": {"matrices": [[[1, 0], [0, 1]]]}},
+        )
+        out = tmp_path / "x.csv"
+        assert main([kind, "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert "do not match" in capsys.readouterr().err
         assert not out.exists()
 
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):

@@ -154,6 +154,21 @@ class TestErgodicBlockLogdet:
             assert relative_error(value, reference) <= 1e-13
 
 
+@pytest.mark.parametrize(
+    "blocks",
+    [[np.eye(2)] * 3, [np.eye(3), np.eye(2)]],
+    ids=["three-blocks-for-two-users", "3x3-block-for-a-2-antenna-user"],
+)
+def test_closed_forms_reject_a_correlation_that_does_not_fit(blocks):
+    profile = make_profile(6, [2, 2])
+    correlation = CorrelationModel.from_blocks(blocks)
+    with pytest.raises(ValidationError, match="do not match"):
+        ergodic_dpc_logdet(profile, correlation)
+    for user in range(profile.num_users):
+        with pytest.raises(ValidationError, match="do not match"):
+            ergodic_block_logdet(profile, correlation, user)
+
+
 class TestErgodicRateLoss:
     def test_reference_two_user_values(self):
         assert ergodic_rate_loss(make_profile(3, [1, 2])) == pytest.approx(2.164, abs=5e-4)

@@ -5,9 +5,12 @@ The session fixture ``checks`` runs them once with the settings of
 same checks on the same data.
 """
 
+import ast
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -59,20 +62,22 @@ WIDE_RATE_LOSS = {"N": 80, "antennas": [4] * 16, "trials": 2, "seed": 1, "ptx_db
 
 
 @pytest.mark.parametrize(
-    "command, config, loaded",
+    "command, config, exit_code",
     [
-        (None, None, False),
-        (["table1", "--trials", "20"], None, False),
-        (["curves"], README_CURVES, False),
-        (["curves"], R10_CURVES, False),
-        (["rate-loss"], WIDE_RATE_LOSS, False),
+        (None, None, 0),
+        (["table1", "--trials", "20"], None, 0),
+        (["curves"], README_CURVES, 0),
+        (["curves"], R10_CURVES, 0),
+        (["rate-loss"], WIDE_RATE_LOSS, 0),
+        # two trials are too few for the Monte Carlo agreement property, which fails
+        (["validate", "--trials", "2"], None, 1),
         ("mimobc.solve_bc(mimobc.sample_channel(mimobc.make_profile(5, [2, 2]), seed=3), 10.0)",
-         None, True),
+         None, 0),
     ],
-    ids=["import", "table1", "curves", "curves-r10", "rate-loss", "solve_bc"],
+    ids=["import", "table1", "curves", "curves-r10", "rate-loss", "validate", "solve_bc"],
 )
-def test_scipy_linalg_loads_only_for_a_lapack_call(tmp_path, command, config, loaded):
-    # scipy.linalg is half of a cold start; only solve_hpd (potrf/potrs) needs it
+def test_no_command_loads_scipy(tmp_path, command, config, exit_code):
+    # numpy is the only runtime dependency
     code = "import sys, mimobc, mimobc.cli\n"
     if isinstance(command, str):
         code += command + "\n"
@@ -81,9 +86,28 @@ def test_scipy_linalg_loads_only_for_a_lapack_call(tmp_path, command, config, lo
         if config is not None:
             (tmp_path / "config.json").write_text(json.dumps(config))
             argv += ["--config", str(tmp_path / "config.json")]
-        code += f"assert mimobc.cli.main({argv!r}) == 0\n"
-    code += "print('scipy.linalg' in sys.modules)"
+        code += f"assert mimobc.cli.main({argv!r}) == {exit_code}\n"
+    code += "print('scipy' in sys.modules)"
     completed = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
-    assert completed.stdout.split()[-1] == str(loaded)
+    assert completed.stdout.split()[-1] == "False"
+
+
+def test_numpy_is_the_only_runtime_dependency():
+    # every import of the package, lazy ones included, is relative, stdlib or numpy
+    tomllib = pytest.importorskip("tomllib")
+    root = Path(__file__).resolve().parents[1]
+    third_party = set()
+    for path in sorted((root / "src" / "mimobc").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            third_party |= {n.partition(".")[0] for n in names} - sys.stdlib_module_names
+    assert third_party == {"numpy"}
+    project = tomllib.loads((root / "pyproject.toml").read_text(encoding="utf-8"))["project"]
+    assert [re.split(r"[^\w.-]", d)[0] for d in project["dependencies"]] == ["numpy"]
