@@ -32,20 +32,26 @@ import numpy as np
 from ._linalg import LN2, hermitize, positive_finite, power_from_db
 from .bc import _bc_exact_rates, _bd_directions
 from .channel import (
+    COND_LIMIT,
     ChannelRealization,
     CorrelationModel,
     SystemProfile,
+    _factor_grams,
+    _sample_blocks,
     derive_seed,
-    sample_channel,
 )
 from .ergodic import ergodic_block_logdet, ergodic_dpc_logdet
-from .errors import ValidationError
+from .errors import NumericalRankError, ValidationError
 from .mac import MacCovarianceSet, _objective
 
 __all__ = ["dual_mac_sum_capacity"]
 
 #: Line-search step sizes tried per iteration, largest first.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 2**-8, 2**-12, 2**-16)
+
+#: Trials of a ``generate_curves`` chunk, drawn, factored and rated by the BD
+#: precoder as one stack; the bound keeps the stacks small at large N and r.
+_CHUNK_TRIALS = 64
 
 #: ``_STEPS`` shaped to weigh a stack of composite covariances, and their complements.
 _STEP_WEIGHTS = np.array(_STEPS)[:, None, None]
@@ -64,22 +70,28 @@ def waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     budget = float(budget)
     if not isfinite(budget):
         raise ValidationError(f"waterfilling budget is non-finite: {budget}")
-    if not np.isfinite(gains).all():
+    values = gains.ravel().tolist()
+    if not all(map(isfinite, values)):
         raise ValidationError("waterfilling gains have non-finite entries")
-    powers = np.zeros_like(gains)
-    usable = gains > 0.0
-    if budget <= 0 or not usable.any():
-        return powers
-    inverse = 1.0 / gains[usable]
-    ascending = np.sort(inverse)
+    # the arithmetic of a numpy sort and cumsum, on Python floats: on the few
+    # gains of a solver iteration, numpy's per-call cost would dominate
+    inverse = [1.0 / g if g > 0.0 else None for g in values]
+    ascending = sorted(v for v in inverse if v is not None)
+    if budget <= 0 or not ascending:
+        return np.zeros_like(gains)
     # water level with m active channels: mu_m = (budget + sum of the m
     # smallest inverse gains) / m, valid while mu_m exceeds the m-th inverse
-    # gain; the level is that of the largest valid m
-    levels = (budget + ascending.cumsum()) / np.arange(1, ascending.size + 1)
-    valid = (levels > ascending).nonzero()[0]
-    level = levels[valid[-1] if valid.size else 0]
-    powers[usable] = np.maximum(0.0, level - inverse)
-    return powers
+    # gain; the level is that of the largest valid m, else that of m = 1
+    level = budget + ascending[0]
+    running = 0.0
+    for m, v in enumerate(ascending, 1):
+        running += v
+        candidate = (budget + running) / m
+        if candidate > v:
+            level = candidate
+    # np.maximum(0.0, level - v), which keeps a NaN
+    powers = [0.0 if v is None or level - v <= 0.0 else level - v for v in inverse]
+    return np.array(powers).reshape(gains.shape)
 
 
 @dataclass(frozen=True)
@@ -280,17 +292,36 @@ def generate_curves(
     most_iterations = [0] * len(grid)
     largest_gap = [0.0] * len(grid)
 
-    for t in range(trials):
-        channel = sample_channel(profile, correlation, derive_seed(seed, t))
+    gains = np.divide(powers, r)
+    for start in range(0, trials, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, trials)
+        chunk = range(start, stop)
+        channels = np.stack(
+            [_sample_blocks(profile, correlation, derive_seed(seed, t)) for t in chunk]
+        )
+        factors = _factor_grams(
+            channels, hermitize(channels.conj().swapaxes(-1, -2) @ channels), profile
+        )
+        if not factors.full_rank.all():
+            bad = int(np.argmin(factors.full_rank))
+            condition = ChannelRealization._from_composite(profile, channels[bad]).gram_condition
+            raise NumericalRankError(
+                f"trial {chunk[bad]}: Gram matrix condition number {condition:.3e} "
+                f"exceeds limit {COND_LIMIT:.0e}"
+            )
         # unit-power precoder directions: at power P the covariances scale by P / r
-        directions = [d / c for _, d, c in _bd_directions(channel)]
-        linear_values[:, t] = _bc_exact_rates(channel, directions, np.divide(powers, r)).sum(axis=1)
-        for i, power in enumerate(powers):
-            result = dual_mac_sum_capacity(channel, power, tolerance, max_iterations)
-            nonconverged[i] += not result.converged
-            most_iterations[i] = max(most_iterations[i], result.iterations)
-            largest_gap[i] = max(largest_gap[i], result.optimality_gap_bits)
-            dpc_values[i, t] = result.sum_rate_bits
+        pieces = _bd_directions(profile, channels, factors)
+        directions = [d / c[:, None, :] for _, d, c in pieces]
+        rates = _bc_exact_rates(profile, channels, directions, gains)
+        linear_values[:, start:stop] = rates.sum(axis=-1)
+        for t, composite in zip(chunk, channels):
+            channel = ChannelRealization._from_composite(profile, composite)
+            for i, power in enumerate(powers):
+                result = dual_mac_sum_capacity(channel, power, tolerance, max_iterations)
+                nonconverged[i] += not result.converged
+                most_iterations[i] = max(most_iterations[i], result.iterations)
+                largest_gap[i] = max(largest_gap[i], result.optimality_gap_bits)
+                dpc_values[i, t] = result.sum_rate_bits
 
     points = []
     for i, (p_db, power) in enumerate(zip(grid, powers)):

@@ -23,7 +23,7 @@ from ._linalg import (
     positive_finite,
     solve_hpd,
 )
-from .channel import ChannelRealization, block_index_range
+from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range
 from .errors import DegeneracyError, ValidationError
 from .mac import MacCovarianceSet, _check_dims
 
@@ -61,28 +61,35 @@ def asymptotic_receiver(
     return scale * channel.pseudo_inverse[sl, :]
 
 
-def _bd_directions(channel: ChannelRealization) -> list[tuple[np.ndarray, ...]]:
-    """Every user's BD (basis W_k, direction H (H^H H)^{-1} E_k W_k, its column norms).
+def _bd_directions(
+    profile: SystemProfile, channels: np.ndarray, factors: GramFactors
+) -> list[tuple[np.ndarray, ...]]:
+    """Every user's BD (bases W_k, directions H (H^H H)^{-1} E_k W_k, their column norms).
 
+    ``channels`` is a ``(T, N, r)`` stack of full-rank composite channels H
+    and ``factors`` their ``channel._factor_grams``; user k's entry holds
+    ``(T, r_k, r_k)`` bases, ``(T, N, r_k)`` directions and ``(T, r_k)`` norms.
     The decorrelation basis W_k is the unitary eigenbasis of the user's block
-    of the inverse Gram matrix, one ``eigh`` per block size for all users.
-    Columns are ordered by ascending eigenvalue; each column's phase is fixed
-    by making its largest-magnitude entry real positive, so the output is
-    deterministic up to degenerate eigenvalues.  The column norms are the
+    of the inverse Gram matrix, one ``eigh`` per block size for the whole
+    stack.  Columns are ordered by ascending eigenvalue; each column's phase is
+    fixed by making its largest-magnitude entry real positive, so the output
+    is deterministic up to degenerate eigenvalues.  The column norms are the
     diagonal renormalizer: their squares are the diagonal of W^H (block of
     (H^H H)^{-1}) W, computed as the actual norms.
     """
-    profile = channel.profile
+    gram_inverse = hermitize(factors.inverse)
+    pseudo_inverse = factors.pseudo_inverse(channels)
     pieces: list = [None] * profile.num_users
-    for users, rows, columns in profile._block_indices:
-        _, vectors = np.linalg.eigh(hermitize(channel.gram_inverse[rows, columns]))
-        for k, basis in zip(users.flat, normalize_eigenvector_phases(vectors)):
-            # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
-            directions = channel.pseudo_inverse[profile.block_slices[k], :].conj().T @ basis
-            scales = np.linalg.norm(directions, axis=0)
-            if np.any(scales <= 0.0):
+    for users, rows in profile._blocks_by_size:
+        _, vectors = np.linalg.eigh(hermitize(gram_inverse[:, rows[:, :, None], rows[:, None, :]]))
+        bases = normalize_eigenvector_phases(vectors)  # (T, m, r_k, r_k)
+        # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
+        directions = pseudo_inverse[:, rows].conj().swapaxes(-1, -2) @ bases
+        scales = np.linalg.norm(directions, axis=-2)
+        for j, k in enumerate(users):
+            if np.any(scales[:, j] <= 0.0):
                 raise DegeneracyError(f"nonpositive column scale for user {k}")
-            pieces[k] = (basis, directions, scales)
+            pieces[k] = (bases[:, j], directions[:, j], scales[:, j])
     return pieces
 
 
@@ -103,34 +110,38 @@ def bc_covariance(
     return hermitize(scale * rows.conj().T @ solve_hpd(block, rows))
 
 
-def _bc_exact_rates(channel: ChannelRealization, precoders, gains) -> np.ndarray:
-    """Exact downlink rates of every user with the precoders' powers scaled by each gain.
+def _bc_exact_rates(
+    profile: SystemProfile, channels: np.ndarray, precoders, gains
+) -> np.ndarray:
+    """Exact downlink rates of every user of a stack with the precoders' powers scaled by each gain.
 
-    Returns a ``(len(gains), K)`` array whose entry (i, k) is log2 |I + (I +
-    g_i A_k)^{-1} g_i S_k|, clamped at 0, with A_k = sum_{l != k} H_k^H P_l
-    P_l^H H_k and S_k = H_k^H P_k P_k^H H_k formed once; every gain and the
-    users of one antenna count share one batched Cholesky log-determinant.
+    ``channels`` is a ``(T, N, r)`` stack of composite channels and
+    ``precoders`` holds every user's ``(T, N, columns)`` stack.  Returns a
+    ``(len(gains), T, K)`` array whose entry (i, t, k) is log2 |I + (I + g_i
+    A_k)^{-1} g_i S_k| of channel t, clamped at 0, with A_k = sum_{l != k}
+    H_k^H P_l P_l^H H_k and S_k = H_k^H P_k P_k^H H_k formed once; every gain,
+    channel and the users of one antenna count share one batched Cholesky
+    log-determinant.
     """
-    profile = channel.profile
     if len(precoders) != profile.num_users:
         raise ValidationError(f"{len(precoders)} precoders for {profile.num_users} users")
     for _l, p in enumerate(precoders):
-        if p.shape[0] != profile.base_antennas:
-            raise ValidationError(f"precoder {_l} has {p.shape[0]} rows, expected "
+        if p.shape[-2] != profile.base_antennas:
+            raise ValidationError(f"precoder {_l} has {p.shape[-2]} rows, expected "
                                   f"{profile.base_antennas}")
-    owner = np.repeat(np.arange(profile.num_users), [p.shape[1] for p in precoders])
-    cross = channel.composite.conj().T @ np.concatenate(precoders, axis=1)  # H^H P
-    gains = np.asarray(gains, dtype=float)[:, None, None, None]
-    rates = np.empty((gains.shape[0], profile.num_users))
+    owner = np.repeat(np.arange(profile.num_users), [p.shape[-1] for p in precoders])
+    cross = channels.conj().swapaxes(-1, -2) @ np.concatenate(precoders, axis=-1)  # H^H P
+    gains = np.asarray(gains, dtype=float)[:, None, None, None, None]
+    rates = np.empty((gains.shape[0], len(channels), profile.num_users))
     for users, rows in profile._blocks_by_size:
         own = owner == np.array(users)[:, None, None]  # (m, 1, columns)
-        block = cross[rows]  # (m, r_k, columns)
+        block = cross[:, rows]  # (T, m, r_k, columns)
         interference, signal = np.where(own, 0.0, block), np.where(own, block, 0.0)
         noise = np.eye(rows.shape[1]) + gains * hermitize(
             interference @ interference.conj().swapaxes(-1, -2)
         )
         full = noise + gains * hermitize(signal @ signal.conj().swapaxes(-1, -2))
-        rates[:, users] = logdet2_hpd(full) - logdet2_hpd(noise)
+        rates[:, :, users] = logdet2_hpd(full) - logdet2_hpd(noise)
     return np.maximum(rates, 0.0)
 
 
@@ -144,7 +155,9 @@ def bc_exact_user_rate(
     block diagonalization is verified rather than presumed.
     """
     block_index_range(channel.profile, user)
-    return float(_bc_exact_rates(channel, precoders, [1.0])[0, user])
+    stacked = [np.asarray(p)[None] for p in precoders]
+    rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, [1.0])
+    return float(rates[0, 0, user])
 
 
 @dataclass(frozen=True)
@@ -181,17 +194,21 @@ class BcSolution:
 def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
     """Build the full block-diagonalizing downlink solution for one channel."""
     total_power = positive_finite(total_power, "transmit power")
-    column_norm = sqrt(total_power / channel.profile.total_antennas)
-    bases, directions, scales = zip(*_bd_directions(channel))
+    profile = channel.profile
+    column_norm = sqrt(total_power / profile.total_antennas)
+    channel.require_full_rank()
+    pieces = _bd_directions(profile, channel.composite[None], channel._gram_factors)
+    bases, directions, scales = zip(*[(w[0], d[0], c[0]) for w, d, c in pieces])
     precoders = tuple(column_norm * d / c for d, c in zip(directions, scales))
     covariances = tuple(
-        bc_covariance(channel, total_power, k) for k in range(channel.profile.num_users)
+        bc_covariance(channel, total_power, k) for k in range(profile.num_users)
     )
+    rates = _bc_exact_rates(profile, channel.composite[None], [p[None] for p in precoders], [1.0])
     return BcSolution(
         total_power=total_power,
         precoders=precoders,
         bases=bases,
         column_scales=scales,
         covariances=covariances,
-        rates=tuple(_bc_exact_rates(channel, precoders, [1.0])[0].tolist()),
+        rates=tuple(rates[0, 0].tolist()),
     )

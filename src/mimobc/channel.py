@@ -85,6 +85,11 @@ class GramFactors(NamedTuple):
         """G^-1 = L^-H L^-1."""
         return self.inv_chol.conj().swapaxes(-1, -2) @ self.inv_chol
 
+    def pseudo_inverse(self, channels: np.ndarray) -> np.ndarray:
+        """(H^H H)^-1 H^H = L^-H (L^-1 H^H) of each channel H of a stack of the full-rank draws."""
+        inv_chol = self.inv_chol
+        return inv_chol.conj().swapaxes(-1, -2) @ (inv_chol @ channels.conj().swapaxes(-1, -2))
+
     @property
     def rate_loss(self) -> np.ndarray:
         """log2|G| + sum_k log2|[G^-1]_kk|, the rate loss of linear filtering, per draw."""
@@ -384,6 +389,23 @@ class ChannelRealization:
     def from_blocks(cls, profile: SystemProfile, blocks) -> "ChannelRealization":
         return cls(profile, tuple(blocks))
 
+    @classmethod
+    def _from_composite(cls, profile: SystemProfile, composite) -> "ChannelRealization":
+        """The realization of an ``(N, r)`` composite channel, checked once.
+
+        The composite is kept read-only, as the cached ``composite``, and the
+        user blocks are read-only views of its columns.
+        """
+        h = _readonly(finite_matrix(composite, "channel"))
+        expected = (profile.base_antennas, profile.total_antennas)
+        if h.shape != expected:
+            raise ValidationError(f"channel has shape {h.shape}, expected {expected}")
+        channel = object.__new__(cls)
+        object.__setattr__(channel, "profile", profile)
+        object.__setattr__(channel, "blocks", tuple(h[:, sl] for sl in profile.block_slices))
+        channel.__dict__["composite"] = h
+        return channel
+
     @cached_property
     def composite(self) -> np.ndarray:
         """N x r matrix whose column blocks are the per-user channels."""
@@ -433,10 +455,9 @@ class ChannelRealization:
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
-        """Left pseudo-inverse (H^H H)^{-1} H^H = L^-H (L^-1 H^H) (valid since N >= r)."""
+        """Left pseudo-inverse (H^H H)^{-1} H^H (valid since N >= r)."""
         self.require_full_rank()
-        inv_chol = self._gram_factors.inv_chol[0]
-        return _readonly(inv_chol.conj().T @ (inv_chol @ self.composite.conj().T))
+        return _readonly(self._gram_factors.pseudo_inverse(self.composite[None])[0])
 
     def gram_inverse_block(self, user: int) -> np.ndarray:
         """User's diagonal block of the inverse Gram matrix."""
@@ -515,5 +536,4 @@ def sample_channel(
     matrix.  Identical (profile, correlation, seed) inputs yield bit-identical
     output; seeds are interpreted modulo 2**64.
     """
-    composite = _sample_blocks(profile, correlation, seed)
-    return ChannelRealization(profile, tuple(composite[:, sl] for sl in profile.block_slices))
+    return ChannelRealization._from_composite(profile, _sample_blocks(profile, correlation, seed))

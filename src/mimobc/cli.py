@@ -37,7 +37,7 @@ from .errors import (
     ValidationError,
 )
 from .mac import _asymptotes, _batch_rate_loss, optimal_power_split
-from .validation import run_all_checks
+from .validation import MIN_VALIDATE_TRIALS, run_all_checks
 
 _EXIT_OK = 0
 _EXIT_VALIDATION_FAILED = 1
@@ -189,7 +189,11 @@ def _run_curves(config: ExperimentConfig) -> int:
 
 
 def _run_validate(config: ExperimentConfig) -> int:
-    results = run_all_checks(trials=max(config.trials, 2), seed=config.seed)
+    if config.trials < MIN_VALIDATE_TRIALS:
+        raise ConfigurationError(
+            f"validate needs at least {MIN_VALIDATE_TRIALS} trials, got {config.trials}"
+        )
+    results = run_all_checks(trials=config.trials, seed=config.seed)
     header = ["property", "passed", "margin", "detail"]
     rows = [[r.name, r.passed, r.margin, r.detail] for r in results]
     path = _write(config, "validate", header, rows)

@@ -1,17 +1,24 @@
+import sys
+
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import mimobc.baseline
+import mimobc.bc
+import mimobc.channel
 from mimobc import (
     ChannelRealization,
+    CorrelationModel,
     NumericalRankError,
     ValidationError,
     derive_seed,
     dual_mac_sum_capacity,
     make_profile,
     sample_channel,
+    solve_bc,
 )
 from mimobc._linalg import haar_unitary, hermitize
 from mimobc.baseline import _objective, generate_curves, waterfill
@@ -19,6 +26,22 @@ from mimobc.baseline import _objective, generate_curves, waterfill
 #: 60-digit arithmetic for the references, apart from the global mpmath context.
 _MP = mpmath.MPContext()
 _MP.dps = 60
+
+
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Record every call of ``module.name``, replaced in each ``mimobc`` namespace holding it."""
+    original = getattr(module, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for holder in [m for key, m in sys.modules.items() if key.split(".")[0] == "mimobc"]:
+        for key, value in list(vars(holder).items()):
+            if value is original:
+                monkeypatch.setattr(holder, key, counting)
+    return calls
 
 
 def mp_logdet2(a) -> float:
@@ -107,6 +130,49 @@ def test_waterfill_meets_the_kkt_conditions(case):
     np.testing.assert_allclose(levels, level, rtol=0.0, atol=tol)
     inactive = usable & ~active
     assert np.all(1.0 / gains[inactive] >= level - tol)
+
+
+def numpy_waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
+    """``waterfill`` as numpy sort and cumsum, the arithmetic the Python-float loop keeps."""
+    gains = np.asarray(gains, dtype=float)
+    budget = float(budget)
+    powers = np.zeros_like(gains)
+    usable = gains > 0.0
+    if budget <= 0 or not usable.any():
+        return powers
+    inverse = 1.0 / gains[usable]
+    ascending = np.sort(inverse)
+    levels = (budget + ascending.cumsum()) / np.arange(1, ascending.size + 1)
+    valid = (levels > ascending).nonzero()[0]
+    level = levels[valid[-1] if valid.size else 0]
+    powers[usable] = np.maximum(0.0, level - inverse)
+    return powers
+
+
+@st.composite
+def wide_waterfill_cases(draw):
+    gain = st.one_of(
+        st.just(0.0),
+        # a subnormal gain's inverse overflows: the NaN power of inf - inf must match too
+        st.just(5e-324),
+        st.floats(1e-12, 1e12),
+        st.floats(-1e12, -1e-12),
+        st.integers(-12, 12).map(lambda e: 10.0**e),
+    )
+    gains = np.array(draw(st.lists(gain, min_size=1, max_size=64)))
+    budget = draw(st.one_of(st.just(0.0), st.floats(-1.0, 1e14), st.sampled_from([1e-300, 1e14])))
+    return gains, budget
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(wide_waterfill_cases())
+def test_waterfill_is_bit_identical_to_the_numpy_form(case):
+    gains, budget = case
+    powers = waterfill(gains, budget)
+    with np.errstate(over="ignore", invalid="ignore"):
+        expected = numpy_waterfill(gains, budget)
+    assert powers.dtype == expected.dtype and powers.shape == expected.shape
+    assert powers.tobytes() == expected.tobytes()
 
 
 class TestGramFormAccuracy:
@@ -247,6 +313,52 @@ class TestGenerateCurves:
         first = generate_curves(profile, correlation, [10.0, 20.0], trials=3, seed=5)
         second = generate_curves(profile, correlation, [10.0, 20.0], trials=3, seed=5)
         assert first == second
+
+    def test_calls_the_solver_once_per_trial_and_power(self, fig_setup, monkeypatch):
+        # the counts a per-function tracer of the curves workload relies on
+        profile, correlation = fig_setup
+        calls = {
+            name: count_calls(monkeypatch, module, name)
+            for module, name in [
+                (mimobc.baseline, "dual_mac_sum_capacity"),
+                (mimobc.channel, "_sample_blocks"),
+                (mimobc.bc, "bc_covariance"),
+            ]
+        }
+        grid = [float(p) for p in range(0, 41, 5)]
+        generate_curves(profile, correlation, grid, trials=3, seed=1)
+        assert {name: len(made) for name, made in calls.items()} == {
+            "dual_mac_sum_capacity": 27, "_sample_blocks": 3, "bc_covariance": 0,
+        }
+
+    @pytest.mark.parametrize(
+        "base, antennas", [(5, (2, 2)), (6, (2, 1, 2)), (6, (1, 4)), (12, (4, 3, 3))]
+    )
+    def test_linear_rate_is_the_mean_of_the_per_channel_bd_sum_rates(self, base, antennas):
+        profile = make_profile(base, antennas)
+        correlation = CorrelationModel.scalar(profile, np.linspace(1.0, 2.0, len(antennas)))
+        grid = [0.0, 20.0, 40.0]
+        trials = 12
+        points = generate_curves(profile, correlation, grid, trials=trials, seed=2)
+        channels = [sample_channel(profile, correlation, derive_seed(2, t)) for t in range(trials)]
+        for point in points:
+            expected = np.mean([solve_bc(c, point.power_linear).sum_rate for c in channels])
+            assert point.linear_bd_sum_rate == pytest.approx(expected, rel=1e-12)
+
+    def test_rank_deficient_trial_is_named(self, fig_setup, monkeypatch):
+        profile, correlation = fig_setup
+        draw = mimobc.baseline._sample_blocks
+
+        def duplicate_a_column(profile, correlation, seed):
+            h = draw(profile, correlation, seed)
+            if seed == derive_seed(4, 66):
+                h[:, 2] = h[:, 0]
+            return h
+
+        monkeypatch.setattr("mimobc.baseline._sample_blocks", duplicate_a_column)
+        # trial 66 falls in the second stack of trials
+        with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix condition number"):
+            generate_curves(profile, correlation, [10.0], trials=70, seed=4)
 
     def test_builds_no_transmit_covariance(self, fig_setup, monkeypatch):
         # the BD rate needs only the precoder directions, never the covariances

@@ -1,14 +1,23 @@
 import numpy as np
 import pytest
 
-from mimobc import ChannelRealization, make_profile, sample_channel, solve_bc
+from mimobc import (
+    ChannelRealization,
+    CorrelationModel,
+    derive_seed,
+    make_profile,
+    sample_channel,
+    solve_bc,
+)
 from mimobc.bc import (
     _bc_exact_rates,
+    _bd_directions,
     asymptotic_receiver,
     bc_covariance,
     bc_exact_user_rate,
     mmse_receiver_exact,
 )
+from mimobc.channel import _factor_grams, _sample_blocks
 from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
 from mimobc._linalg import (
     haar_unitary,
@@ -155,6 +164,29 @@ class TestDecorrelationBasis:
             )
 
 
+class TestStackedDirections:
+    @pytest.mark.parametrize(
+        "base, antennas", [(5, (2, 2)), (6, (2, 1, 2)), (6, (1, 4)), (12, (4, 3, 3))]
+    )
+    def test_a_stack_equals_each_channel_alone(self, base, antennas):
+        profile = make_profile(base, antennas)
+        correlation = CorrelationModel.scalar(profile, np.linspace(1.0, 2.0, len(antennas)))
+        seeds = [derive_seed(7, t) for t in range(12)]
+        channels = np.stack([_sample_blocks(profile, correlation, s) for s in seeds])
+        grams = hermitize(channels.conj().swapaxes(-1, -2) @ channels)
+        stacked = _bd_directions(profile, channels, _factor_grams(channels, grams, profile))
+        for t, seed in enumerate(seeds):
+            channel = sample_channel(profile, correlation, seed)
+            alone = _bd_directions(profile, channel.composite[None], channel._gram_factors)
+            for k, (mine, own) in enumerate(zip(stacked, alone)):
+                for a, b in zip(mine, own):
+                    if profile.total_antennas <= 8:
+                        # every factor of either stack is inverted by the same substitution
+                        np.testing.assert_array_equal(a[t], b[0])
+                    else:
+                        assert np.linalg.norm(a[t] - b[0]) <= 1e-12 * np.linalg.norm(b[0])
+
+
 class TestScalingFactors:
     def test_identity_channel_value(self):
         channel = identity_channel([2, 2])
@@ -280,7 +312,8 @@ class TestBcExactUserRate:
         channel = sample_channel(make_profile(6, [2, 1, 2]), seed=seed)
         directions = solve_bc(channel, 5.0).precoders
         gains = np.array([1e-3, 1.0, 1e2, 1e4])
-        rates = _bc_exact_rates(channel, directions, gains)
+        stacked = [d[None] for d in directions]
+        rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, gains)[:, 0]
         assert rates.shape == (4, 3)
         for i, gain in enumerate(gains):
             for k, h_k in enumerate(channel.blocks):

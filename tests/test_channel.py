@@ -18,7 +18,13 @@ from mimobc import (
     sample_channel,
 )
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE, haar_unitary, hermitize, invert_lower
-from mimobc.channel import _draw, _factor_grams, _well_conditioned, block_index_range
+from mimobc.channel import (
+    _draw,
+    _factor_grams,
+    _sample_blocks,
+    _well_conditioned,
+    block_index_range,
+)
 from mimobc.bc import bc_covariance, mmse_receiver_exact
 from mimobc.cli import main
 from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
@@ -270,6 +276,26 @@ class TestChannelRealization:
         channel = sample_channel(make_profile(4, [2, 2]), seed=0)
         with pytest.raises(ValueError):
             channel.blocks[0][0, 0] = 1.0
+
+    def test_sampled_blocks_are_views_of_the_drawn_composite(self):
+        profile = make_profile(5, [2, 1, 2])
+        channel = sample_channel(profile, seed=4)
+        np.testing.assert_array_equal(channel.composite, _sample_blocks(profile, None, 4))
+        assert not channel.composite.flags.writeable
+        for block, sl in zip(channel.blocks, profile.block_slices):
+            assert np.shares_memory(block, channel.composite)
+            np.testing.assert_array_equal(block, channel.composite[:, sl])
+        rebuilt = ChannelRealization.from_blocks(profile, channel.blocks)
+        np.testing.assert_array_equal(rebuilt.gram, channel.gram)
+
+    def test_composite_channel_is_checked(self):
+        profile = make_profile(4, [2, 2])
+        with pytest.raises(ValidationError, match="shape"):
+            ChannelRealization._from_composite(profile, np.ones((4, 3)))
+        bad = np.ones((4, 4))
+        bad[2, 3] = np.inf
+        with pytest.raises(ValidationError, match="non-finite"):
+            ChannelRealization._from_composite(profile, bad)
 
     def test_pseudo_inverse_identity(self):
         channel = sample_channel(make_profile(6, [2, 2]), seed=17)

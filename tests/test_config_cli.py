@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+import mimobc.baseline
 from mimobc import derive_seed, instantaneous_rate_loss, sample_channel
 from mimobc._linalg import power_from_db
 from mimobc.cli import _build_parser, main
@@ -484,6 +485,30 @@ class TestExitCodes:
         out = tmp_path / "x.csv"
         assert main([kind, "--config", config, "--trials", "2", "--out", str(out)]) == 2
         assert "do not match" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("trials", ["0", "2", "99"])
+    def test_validate_with_too_few_trials(self, tmp_path, capsys, trials):
+        # the Monte Carlo agreement property needs 100 trials to hold on working code
+        out = tmp_path / "x.csv"
+        assert main(["validate", "--trials", trials, "--out", str(out)]) == 2
+        assert "at least 100 trials" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rank_deficient_curves_trial_is_a_numerical_error(self, tmp_path, monkeypatch, capsys):
+        def duplicate_a_column(profile, correlation, seed):
+            h = draw(profile, correlation, seed)
+            if seed == derive_seed(1, 1):
+                h[:, 2] = h[:, 0]
+            return h
+
+        draw = mimobc.baseline._sample_blocks
+        monkeypatch.setattr("mimobc.baseline._sample_blocks", duplicate_a_column)
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--config", config, "--trials", "3", "--seed", "1",
+                     "--out", str(out)]) == 3
+        assert "trial 1: Gram matrix condition number" in capsys.readouterr().err
         assert not out.exists()
 
     def test_linear_algebra_failure_is_a_numerical_error(self, tmp_path, monkeypatch):
