@@ -10,11 +10,9 @@ from .errors import ValidationError
 
 LN2 = float(np.log(2.0))
 
-#: Relative tolerance for Hermitian symmetry checks.
+#: Tolerance of the Hermitian and semidefinite input checks, relative to the
+#: matrix's largest entry (at least 1).
 HERMITIAN_TOL = 1e-12
-
-#: Eigenvalues of a nominally PSD matrix may undershoot zero by this much.
-PSD_CLAMP = 1e-12
 
 #: ``invert_lower`` inverts factors of at most this size by forward substitution
 #: even one at a time: its cost grows with r (about 20 us at r = 2 to 65 us at
@@ -57,18 +55,24 @@ def hermitize(a: np.ndarray) -> np.ndarray:
     return 0.5 * (a + a.conj().swapaxes(-1, -2))
 
 
-def is_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL):
-    """True when A equals A^H within ``tol`` relative to the largest entry.
+def hermitian_input(a, what: str, definite: bool) -> np.ndarray:
+    """``a`` as a complex matrix, checked where a Hermitian input enters.
 
-    On a stack of matrices, a boolean array with one verdict per matrix.
+    ValidationError, naming the matrix by ``what``, unless it is finite, square
+    and Hermitian within ``HERMITIAN_TOL`` times its largest entry magnitude (at
+    least 1), with a smallest eigenvalue > 0 if ``definite`` and otherwise at
+    least -``HERMITIAN_TOL`` times that scale.
     """
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        return False
-    axes = (-2, -1)
-    scale = np.maximum(1.0, np.abs(a).max(axis=axes, initial=0.0))
-    defect = np.abs(a - a.conj().swapaxes(-1, -2)).max(axis=axes, initial=0.0)
-    ok = defect <= tol * scale
-    return bool(ok) if a.ndim == 2 else ok
+    m = finite_matrix(a, what)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{what} is not square: shape {m.shape}")
+    scale = max(1.0, float(np.abs(m).max(initial=0.0)))
+    if np.abs(m - m.conj().T).max(initial=0.0) > HERMITIAN_TOL * scale:
+        raise ValidationError(f"{what} is not Hermitian")
+    lowest = float(np.linalg.eigvalsh(m)[0]) if len(m) else inf
+    if (lowest <= 0.0) if definite else (lowest < -HERMITIAN_TOL * scale):
+        raise ValidationError(f"{what} is not positive {'definite' if definite else 'semidefinite'}")
+    return m
 
 
 def log2_diagonal(factor: np.ndarray) -> np.ndarray:
@@ -157,26 +161,14 @@ def invert_lower(factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def hermitian_sqrt(a: np.ndarray, what="matrix") -> np.ndarray:
-    """Principal Hermitian square root via eigendecomposition, of a matrix or a stack.
+def hermitian_sqrt(a: np.ndarray) -> np.ndarray:
+    """Principal Hermitian square root of a positive semidefinite matrix via eigendecomposition.
 
-    Eigenvalues in [-PSD_CLAMP, 0] are clamped to zero; anything more negative
-    means the input is not positive semidefinite and raises ValidationError,
-    naming the matrix by ``what`` (for a stack, a sequence of one name per
-    matrix).
+    The input is checked where it entered (``hermitian_input``); eigenvalues
+    that rounding left below zero are clamped to zero.
     """
     values, vectors = np.linalg.eigh(hermitize(a))
-    if values.shape[-1]:
-        bad = values[..., 0] < -PSD_CLAMP
-        if bad.any():
-            first = int(np.argmax(bad))
-            name = what if isinstance(what, str) else what[first]
-            raise ValidationError(
-                f"{name} is not positive semidefinite "
-                f"(min eigenvalue {values[..., 0].flat[first]:.3e})"
-            )
-    scaled = vectors * np.sqrt(np.maximum(values, 0.0))[..., None, :]
-    return hermitize(scaled @ vectors.conj().swapaxes(-1, -2))
+    return hermitize((vectors * np.sqrt(np.maximum(values, 0.0))) @ vectors.conj().T)
 
 
 def normalize_eigenvector_phases(vectors: np.ndarray) -> np.ndarray:

@@ -16,6 +16,7 @@ from math import sqrt
 import numpy as np
 
 from ._linalg import (
+    finite_matrix,
     hermitian_sqrt,
     hermitize,
     logdet2_hpd,
@@ -125,9 +126,10 @@ def _bc_exact_rates(
     """
     if len(precoders) != profile.num_users:
         raise ValidationError(f"{len(precoders)} precoders for {profile.num_users} users")
-    for _l, p in enumerate(precoders):
+    for k, p in enumerate(precoders):
+        finite_matrix(p, f"precoder {k}")
         if p.shape[-2] != profile.base_antennas:
-            raise ValidationError(f"precoder {_l} has {p.shape[-2]} rows, expected "
+            raise ValidationError(f"precoder {k} has {p.shape[-2]} rows, expected "
                                   f"{profile.base_antennas}")
     owner = np.repeat(np.arange(profile.num_users), [p.shape[-1] for p in precoders])
     cross = channels.conj().swapaxes(-1, -2) @ np.concatenate(precoders, axis=-1)  # H^H P

@@ -20,10 +20,10 @@ import numpy as np
 
 from ._linalg import (
     finite_matrix,
+    hermitian_input,
     hermitian_sqrt,
     hermitize,
     invert_lower,
-    is_hermitian,
     log2_diagonal,
     logdet2_hpd,
     positive_finite,
@@ -300,17 +300,11 @@ class CorrelationModel:
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        converted = []
-        for k, block in enumerate(self.blocks):
-            c = finite_matrix(block, f"correlation block {k}")
-            if c.ndim != 2 or c.shape[0] != c.shape[1]:
-                raise ValidationError(f"correlation block {k} is not square: shape {c.shape}")
-            if not is_hermitian(c):
-                raise ValidationError(f"correlation block {k} is not Hermitian")
-            if float(np.linalg.eigvalsh(c)[0]) <= 0.0:
-                raise ValidationError(f"correlation block {k} is not positive definite")
-            converted.append(_readonly(c))
-        object.__setattr__(self, "blocks", tuple(converted))
+        blocks = (
+            _readonly(hermitian_input(c, f"correlation block {k}", definite=True))
+            for k, c in enumerate(self.blocks)
+        )
+        object.__setattr__(self, "blocks", tuple(blocks))
 
     @classmethod
     def identity(cls, profile: SystemProfile) -> "CorrelationModel":
@@ -338,10 +332,7 @@ class CorrelationModel:
     @cached_property
     def sqrt_blocks(self) -> tuple[np.ndarray, ...]:
         """Hermitian principal square roots of every block."""
-        return tuple(
-            _readonly(hermitian_sqrt(c, f"correlation block {k}"))
-            for k, c in enumerate(self.blocks)
-        )
+        return tuple(_readonly(hermitian_sqrt(c)) for c in self.blocks)
 
     @cached_property
     def _root_runs(self) -> tuple[np.ndarray, ...]:

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import sys
+from math import isfinite
 
 import numpy as np
 
@@ -57,8 +58,9 @@ def _fmt(value) -> str:
 
 
 def _round12(value):
+    """One JSON cell: floats to 12 significant digits, NaN and infinities (not JSON) as null."""
     if isinstance(value, float):
-        return float(f"{value:.12g}")
+        return float(f"{value:.12g}") if isfinite(value) else None
     return value
 
 

@@ -42,6 +42,10 @@ _DEFAULT_TRIALS = {"table1": 0, "rate-loss": 1000, "curves": 200, "validate": 20
 #: Largest master seed: seeds are unsigned 64-bit integers.
 _MAX_SEED = (1 << 64) - 1
 
+#: Most points a 'start:step:stop' power grid may have; the power domain of
+#: -90 to +140 dB in 0.01 dB steps is 23,001 points.
+MAX_GRID_POINTS = 100_000
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -106,11 +110,17 @@ def parse_grid(spec) -> tuple[float, ...]:
         except ValueError as exc:
             raise ConfigurationError(f"non-numeric grid spec {spec!r}") from exc
         _require_finite("grid spec", start, step, stop)
+        _require_power_db("grid point", start, stop)
         if step <= 0:
             raise ConfigurationError(f"grid step must be positive, got {step}")
         if stop < start:
             raise ConfigurationError(f"grid stop {stop} below start {start}")
-        count = int(np.floor((stop - start) / step + 1e-9)) + 1
+        intervals = (stop - start) / step + 1e-9
+        if intervals >= MAX_GRID_POINTS:
+            raise ConfigurationError(
+                f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points"
+            )
+        count = int(np.floor(intervals)) + 1
         grid = tuple(start + i * step for i in range(count))
     else:
         try:

@@ -13,7 +13,7 @@ from math import log2
 
 import numpy as np
 
-from ._linalg import LN2, is_hermitian, positive_finite
+from ._linalg import LN2, hermitian_input, positive_finite
 from .channel import (
     ChannelRealization,
     GramFactors,
@@ -25,29 +25,6 @@ from .errors import ValidationError
 
 __all__ = ["instantaneous_rate_loss"]
 
-#: Tolerance for PSD checks on user covariances, relative to the largest entry.
-_PSD_TOL = 1e-12
-
-
-def _stacks_by_shape(matrices, what: str) -> list[tuple[list[int], np.ndarray]]:
-    """Per distinct shape, in order of appearance: the matrices' indices and their complex stack.
-
-    Raises ValidationError, naming matrix k as ``f"{what} {k}"``, for the
-    first one with a NaN or infinite entry.
-    """
-    groups: dict[tuple, list[int]] = {}
-    for k, m in enumerate(matrices):
-        groups.setdefault(np.shape(m), []).append(k)
-    stacks = []
-    for users in groups.values():
-        stack = np.asarray([matrices[k] for k in users], dtype=complex)
-        finite = np.isfinite(stack)
-        if not finite.all():
-            first = int(np.argmin(finite.reshape(len(users), -1).all(axis=1)))
-            raise ValidationError(f"{what} {users[first]} has non-finite entries")
-        stacks.append((users, stack))
-    return stacks
-
 
 @dataclass(frozen=True)
 class MacCovarianceSet:
@@ -56,21 +33,8 @@ class MacCovarianceSet:
     covariances: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        # the checks run once per group of equally shaped matrices
-        stacks = _stacks_by_shape(self.covariances, "covariance")
         for k, q in enumerate(self.covariances):
-            if q.ndim != 2 or q.shape[0] != q.shape[1]:
-                raise ValidationError(f"covariance {k} is not square: shape {q.shape}")
-        for users, stack in stacks:
-            if not stack.shape[-1]:
-                continue
-            scale = np.maximum(1.0, np.abs(stack).max(axis=(-2, -1)))
-            for failed, what in (
-                (~is_hermitian(stack, _PSD_TOL), "Hermitian"),
-                (np.linalg.eigvalsh(stack)[:, 0] < -_PSD_TOL * scale, "positive semidefinite"),
-            ):
-                if failed.any():
-                    raise ValidationError(f"covariance {users[int(np.argmax(failed))]} is not {what}")
+            hermitian_input(q, f"covariance {k}", definite=False)
         if not np.isfinite(self.total_power):
             raise ValidationError("total transmit power is not finite")
 

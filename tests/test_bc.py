@@ -18,6 +18,7 @@ from mimobc.bc import (
     mmse_receiver_exact,
 )
 from mimobc.channel import _factor_grams, _sample_blocks
+from mimobc.errors import ValidationError
 from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
 from mimobc._linalg import (
     haar_unitary,
@@ -82,6 +83,14 @@ class TestMmseReceiver:
             sl = channel.profile.block_slices[k]
             rhs = (ht.conj().T @ np.eye(6))[sl, :]
             assert np.linalg.norm(g @ x - rhs) < 1e-10
+
+    def test_covariance_with_rounding_level_negative_eigenvalue(self):
+        # the set accepts an eigenvalue -1e-8 against the entry 1e6, so the
+        # receiver built from it must too: it clamps that eigenvalue to zero
+        channel = sample_channel(make_profile(5, [2, 2]), seed=2)
+        covariances = MacCovarianceSet.from_covariances([np.diag([1e6, -1e-8]), np.eye(2)])
+        filters = [mmse_receiver_exact(channel, covariances, k) for k in range(2)]
+        assert all(f.shape == (2, 5) and np.isfinite(f).all() for f in filters)
 
 
 class TestAsymptoticReceiver:
@@ -326,6 +335,14 @@ class TestBcExactUserRate:
                 assert rates[i, k] == pytest.approx(max(0.0, expected), rel=1e-12, abs=1e-12)
         for k in range(3):
             assert bc_exact_user_rate(channel, directions, k) == rates[1, k]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_precoder_is_rejected(self, bad):
+        channel = sample_channel(make_profile(5, [2, 2]), seed=3)
+        precoders = [p.copy() for p in solve_bc(channel, 30.0).precoders]
+        precoders[1][0, 0] = bad
+        with pytest.raises(ValidationError, match="precoder 1 has non-finite entries"):
+            bc_exact_user_rate(channel, precoders, 0)
 
 
 class TestEigenbasisOptimality:

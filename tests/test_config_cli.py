@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -10,10 +11,18 @@ import mimobc.baseline
 from mimobc import derive_seed, instantaneous_rate_loss, sample_channel
 from mimobc._linalg import power_from_db
 from mimobc.cli import _build_parser, main
-from mimobc.config import SCHEMA_VERSION, build_correlation, build_profile, load_config, parse_grid
+from mimobc.config import (
+    MAX_GRID_POINTS,
+    SCHEMA_VERSION,
+    build_correlation,
+    build_profile,
+    load_config,
+    parse_grid,
+)
 from mimobc.ergodic import MonteCarloEstimate
 from mimobc.errors import ConfigurationError
 from mimobc.mac import asymptotic_rate_report, dpc_asymptotic_sum_rate
+from mimobc.validation import CheckResult
 
 
 def read_csv(path):
@@ -33,6 +42,17 @@ class TestConfig:
     def test_grid_string_parsing(self):
         assert parse_grid("0:5:20") == (0.0, 5.0, 10.0, 15.0, 20.0)
         assert parse_grid([1, 2, 7.5]) == (1.0, 2.0, 7.5)
+
+    def test_grid_spec_is_bounded_before_its_points_are_built(self):
+        assert len(parse_grid("-90:0.01:140")) == 23001
+        assert len(parse_grid(f"0:0.01:{MAX_GRID_POINTS / 100 - 0.01:g}")) == MAX_GRID_POINTS
+        for spec in ("0:1e-300:40", "0:5e-324:40", f"0:0.01:{MAX_GRID_POINTS / 100:g}"):
+            started = time.perf_counter()
+            with pytest.raises(ConfigurationError, match=f"more than {MAX_GRID_POINTS} points"):
+                parse_grid(spec)
+            assert time.perf_counter() - started < 0.5
+        with pytest.raises(ConfigurationError, match="positive and finite"):
+            parse_grid("-1e308:1:1e308")
 
     def test_grid_rejections(self):
         with pytest.raises(ConfigurationError):
@@ -240,7 +260,10 @@ class TestRateLossCommand:
             ]
             assert expected[1] == float("-inf")
             assert row[3:] == [f"{value:.12g}" for value in expected]
-            assert [record[k] for k in header[3:]] == [float(f"{v:.12g}") for v in expected]
+            # JSON has no infinities: the -inf asymptote is written as null
+            assert [record[k] for k in header[3:]] == [
+                float(f"{v:.12g}") if np.isfinite(v) else None for v in expected
+            ]
 
     def test_missing_profile_is_a_config_error(self, tmp_path):
         out = tmp_path / "loss.csv"
@@ -342,6 +365,35 @@ class TestValidateCommand:
         assert all(row["passed"] for row in payload["rows"])
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestJsonOutput:
+    """NaN and infinities are not JSON: the JSON writer emits null, the CSV writer keeps them."""
+
+    def test_rate_loss_minus_infinity_is_null(self, tmp_path):
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "weights": [1, 0]})
+        for fmt in ("csv", "json"):
+            out = tmp_path / f"loss.{fmt}"
+            assert main(["rate-loss", "--config", config, "--trials", "3",
+                         "--format", fmt, "--out", str(out)]) == 0
+        header, body = read_csv(tmp_path / "loss.csv")
+        assert [row[header.index("asym_rate_user2")] for row in body] == ["-inf"] * 3
+        payload = json.loads((tmp_path / "loss.json").read_text(), parse_constant=_reject_constant)
+        assert [record["asym_rate_user2"] for record in payload["rows"]] == [None] * 3
+
+    def test_validate_non_finite_margins_are_null(self, tmp_path, monkeypatch):
+        results = [CheckResult("a", False, float("-inf"), ""), CheckResult("b", True, float("nan"), ""),
+                   CheckResult("c", True, 0.5, "")]
+        monkeypatch.setattr("mimobc.cli.run_all_checks", lambda trials, seed: results)
+        out = tmp_path / "validate.json"
+        assert main(["validate", "--out", str(out), "--trials", "300", "--format", "json"]) == 1
+        payload = json.loads(out.read_text(), parse_constant=_reject_constant)
+        assert [row["margin"] for row in payload["rows"]] == [None, None, 0.5]
+        assert payload["schema_version"] == SCHEMA_VERSION == "4"
+
+
 class TestExitCodes:
     def test_config_error_exit_code(self, tmp_path):
         bad = write_config(tmp_path / "c.json", {"format": "xml"})
@@ -417,6 +469,15 @@ class TestExitCodes:
         flags = [f"--ptx-grid-db={grid}"] if grid else []
         argv = [kind, "--config", config, "--trials", "2", "--out", str(out), *flags]
         assert main(argv) == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["-1e308:1:1e308", "0:1e-300:40"], ids=["overflow", "too-many"])
+    def test_grid_spec_out_of_bounds(self, tmp_path, capsys, grid):
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        out = tmp_path / "x.csv"
+        argv = ["curves", "--config", config, "--trials", "2", "--out", str(out), f"--ptx-grid-db={grid}"]
+        assert main(argv) == 2
+        assert "Traceback" not in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize(

@@ -323,7 +323,7 @@ class TestMacCovarianceSet:
 
 
 class TestCovarianceSetChecks:
-    """The checks run once per covariance size; each must still name its matrix."""
+    """Each covariance is checked on its own and a failed check names it."""
 
     def test_each_check_names_the_offending_covariance(self):
         good = [np.eye(2), np.eye(1)]
@@ -340,3 +340,14 @@ class TestCovarianceSetChecks:
         for build, message in cases:
             with pytest.raises(ValidationError, match=message):
                 build()
+
+    def test_semidefinite_tolerance_is_relative_to_the_largest_entry(self):
+        # an eigenvalue -1e-8 and an asymmetry 1e-7 are within 1e-12 of the entry 1e6
+        # and are accepted; against an entry 1 they are not
+        accepted = MacCovarianceSet.from_covariances([np.diag([1e6, -1e-8]), np.eye(2)])
+        assert accepted.total_power == pytest.approx(1e6 + 2)
+        with pytest.raises(ValidationError, match="covariance 0 is not positive semidefinite"):
+            MacCovarianceSet.from_covariances([np.diag([1.0, -1e-8]), np.eye(2)])
+        MacCovarianceSet.from_covariances([np.array([[1e6, 1e-7], [0.0, 1.0]])])
+        with pytest.raises(ValidationError, match="covariance 0 is not Hermitian"):
+            MacCovarianceSet.from_covariances([np.array([[1.0, 1e-7], [0.0, 1.0]])])

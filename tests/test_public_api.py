@@ -1,9 +1,11 @@
 """The package's public surface: exactly the names the CLI, the benchmark and the README use."""
 
+import ast
 import functools
 import importlib
 import importlib.util
 import re
+from collections import Counter
 from pathlib import Path
 
 import mimobc
@@ -11,6 +13,7 @@ import mimobc
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
 TRACER = ROOT / "bench" / "tracer.py"
+SOURCE = ROOT / "src" / "mimobc"
 
 PUBLIC_NAMES = {
     # used by the benchmark as mimobc.<name>
@@ -43,11 +46,16 @@ def test_readme_example_runs():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_every_benchmark_tracer_hook_exists():
-    # the tracer reports a vanished boundary as absent and its metrics read 0
+def load_tracer():
     spec = importlib.util.spec_from_file_location("benchmark_tracer", TRACER)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
+    return tracer
+
+
+def test_every_benchmark_tracer_hook_exists():
+    # the tracer reports a vanished boundary as absent and its metrics read 0
+    tracer = load_tracer()
     for module_name, attr, _ in tracer.HOOKS:
         module = importlib.import_module(module_name)
         owner_name, _, prop = attr.rpartition(".")
@@ -56,3 +64,24 @@ def test_every_benchmark_tracer_hook_exists():
             assert isinstance(descriptor, functools.cached_property), f"{module_name}.{attr}"
         else:
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
+
+
+def test_every_private_helper_is_used():
+    # a module-level private function or class that no other line of the package
+    # names is dead, unless the benchmark tracer hooks it
+    hooked = {(module_name, attr) for module_name, attr, _ in load_tracer().HOOKS}
+    sources = {path: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
+    words = Counter(word for text in sources.values() for word in re.findall(r"\w+", text))
+    private = [
+        (path, node.name)
+        for path, text in sources.items()
+        for node in ast.parse(text).body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+    ]
+    definitions = Counter(name for _, name in private)
+    unused = [
+        f"{path.name}:{name}"
+        for path, name in private
+        if words[name] <= definitions[name] and (f"mimobc.{path.stem}", name) not in hooked
+    ]
+    assert not unused, unused
