@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from contextlib import suppress
 from math import inf
 
 import numpy as np
@@ -26,9 +27,27 @@ SUBSTITUTION_MAX_SIZE = 8
 _INVERSE_BLOCK = 16
 
 
+def number(value, what: str) -> float:
+    """``value`` as a float; ValidationError for a boolean, a string or a non-numeric value."""
+    if not isinstance(value, (bool, np.bool_, str)):
+        with suppress(TypeError, ValueError, OverflowError):
+            return float(value)
+    raise ValidationError(f"{what} must be a number, got {value!r}")
+
+
+def integer(value, what: str) -> int:
+    """``value`` as an int; ValidationError for a boolean, a string or a non-integral number."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    with suppress(ValidationError):
+        if number(value, what).is_integer():
+            return int(value)
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
 def positive_finite(value, what: str) -> float:
-    """``value`` as a float; ValidationError unless it is positive and finite (not NaN)."""
-    value = float(value)
+    """``value`` as a float; ValidationError unless it is a positive and finite ``number``."""
+    value = number(value, what)
     if not 0.0 < value < inf:
         raise ValidationError(f"{what} must be positive and finite, got {value}")
     return value
@@ -87,30 +106,6 @@ def logdet2_hpd(a: np.ndarray):
     """
     value = log2_diagonal(np.linalg.cholesky(a))
     return float(value) if a.ndim == 2 else value
-
-
-def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve A X = B with A Hermitian positive definite.
-
-    X = L^-H (L^-1 B) from the Cholesky factor L of A and its triangular
-    inverse (``invert_lower``).  Raises ``ValueError`` for non-finite input and
-    ``numpy.linalg.LinAlgError``, naming the first leading block that is not
-    positive definite, when A is not.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if not (np.isfinite(a).all() and np.isfinite(b).all()):
-        raise ValueError("array must not contain infs or NaNs")
-    try:
-        inverse = invert_lower(np.linalg.cholesky(a)[None])[0]
-    except np.linalg.LinAlgError:
-        size = next(
-            (i for i in range(1, len(a)) if np.linalg.eigvalsh(a[:i, :i])[0] <= 0), len(a)
-        )
-        raise np.linalg.LinAlgError(
-            f"{size}-th leading minor of the array is not positive definite"
-        ) from None
-    return inverse.conj().T @ (inverse @ b)
 
 
 def invert_lower(factors: np.ndarray) -> np.ndarray:

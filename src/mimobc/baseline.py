@@ -29,7 +29,7 @@ from math import isfinite, log2
 
 import numpy as np
 
-from ._linalg import LN2, hermitize, positive_finite, power_from_db
+from ._linalg import LN2, hermitize, integer, number, positive_finite, power_from_db
 from .bc import _bc_exact_rates, _bd_directions
 from .channel import (
     COND_LIMIT,
@@ -190,6 +190,7 @@ def dual_mac_sum_capacity(
     total_power = positive_finite(total_power, "transmit power")
     if not tolerance > 0:
         raise ValidationError(f"tolerance must be positive, got {tolerance}")
+    max_iterations = integer(max_iterations, "max_iterations")
     if max_iterations < 1:
         raise ValidationError(f"need at least one iteration, got {max_iterations}")
 
@@ -271,11 +272,13 @@ def generate_curves(
     counted per point, never silently dropped, next to the most iterations
     and the largest certified gap of the point's solves.
     """
-    grid = [float(p) for p in power_grid_db]
+    grid = [number(p, "grid point") for p in power_grid_db]
     if not grid:
         raise ValidationError("power grid must not be empty")
     if any(b <= a for a, b in zip(grid, grid[1:])):
         raise ValidationError(f"power grid must be strictly ascending, got {grid}")
+    trials, seed = integer(trials, "trials"), integer(seed, "seed")
+    max_iterations = integer(max_iterations, "max_iterations")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
 

@@ -22,7 +22,6 @@ from ._linalg import (
     logdet2_hpd,
     normalize_eigenvector_phases,
     positive_finite,
-    solve_hpd,
 )
 from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range
 from .errors import DegeneracyError, ValidationError
@@ -37,15 +36,16 @@ def mmse_receiver_exact(
     """MMSE receive filter of one user in the dual uplink.
 
     Returns T_k^H H_k^H (I + sum_l H_l Q_l H_l^H)^{-1} as an r_k x N matrix,
-    with T_k the principal square root of the user's covariance Q_k.
+    with T_k the principal square root of the user's covariance Q_k;
+    ValidationError if the system I + sum_l H_l Q_l H_l^H overflows.
     """
     block_index_range(channel.profile, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
     received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances))
-    a = np.eye(n, dtype=complex) + hermitize(received)
+    a = finite_matrix(np.eye(n, dtype=complex) + hermitize(received), "MMSE receiver system")
     rhs = channel.blocks[user] @ hermitian_sqrt(covariances.covariances[user])
-    return solve_hpd(a, rhs).conj().T
+    return np.linalg.solve(a, rhs).conj().T
 
 
 def asymptotic_receiver(
@@ -82,7 +82,7 @@ def _bd_directions(
     pseudo_inverse = factors.pseudo_inverse(channels)
     pieces: list = [None] * profile.num_users
     for users, rows in profile._blocks_by_size:
-        _, vectors = np.linalg.eigh(hermitize(gram_inverse[:, rows[:, :, None], rows[:, None, :]]))
+        _, vectors = np.linalg.eigh(gram_inverse[:, rows[:, :, None], rows[:, None, :]])
         bases = normalize_eigenvector_phases(vectors)  # (T, m, r_k, r_k)
         # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
         directions = pseudo_inverse[:, rows].conj().swapaxes(-1, -2) @ bases
@@ -108,7 +108,7 @@ def bc_covariance(
     rows = channel.pseudo_inverse[sl, :]
     block = channel.gram_inverse_block(user)
     scale = total_power / channel.profile.total_antennas
-    return hermitize(scale * rows.conj().T @ solve_hpd(block, rows))
+    return hermitize(scale * rows.conj().T @ np.linalg.solve(block, rows))
 
 
 def _bc_exact_rates(

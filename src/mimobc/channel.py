@@ -23,9 +23,11 @@ from ._linalg import (
     hermitian_input,
     hermitian_sqrt,
     hermitize,
+    integer,
     invert_lower,
     log2_diagonal,
     logdet2_hpd,
+    number,
     positive_finite,
 )
 from .errors import ConfigurationError, NumericalRankError, ValidationError
@@ -163,7 +165,8 @@ def derive_seed(master_seed: int, index: int) -> int:
     streams are identical on every platform and independent of the order in
     which trials are evaluated.
     """
-    z = (int(master_seed) + 0x9E3779B97F4A7C15 * (int(index) + 1)) & _MASK64
+    seed, index = integer(master_seed, "seed"), integer(index, "index")
+    z = (seed + 0x9E3779B97F4A7C15 * (index + 1)) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return (z ^ (z >> 31)) & _MASK64
@@ -273,9 +276,11 @@ def make_profile(
     weights=None,
 ) -> SystemProfile:
     """Validate and build a system profile; weights default to all ones."""
-    antennas = tuple(map(int, user_antennas))
-    weights = (1.0,) * len(antennas) if weights is None else tuple(map(float, weights))
-    return SystemProfile(int(base_antennas), antennas, weights)
+    antennas = tuple(integer(r, "antennas") for r in user_antennas)
+    if weights is None:
+        weights = (1.0,) * len(antennas)
+    weights = tuple(number(w, "weight") for w in weights)
+    return SystemProfile(integer(base_antennas, "N"), antennas, weights)
 
 
 def block_index_range(profile: SystemProfile, user: int) -> slice:
@@ -510,7 +515,7 @@ def _sample_blocks(
     profile: SystemProfile, correlation: CorrelationModel | None, seed: int
 ) -> np.ndarray:
     """The ``(N, r)`` composite channel of one draw from its own ``seed``."""
-    rng = np.random.default_rng(int(seed) & _MASK64)
+    rng = np.random.default_rng(seed & _MASK64)
     return _draw(rng, profile, correlation, 1)[0]
 
 
@@ -527,4 +532,5 @@ def sample_channel(
     matrix.  Identical (profile, correlation, seed) inputs yield bit-identical
     output; seeds are interpreted modulo 2**64.
     """
-    return ChannelRealization._from_composite(profile, _sample_blocks(profile, correlation, seed))
+    composite = _sample_blocks(profile, correlation, integer(seed, "seed"))
+    return ChannelRealization._from_composite(profile, composite)

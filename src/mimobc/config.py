@@ -8,11 +8,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 
 import numpy as np
 
-from ._linalg import positive_finite, power_from_db
+from ._linalg import integer, number, positive_finite, power_from_db
 from .channel import CorrelationModel, SystemProfile, make_profile
 from .errors import ConfigurationError, ValidationError
 
@@ -70,33 +71,24 @@ def _require_finite(name: str, *values: float) -> None:
         raise ConfigurationError(f"{name} must be finite, got {list(values)}")
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int; ConfigurationError for a boolean, a string or a non-integral number."""
-    if isinstance(value, (bool, str)) or (isinstance(value, float) and not value.is_integer()):
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}")
+def _configured(check, name: str, value):
+    """``check(value, name)``, with its ValidationError raised as a ConfigurationError."""
     try:
-        return int(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be an integer, got {value!r}") from exc
+        return check(value, name)
+    except ValidationError as exc:
+        raise ConfigurationError(str(exc)) from exc
 
 
-def _number(name: str, value) -> float:
-    """``value`` as a float; ConfigurationError for a boolean, a string or a non-numeric value."""
-    if isinstance(value, (bool, str)):
-        raise ConfigurationError(f"{name} must be a number, got {value!r}")
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigurationError(f"{name} must be a number, got {value!r}") from exc
+#: ``_integer(name, value)`` and ``_number(name, value)``: the library's ``integer`` and
+#: ``number`` rules, failing with ConfigurationError.
+_integer = partial(_configured, integer)
+_number = partial(_configured, number)
 
 
 def _require_power_db(name: str, *values: float) -> None:
     """ConfigurationError unless every dB value is a positive finite linear power."""
     for db in values:
-        try:
-            positive_finite(power_from_db(db), f"{name} {db} dB as a linear power")
-        except ValidationError as exc:
-            raise ConfigurationError(str(exc)) from exc
+        _configured(positive_finite, f"{name} {db} dB as a linear power", power_from_db(db))
 
 
 def parse_grid(spec) -> tuple[float, ...]:

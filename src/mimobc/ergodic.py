@@ -15,7 +15,7 @@ from math import fsum
 
 import numpy as np
 
-from ._linalg import LN2
+from ._linalg import LN2, integer
 from .channel import (
     CorrelationModel,
     SystemProfile,
@@ -212,8 +212,8 @@ def monte_carlo_rate_loss(
     ``derive_seed(seed, number_of_batches)``, capped at 0.1% of the trial
     count.
     """
-    if trials is None:
-        trials = default_trials(profile)
+    trials = default_trials(profile) if trials is None else integer(trials, "trials")
+    seed = integer(seed, "seed")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
     max_discards = int(_DISCARD_FRACTION * trials)
@@ -248,7 +248,7 @@ def monte_carlo_rate_loss(
 
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(trials))
-    return MonteCarloEstimate(mean, stderr, trials, int(seed), discarded)
+    return MonteCarloEstimate(mean, stderr, trials, seed, discarded)
 
 
 @dataclass(frozen=True)

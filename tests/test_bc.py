@@ -1,3 +1,4 @@
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -29,6 +30,8 @@ from mimobc._linalg import (
 )
 from mimobc.validation import _eigenbasis_slack
 
+from conftest import random_hpd
+
 
 def identity_channel(antennas) -> ChannelRealization:
     total = sum(antennas)
@@ -46,6 +49,60 @@ def orthonormal_channel(base: int, antennas, seed: int = 1) -> ChannelRealizatio
     return ChannelRealization.from_blocks(
         profile, [q[:, sl] for sl in profile.block_slices]
     )
+
+
+EPS = np.finfo(float).eps
+
+#: Profiles of the accuracy tests against mpmath: N from 1 to 8, one to three users.
+ACCURACY_PROFILES = [
+    (1, [1]), (3, [1, 2]), (5, [2, 2]), (6, [1, 1, 1]), (7, [2, 1, 3]), (8, [4, 4])
+]
+
+
+def to_mpmath(a):
+    return mp.matrix([[mp.mpc(complex(x)) for x in row] for row in np.atleast_2d(a)])
+
+
+def largest_error(got, expected):
+    """Largest entry error relative to the largest entry of ``expected``."""
+    return np.abs(got - expected).max() / np.abs(expected).max()
+
+
+def mpmath_covariance(channel, power, user):
+    """(P / r) R^H B^-1 R in 60 digits, from the float pseudo-inverse rows R and block B of G^-1."""
+    with mp.workdps(60):
+        rows = to_mpmath(channel.pseudo_inverse[channel.profile.block_slices[user]])
+        block = to_mpmath(channel.gram_inverse_block(user))
+        value = mp.mpf(power) / channel.profile.total_antennas * rows.H * block**-1 * rows
+        return np.array(value.tolist(), dtype=complex)
+
+
+def mpmath_receiver(channel, covariances, user):
+    """T_k^H H_k^H (I + sum_l H_l Q_l H_l^H)^-1 in 60 digits, from the float H_l and Q_l."""
+    with mp.workdps(60):
+        system = mp.eye(channel.profile.base_antennas)
+        for h, q in zip(channel.blocks, covariances.covariances):
+            system += to_mpmath(h) * to_mpmath(q) * to_mpmath(h).H
+        root = mp.sqrtm(to_mpmath(covariances.covariances[user]))
+        value = (system**-1 * to_mpmath(channel.blocks[user]) * root).H
+        return np.array(value.tolist(), dtype=complex)
+
+
+def channel_with_singular_values(rng, base, antennas, values, right) -> ChannelRealization:
+    """The channel U diag(values) right^H, with U the first r columns of a Haar unitary."""
+    profile = make_profile(base, antennas)
+    h = (haar_unitary(base, rng)[:, : profile.total_antennas] * values) @ right.conj().T
+    return ChannelRealization.from_blocks(profile, [h[:, sl] for sl in profile.block_slices])
+
+
+def well_conditioned_channels(rng):
+    """Three channels with singular values in [1, 2] for every accuracy profile."""
+    for base, antennas in ACCURACY_PROFILES:
+        r = sum(antennas)
+        for _ in range(3):
+            yield channel_with_singular_values(
+                rng, base, antennas, rng.uniform(1.0, 2.0, r), haar_unitary(r, rng)
+            )
 
 
 class TestMmseReceiver:
@@ -91,6 +148,47 @@ class TestMmseReceiver:
         covariances = MacCovarianceSet.from_covariances([np.diag([1e6, -1e-8]), np.eye(2)])
         filters = [mmse_receiver_exact(channel, covariances, k) for k in range(2)]
         assert all(f.shape == (2, 5) and np.isfinite(f).all() for f in filters)
+
+    def test_matches_mpmath(self):
+        # the square root of Q_k included, numpy's LU solve stays within 1.5e-15 here and a
+        # Cholesky solve within 1.4e-15
+        rng = np.random.default_rng(3)
+        for channel in well_conditioned_channels(rng):
+            antennas = channel.profile.user_antennas
+            covariances = MacCovarianceSet.from_covariances([random_hpd(rng, r) for r in antennas])
+            for k in range(len(antennas)):
+                expected = mpmath_receiver(channel, covariances, k)
+                got = mmse_receiver_exact(channel, covariances, k)
+                assert largest_error(got, expected) <= 2e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_system_matches_mpmath(self, seed):
+        # cond(I + sum_l H_l Q_l H_l^H) = 1e8: the error is bounded by cond eps, not by eps
+        rng = np.random.default_rng(seed)
+        channel = channel_with_singular_values(
+            rng, 8, [3, 3], rng.uniform(1.0, 2.0, 6), haar_unitary(6, rng)
+        )
+        shapes = [random_hpd(rng, 3) for _ in range(2)]
+        received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, shapes))
+        scale = (1e8 - 1.0) / np.linalg.eigvalsh(received)[-1]
+        covariances = MacCovarianceSet.from_covariances([scale * q for q in shapes])
+        system = np.eye(8) + sum(
+            h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances)
+        )
+        expected = mpmath_receiver(channel, covariances, 0)
+        got = mmse_receiver_exact(channel, covariances, 0)
+        assert largest_error(got, expected) <= np.linalg.cond(system) * EPS
+
+    def test_overflowing_system_is_a_validation_error(self):
+        profile = make_profile(5, [2, 2])
+        channel = ChannelRealization.from_blocks(
+            profile, [1e160 * h for h in sample_channel(profile, seed=3).blocks]
+        )
+        covariances = MacCovarianceSet.uniform(profile, 10.0)
+        # numpy warns of the overflow in the products; the receiver then fails typed
+        with pytest.warns(RuntimeWarning):
+            with pytest.raises(ValidationError, match="MMSE receiver system has non-finite"):
+                mmse_receiver_exact(channel, covariances, 0)
 
 
 class TestAsymptoticReceiver:
@@ -288,6 +386,26 @@ class TestBcCovariance:
 
     def test_basis_invariance(self, checks):
         assert checks["bc_covariance_basis_invariance"].passed
+
+    def test_matches_mpmath(self):
+        # numpy's LU solve stays within 2.7e-16 here and a Cholesky solve within 4.1e-16
+        for channel in well_conditioned_channels(np.random.default_rng(3)):
+            for k in range(channel.profile.num_users):
+                expected = mpmath_covariance(channel, 10.0, k)
+                assert largest_error(bc_covariance(channel, 10.0, k), expected) <= 1e-15
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_ill_conditioned_block_matches_mpmath(self, seed):
+        # with a block-diagonal right factor, user 0's block of (H^H H)^-1 has the
+        # eigenvalues 1, 1e-4, 1e-8, so cond 1e8: the error is bounded by cond eps
+        rng = np.random.default_rng(seed)
+        right = np.zeros((6, 6), dtype=complex)
+        right[:3, :3], right[3:, 3:] = haar_unitary(3, rng), haar_unitary(3, rng)
+        values = np.array([1.0, 1e2, 1e4, 1.0, 1.0, 1.0])
+        channel = channel_with_singular_values(rng, 8, [3, 3], values, right)
+        expected = mpmath_covariance(channel, 10.0, 0)
+        bound = np.linalg.cond(channel.gram_inverse_block(0)) * EPS
+        assert largest_error(bc_covariance(channel, 10.0, 0), expected) <= bound
 
 
 class TestBcExactUserRate:

@@ -24,6 +24,8 @@ from mimobc.errors import ConfigurationError
 from mimobc.mac import asymptotic_rate_report, dpc_asymptotic_sum_rate
 from mimobc.validation import CheckResult
 
+from conftest import checkout_env
+
 
 def read_csv(path):
     with open(path, encoding="utf-8") as handle:
@@ -589,6 +591,7 @@ class TestModuleEntryPoint:
             [sys.executable, "-m", "mimobc", "table1", "--out", str(out)],
             capture_output=True,
             text=True,
+            env=checkout_env(),
         )
         assert completed.returncode == 0, completed.stderr
         assert out.exists()

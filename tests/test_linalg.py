@@ -1,16 +1,19 @@
-import mpmath as mp
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
 from mimobc import (
     CorrelationModel,
     ValidationError,
+    derive_seed,
     dual_mac_sum_capacity,
     make_profile,
+    monte_carlo_rate_loss,
     sample_channel,
     solve_bc,
 )
-from mimobc.baseline import waterfill
+from mimobc.baseline import generate_curves, waterfill
 from mimobc.bc import asymptotic_receiver, bc_covariance
 from mimobc.mac import (
     MacCovarianceSet,
@@ -20,58 +23,9 @@ from mimobc.mac import (
 )
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE as CUTOFF
 from mimobc._linalg import _INVERSE_BLOCK as BLOCK
-from mimobc._linalg import haar_unitary, hermitize, invert_lower, positive_finite, solve_hpd
+from mimobc._linalg import integer, invert_lower, positive_finite
 
 from conftest import random_hpd
-
-
-def mpmath_solve(a, b):
-    """A^-1 B in 60-digit arithmetic, as a complex array shaped like ``b``."""
-    matrix = np.asarray(b).reshape(len(b), -1)
-    with mp.workdps(60):
-        a_mp, b_mp = (
-            mp.matrix([[mp.mpc(complex(x)) for x in row] for row in m]) for m in (a, matrix)
-        )
-        return np.array((a_mp**-1 * b_mp).tolist(), dtype=complex).reshape(np.shape(b))
-
-
-def largest_error(got, expected):
-    """Largest entry error relative to the largest entry of ``expected``."""
-    return np.abs(got - expected).max() / np.abs(expected).max()
-
-
-class TestSolveHpd:
-    def test_matches_mpmath(self):
-        # LAPACK potrf/potrs (scipy's cho_solve) stays within 7e-16 on these inputs
-        rng = np.random.default_rng(3)
-        for size in range(1, 9):
-            a = random_hpd(rng, size)
-            b = rng.standard_normal((size, 3)) + 1j * rng.standard_normal((size, 3))
-            for rhs in (b, b[:, 0], b.real):
-                got = solve_hpd(a, rhs)
-                assert got.shape == rhs.shape
-                assert largest_error(got, mpmath_solve(a, rhs)) <= 1e-15
-
-    def test_ill_conditioned_matrix_matches_mpmath(self):
-        # cond(A) = 1e8: the error is bounded by cond(A) eps, not by eps
-        rng = np.random.default_rng(5)
-        u = haar_unitary(6, rng)
-        a = hermitize((u * np.geomspace(1.0, 1e-8, 6)) @ u.conj().T)
-        b = rng.standard_normal((6, 2)) + 1j * rng.standard_normal((6, 2))
-        bound = np.linalg.cond(a) * np.finfo(float).eps
-        assert largest_error(solve_hpd(a, b), mpmath_solve(a, b)) <= bound
-
-    def test_non_finite_input_raises_value_error(self):
-        a = np.eye(3, dtype=complex)
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_hpd(np.where(np.eye(3) > 0, np.nan, 0.0), np.ones(3))
-        with pytest.raises(ValueError, match="infs or NaNs"):
-            solve_hpd(a, np.array([1.0, np.inf, 0.0]))
-
-    def test_indefinite_matrix_raises_linalg_error(self):
-        a = np.diag([1.0, -1.0, 2.0]).astype(complex)
-        with pytest.raises(np.linalg.LinAlgError, match="2-th leading minor"):
-            solve_hpd(a, np.eye(3))
 
 
 def cholesky_stack(rng, count, size):
@@ -171,6 +125,25 @@ POWER_ENTRY_POINTS = {
     "CorrelationModel.scalar": lambda p: CorrelationModel.scalar(PROFILE, [1.0, p]),
 }
 
+#: Every entry point that takes an antenna count, a seed, a trial count or an iteration cap.
+INTEGER_ENTRY_POINTS = {
+    "make_profile N": lambda n: make_profile(n, [1]),
+    "make_profile antennas": lambda r: make_profile(5, [r, 2]),
+    "sample_channel seed": lambda s: sample_channel(PROFILE, seed=s),
+    "derive_seed seed": lambda s: derive_seed(s, 0),
+    "derive_seed index": lambda i: derive_seed(1, i),
+    "dual_mac_sum_capacity max_iterations": lambda m: dual_mac_sum_capacity(
+        CHANNEL, 10.0, max_iterations=m
+    ),
+    "monte_carlo_rate_loss trials": lambda t: monte_carlo_rate_loss(PROFILE, trials=t),
+    "monte_carlo_rate_loss seed": lambda s: monte_carlo_rate_loss(PROFILE, trials=2, seed=s),
+    "generate_curves trials": lambda t: generate_curves(PROFILE, None, [0.0], trials=t),
+    "generate_curves seed": lambda s: generate_curves(PROFILE, None, [0.0], trials=2, seed=s),
+    "generate_curves max_iterations": lambda m: generate_curves(
+        PROFILE, None, [0.0], trials=2, max_iterations=m
+    ),
+}
+
 
 class TestPositiveFinite:
     @pytest.mark.parametrize("power", [float("nan"), float("inf"), -1.0, 0.0])
@@ -179,9 +152,42 @@ class TestPositiveFinite:
         with pytest.raises(ValidationError, match="positive and finite"):
             POWER_ENTRY_POINTS[entry](power)
 
+    @pytest.mark.parametrize("power", ["10", True, np.True_, None, 1j])
+    @pytest.mark.parametrize("entry", sorted(POWER_ENTRY_POINTS))
+    def test_entry_point_rejects_a_non_number(self, entry, power):
+        # float() would take "10" and True
+        with pytest.raises(ValidationError, match="must be a number"):
+            POWER_ENTRY_POINTS[entry](power)
+
     def test_accepts_positive_values(self):
         assert positive_finite(np.float64(2.5), "power") == 2.5
         assert type(positive_finite(3, "power")) is float
+
+    def test_weights_and_grid_points_are_numbers(self):
+        with pytest.raises(ValidationError, match="weight must be a number, got '1'"):
+            make_profile(5, [2, 2], ["1", 1])
+        with pytest.raises(ValidationError, match="grid point must be a number, got True"):
+            generate_curves(PROFILE, None, [True], trials=2)
+
+
+class TestInteger:
+    @pytest.mark.parametrize("value", [2.5, "2", True, np.True_, float("nan"), float("inf")])
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+    def test_entry_point_rejects(self, entry, value):
+        # int() would truncate 2.5 and take "2" and True
+        with pytest.raises(ValidationError, match="must be an integer"):
+            INTEGER_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("value", [2, 2.0, np.int64(2), np.float64(2.0)])
+    @pytest.mark.parametrize("entry", sorted(INTEGER_ENTRY_POINTS))
+    def test_entry_point_accepts_an_integral_value(self, entry, value):
+        INTEGER_ENTRY_POINTS[entry](value)
+
+    def test_integral_values_are_the_same_int(self):
+        for value in (2, 2.0, np.int64(2), np.float64(2.0), Fraction(4, 2)):
+            assert type(integer(value, "n")) is int and integer(value, "n") == 2
+        assert integer((1 << 64) - 1, "seed") == (1 << 64) - 1
+        assert derive_seed(2.0, np.int64(3)) == derive_seed(2, 3)
 
 
 class TestFiniteMatrix:

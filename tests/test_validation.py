@@ -16,6 +16,8 @@ import pytest
 
 from mimobc import validation
 
+from conftest import checkout_env
+
 CHECK_NAMES = sorted(
     name.removeprefix("check_") for name in vars(validation) if name.startswith("check_")
 )
@@ -33,7 +35,8 @@ def test_run_all_checks_runs_every_check(checks):
 def test_import_loads_no_test_framework():
     code = "import sys, mimobc; print(sorted({'pytest', 'hypothesis'} & set(sys.modules)))"
     completed = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=checkout_env(),
     )
     assert completed.stdout.strip() == "[]"
 
@@ -89,7 +92,8 @@ def test_no_command_loads_scipy(tmp_path, command, config, exit_code):
         code += f"assert mimobc.cli.main({argv!r}) == {exit_code}\n"
     code += "print('scipy' in sys.modules)"
     completed = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, check=True
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, check=True, env=checkout_env(),
     )
     assert completed.stdout.split()[-1] == "False"
 
