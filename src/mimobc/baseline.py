@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from math import isfinite, log2
+from math import isfinite
 
 import numpy as np
 
@@ -42,7 +42,7 @@ from .channel import (
 )
 from .ergodic import ergodic_block_logdet, ergodic_dpc_logdet
 from .errors import NumericalRankError, ValidationError
-from .mac import MacCovarianceSet, _objective
+from .mac import MacCovarianceSet, _objective, _slope_term
 
 __all__ = ["dual_mac_sum_capacity"]
 
@@ -110,13 +110,7 @@ class SumCapacityResult:
     @cached_property
     def covariances(self) -> MacCovarianceSet:
         """Every user's diagonal block of ``covariance``, checked on first access."""
-        return MacCovarianceSet.from_covariances(
-            [self.covariance[sl, sl] for sl in self.profile.block_slices]
-        )
-
-    @property
-    def total_power(self) -> float:
-        return self.covariances.total_power
+        return MacCovarianceSet(self.covariance[sl, sl] for sl in self.profile.block_slices)
 
 
 def _waterfill_direction(
@@ -241,7 +235,6 @@ class CurvePoint:
     """One transmit-power grid point of the ergodic rate curves."""
 
     power_db: float
-    power_linear: float
     dpc_sum_capacity: float
     linear_bd_sum_rate: float
     dpc_affine: float
@@ -328,11 +321,10 @@ def generate_curves(
 
     points = []
     for i, (p_db, power) in enumerate(zip(grid, powers)):
-        slope_term = r * log2(power) - r * log2(r)
+        slope_term = _slope_term(r, power)
         points.append(
             CurvePoint(
                 power_db=p_db,
-                power_linear=power,
                 dpc_sum_capacity=float(np.mean(dpc_values[i])),
                 linear_bd_sum_rate=float(np.mean(linear_values[i])),
                 dpc_affine=slope_term + dpc_offset,

@@ -42,7 +42,9 @@ def mmse_receiver_exact(
     block_index_range(channel.profile, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
-    received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances))
+    # an overflowing sum is reported by the finiteness check below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        received = sum(h @ q @ h.conj().T for h, q in zip(channel.blocks, covariances.covariances))
     a = finite_matrix(np.eye(n, dtype=complex) + hermitize(received), "MMSE receiver system")
     rhs = channel.blocks[user] @ hermitian_sqrt(covariances.covariances[user])
     return np.linalg.solve(a, rhs).conj().T

@@ -178,7 +178,8 @@ def _equal_runs(sizes) -> tuple[tuple[int, int], ...]:
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
-    out = np.ascontiguousarray(a)
+    """A read-only C-contiguous copy of ``a``, so no array the caller holds is frozen or shared."""
+    out = np.array(a, order="C")
     out.flags.writeable = False
     return out
 
@@ -201,8 +202,9 @@ class SystemProfile:
             raise ValidationError("at least one user is required")
         if min(antennas) < 1:
             raise ValidationError(f"antenna counts must be positive, got {antennas}")
-        if self.base_antennas < 1:
-            raise ValidationError(f"base antenna count must be positive, got {self.base_antennas}")
+        # every count up to 2**53 is exact in float64, and no larger channel can be drawn
+        if not 1 <= self.base_antennas <= 2**53:
+            raise ValidationError(f"base antennas must be in [1, 2**53], got {self.base_antennas}")
         if len(weights) != len(antennas):
             raise ValidationError(f"{len(weights)} weights for {len(antennas)} users")
         if not all(map(isfinite, weights)):
@@ -299,7 +301,8 @@ class CorrelationModel:
     """Per-user Hermitian positive-definite antenna correlation matrices.
 
     A scalar block c_k * I models a pure near-far effect where c_k is the
-    inverse path loss of user k.
+    inverse path loss of user k.  Takes any iterable of array-likes and keeps
+    a checked, read-only copy of each.
     """
 
     blocks: tuple[np.ndarray, ...] = field(repr=False)
@@ -314,7 +317,7 @@ class CorrelationModel:
     @classmethod
     def identity(cls, profile: SystemProfile) -> "CorrelationModel":
         """Uncorrelated channels: C_k = I for every user."""
-        return cls(tuple(np.eye(r, dtype=complex) for r in profile.user_antennas))
+        return cls(np.eye(r, dtype=complex) for r in profile.user_antennas)
 
     @classmethod
     def scalar(cls, profile: SystemProfile, gains) -> "CorrelationModel":
@@ -322,13 +325,7 @@ class CorrelationModel:
         gains = tuple(positive_finite(g, f"path gain {k}") for k, g in enumerate(gains))
         if len(gains) != profile.num_users:
             raise ValidationError(f"{len(gains)} gains for {profile.num_users} users")
-        return cls(
-            tuple(g * np.eye(r, dtype=complex) for g, r in zip(gains, profile.user_antennas))
-        )
-
-    @classmethod
-    def from_blocks(cls, blocks) -> "CorrelationModel":
-        return cls(tuple(blocks))
+        return cls(g * np.eye(r, dtype=complex) for g, r in zip(gains, profile.user_antennas))
 
     @property
     def antennas(self) -> tuple[int, ...]:
@@ -357,21 +354,21 @@ class CorrelationModel:
 class ChannelRealization:
     """Per-user channel matrices plus cached composite and Gram products.
 
-    Immutable after construction; all derived matrices are cached lazily and
-    exposed as read-only arrays, so realizations are safe to share across
-    threads.
+    Takes the profile and any iterable of array-likes, one ``(N, r_k)`` block
+    per user, and keeps a checked, read-only copy of each.  Immutable after
+    construction; all derived matrices are cached lazily and exposed as
+    read-only arrays, so realizations are safe to share across threads.
     """
 
     profile: SystemProfile
     blocks: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        if len(self.blocks) != self.profile.num_users:
-            raise ValidationError(
-                f"{len(self.blocks)} channel blocks for {self.profile.num_users} users"
-            )
+        blocks, users = tuple(self.blocks), self.profile.num_users
+        if len(blocks) != users:
+            raise ValidationError(f"{len(blocks)} channel blocks for {users} users")
         converted = []
-        for k, (block, r_k) in enumerate(zip(self.blocks, self.profile.user_antennas)):
+        for k, (block, r_k) in enumerate(zip(blocks, self.profile.user_antennas)):
             h = finite_matrix(block, f"channel block {k}")
             expected = (self.profile.base_antennas, r_k)
             if h.shape != expected:
@@ -382,14 +379,10 @@ class ChannelRealization:
         object.__setattr__(self, "blocks", tuple(converted))
 
     @classmethod
-    def from_blocks(cls, profile: SystemProfile, blocks) -> "ChannelRealization":
-        return cls(profile, tuple(blocks))
-
-    @classmethod
     def _from_composite(cls, profile: SystemProfile, composite) -> "ChannelRealization":
         """The realization of an ``(N, r)`` composite channel, checked once.
 
-        The composite is kept read-only, as the cached ``composite``, and the
+        A read-only copy of the composite is cached as ``composite``, and the
         user blocks are read-only views of its columns.
         """
         h = _readonly(finite_matrix(composite, "channel"))

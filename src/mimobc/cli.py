@@ -122,7 +122,8 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
     """One row per trial t, from the channel ``sample_channel`` draws for seed derive_seed(s, t)."""
     profile = build_profile(config)
     correlation = build_correlation(config, profile)
-    split = optimal_power_split(profile, power_from_db(config.ptx_db))
+    power = power_from_db(config.ptx_db)
+    levels = optimal_power_split(profile, power)
     header = ["trial", "seed", "status", "rate_loss_bits"]
     header += [f"asym_rate_user{k + 1}" for k in range(profile.num_users)]
     header += ["dpc_asymptote_bits"]
@@ -134,7 +135,7 @@ def _run_rate_loss(config: ExperimentConfig) -> int:
         factors = _batch_rate_loss(channel[None], profile)
         if factors.full_rank[0]:
             rates, dpc = _asymptotes(
-                split, float(factors.logdet2[0]), factors.block_logdet2[0].tolist()
+                profile, levels, power, float(factors.logdet2[0]), factors.block_logdet2[0].tolist()
             )
             rows.append([trial, trial_seed, "ok", float(factors.rate_loss[0]), *rates, dpc])
         else:

@@ -274,7 +274,7 @@ def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> Corre
             if len({len(row) for row in rows}) > 1:
                 raise ConfigurationError(f"the rows of {name} differ in length")
             blocks.append(np.array([[_correlation_entry(entry) for entry in row] for row in rows]))
-        return CorrelationModel.from_blocks(blocks)
+        return CorrelationModel(blocks)
     raise ConfigurationError(
         "correlation must be 'identity', {'scalars': [...]}, or {'matrices': [...]}, "
         f"got {spec!r}"

@@ -9,7 +9,7 @@ sum-rate asymptote, and the power-independent rate loss of linear filtering.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import log2
+from math import isfinite, log2
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from .channel import (
     GramFactors,
     SystemProfile,
     _factor_grams,
+    _readonly,
     block_index_range,
 )
 from .errors import ValidationError
@@ -28,60 +29,31 @@ __all__ = ["instantaneous_rate_loss"]
 
 @dataclass(frozen=True)
 class MacCovarianceSet:
-    """Per-user uplink transmit covariances Q_k, each Hermitian positive semidefinite."""
+    """Per-user uplink transmit covariances Q_k, each Hermitian positive semidefinite.
+
+    Takes any iterable of array-likes and keeps a checked, read-only copy of each.
+    """
 
     covariances: tuple[np.ndarray, ...] = field(repr=False)
 
     def __post_init__(self) -> None:
-        for k, q in enumerate(self.covariances):
-            hermitian_input(q, f"covariance {k}", definite=False)
+        covariances = (
+            _readonly(hermitian_input(q, f"covariance {k}", definite=False))
+            for k, q in enumerate(self.covariances)
+        )
+        object.__setattr__(self, "covariances", tuple(covariances))
         if not np.isfinite(self.total_power):
             raise ValidationError("total transmit power is not finite")
-
-    @classmethod
-    def from_covariances(cls, covariances) -> "MacCovarianceSet":
-        """Build from Hermitian PSD covariances, given as anything ``np.asarray`` takes."""
-        return cls(tuple(np.asarray(q, dtype=complex) for q in covariances))
 
     @classmethod
     def uniform(cls, profile: SystemProfile, total_power: float) -> "MacCovarianceSet":
         """Even split over all antennas: Q_k = (P / r) I for every user."""
         level = positive_finite(total_power, "transmit power") / profile.total_antennas
-        return cls(tuple(level * np.eye(r, dtype=complex) for r in profile.user_antennas))
+        return cls(level * np.eye(r, dtype=complex) for r in profile.user_antennas)
 
     @property
     def total_power(self) -> float:
         return float(sum(q.trace().real for q in self.covariances))
-
-
-@dataclass(frozen=True)
-class MacAsymptoticSolution:
-    """Asymptotically optimal per-user power levels in the dual uplink.
-
-    Each user spreads its share evenly over its antennas, so the implied
-    covariances are scaled identities.
-    """
-
-    profile: SystemProfile
-    power_levels: tuple[float, ...]
-    total_power: float
-
-    def __post_init__(self) -> None:
-        spent = sum(r * lam for r, lam in zip(self.profile.user_antennas, self.power_levels))
-        if abs(spent - self.total_power) > 1e-10 * max(1.0, self.total_power):
-            raise ValidationError(
-                f"power levels spend {spent} of a {self.total_power} budget"
-            )
-        if any(lam < 0 for lam in self.power_levels):
-            raise ValidationError("power levels must be nonnegative")
-
-    def covariances(self) -> MacCovarianceSet:
-        return MacCovarianceSet(
-            tuple(
-                lam * np.eye(r, dtype=complex)
-                for lam, r in zip(self.power_levels, self.profile.user_antennas)
-            )
-        )
 
 
 @dataclass(frozen=True)
@@ -90,15 +62,6 @@ class RateReport:
 
     rates: tuple[float, ...]
     weights: tuple[float, ...]
-    asymptotic: bool
-
-    def __post_init__(self) -> None:
-        if len(self.rates) != len(self.weights):
-            raise ValidationError("rate and weight counts differ")
-        # exact rates are mutual informations and cannot be negative;
-        # asymptotic values are affine approximations and may be
-        if not self.asymptotic and any(r < -1e-12 for r in self.rates):
-            raise ValidationError(f"negative exact rate in {self.rates}")
 
     @property
     def sum_rate(self) -> float:
@@ -140,46 +103,47 @@ def _user_asymptote(antennas: int, power_level: float, block_logdet2: float) -> 
     return antennas * log2(power_level) - block_logdet2
 
 
+def _slope_term(total_antennas: int, total_power: float) -> float:
+    """r log2(P) - r log2(r), the power-dependent part of the DPC and linear asymptotes."""
+    r = total_antennas
+    return r * log2(total_power) - r * log2(r)
+
+
 def _asymptotes(
-    split: MacAsymptoticSolution, gram_logdet2: float, block_logdet2
+    profile: SystemProfile, levels, total_power: float, gram_logdet2: float, block_logdet2
 ) -> tuple[tuple[float, ...], float]:
     """The high-power rates of one channel from log2|G| and every user's log2|[G^-1]_kk|.
 
-    Returns each user's asymptotic rate at the power levels of ``split``
-    (-inf for a user without power) and the DPC sum-rate asymptote at the
-    split's total power.
+    Returns each user's asymptotic rate at its power level of ``levels``
+    (-inf for a user without power) and the DPC sum-rate asymptote at
+    ``total_power``.
     """
-    profile = split.profile
     rates = tuple(
         _user_asymptote(r_k, level, block) if level > 0 else float("-inf")
-        for r_k, level, block in zip(profile.user_antennas, split.power_levels, block_logdet2)
+        for r_k, level, block in zip(profile.user_antennas, levels, block_logdet2)
     )
-    r = profile.total_antennas
-    return rates, r * log2(split.total_power) - r * log2(r) + gram_logdet2
+    return rates, _slope_term(profile.total_antennas, total_power) + gram_logdet2
 
 
-def optimal_power_split(profile: SystemProfile, total_power: float) -> MacAsymptoticSolution:
-    """Weight-proportional power levels that maximize the asymptotic weighted sum rate."""
+def optimal_power_split(profile: SystemProfile, total_power: float) -> tuple[float, ...]:
+    """Weight-proportional power levels that maximize the asymptotic weighted sum rate.
+
+    User k spreads w_k P / sum_l w_l r_l evenly over its r_k antennas, so the
+    levels spend the whole budget P.  ValidationError if the weights and the
+    power take a level out of the float range.
+    """
     total_power = positive_finite(total_power, "transmit power")
     denominator = sum(w * r for w, r in zip(profile.weights, profile.user_antennas))
-    if denominator <= 0:
-        raise ValidationError("all rate weights are zero")
     levels = tuple(w * total_power / denominator for w in profile.weights)
-    return MacAsymptoticSolution(profile, levels, float(total_power))
-
-
-def asymptotic_weighted_sum_rate(channel: ChannelRealization, total_power: float) -> float:
-    """Asymptotic weighted sum rate at the optimal power split.
-
-    Zero-weight users receive no power and contribute nothing.
-    """
-    return asymptotic_rate_report(channel, total_power).weighted_sum
+    if not all(map(isfinite, (denominator, *levels))):
+        raise ValidationError(f"non-finite power levels {levels} from weights {profile.weights}")
+    return levels
 
 
 def dpc_asymptotic_sum_rate(channel: ChannelRealization, total_power: float) -> float:
     """High-power sum rate of dirty paper coding: the cooperating point-to-point limit."""
-    split = optimal_power_split(channel.profile, total_power)
-    return _asymptotes(split, channel.gram_logdet2, channel.inverse_block_logdet2)[1]
+    total_power = positive_finite(total_power, "transmit power")
+    return _slope_term(channel.profile.total_antennas, total_power) + channel.gram_logdet2
 
 
 def instantaneous_rate_loss(channel: ChannelRealization) -> float:
@@ -223,14 +187,17 @@ def exact_rate_report(
     stack = np.concatenate([composite[None], composite * profile._other_columns])
     values = _objective(channel.gram, stack)
     rates = np.maximum(values[0] - values[1:], 0.0)
-    return RateReport(tuple(rates.tolist()), profile.weights, asymptotic=False)
+    return RateReport(tuple(rates.tolist()), profile.weights)
 
 
 def asymptotic_rate_report(channel: ChannelRealization, total_power: float) -> RateReport:
     """Per-user asymptotic rates at the optimal split; zero-weight users get -inf."""
-    split = optimal_power_split(channel.profile, total_power)
-    rates, _ = _asymptotes(split, channel.gram_logdet2, channel.inverse_block_logdet2)
-    return RateReport(rates, channel.profile.weights, asymptotic=True)
+    profile = channel.profile
+    levels = optimal_power_split(profile, total_power)
+    rates, _ = _asymptotes(
+        profile, levels, total_power, channel.gram_logdet2, channel.inverse_block_logdet2
+    )
+    return RateReport(rates, profile.weights)
 
 
 def _batch_rate_loss(channels: np.ndarray, profile: SystemProfile) -> GramFactors:

@@ -38,8 +38,8 @@ from .ergodic import (
 )
 from .mac import (
     MacCovarianceSet,
+    asymptotic_rate_report,
     asymptotic_user_rate,
-    asymptotic_weighted_sum_rate,
     dpc_asymptotic_sum_rate,
     exact_rate_report,
     instantaneous_rate_loss,
@@ -98,7 +98,7 @@ def random_hpd(rng: np.random.Generator, size: int, ridge: float = 0.5) -> np.nd
 
 
 def _random_correlation(profile, rng: np.random.Generator) -> CorrelationModel:
-    return CorrelationModel.from_blocks([random_hpd(rng, r) for r in profile.user_antennas])
+    return CorrelationModel([random_hpd(rng, r) for r in profile.user_antennas])
 
 
 def check_channel_determinism(seed: int) -> CheckResult:
@@ -122,7 +122,7 @@ def check_channel_sqrt_roundtrip(seed: int) -> CheckResult:
     roundtrip = hermitian = 0.0
     for _ in range(50):
         sizes = rng.integers(1, 5, size=int(rng.integers(1, 4)))
-        correlation = CorrelationModel.from_blocks([random_hpd(rng, int(r)) for r in sizes])
+        correlation = CorrelationModel([random_hpd(rng, int(r)) for r in sizes])
         for c, root in zip(correlation.blocks, correlation.sqrt_blocks):
             roundtrip = max(roundtrip, float(np.linalg.norm(root @ root - c)))
             hermitian = max(hermitian, float(np.linalg.norm(root - root.conj().T)))
@@ -187,7 +187,7 @@ def check_mac_gram_form_equivalence(seed: int) -> CheckResult:
     for _ in range(120):
         profile = random_profile(rng)
         channel = sample_channel(profile, None, int(rng.integers(0, 2**32)))
-        covariances = MacCovarianceSet.from_covariances(
+        covariances = MacCovarianceSet(
             [rng.uniform(0.1, 10.0) * random_hpd(rng, r, ridge=0.0) for r in profile.user_antennas]
         )
         gram = exact_rate_report(channel, covariances).rates
@@ -231,7 +231,7 @@ def check_mac_correlation_invariance(seed: int) -> CheckResult:
             correlation.sqrt_blocks,
             [np.linalg.cholesky(c) for c in correlation.blocks],
         ):
-            shaped = ChannelRealization.from_blocks(
+            shaped = ChannelRealization(
                 profile, [h @ root for h, root in zip(plain.blocks, roots)]
             )
             worst = max(worst, abs(loss - instantaneous_rate_loss(shaped)))
@@ -246,10 +246,9 @@ def check_mac_power_split_concavity(seed: int) -> CheckResult:
     profile = make_profile(6, [2, 1, 2], weights=[2.0, 1.0, 1.5])
     channel = sample_channel(profile, None, derive_seed(seed, 107))
     total_power = 40.0
-    optimum = asymptotic_weighted_sum_rate(channel, total_power)
+    optimum = asymptotic_rate_report(channel, total_power).weighted_sum
     antennas = np.array(profile.user_antennas, dtype=float)
-    split = optimal_power_split(profile, total_power)
-    base = np.array(split.power_levels)
+    base = np.array(optimal_power_split(profile, total_power))
     worst = -np.inf
     tried = 0
     for _ in range(200):
@@ -294,7 +293,7 @@ def check_mac_eigenbasis_irrelevance(seed: int) -> CheckResult:
             spread /= np.prod(spread) ** (1.0 / r)  # keep the determinant fixed
             v = haar_unitary(r, rng)
             covs.append(hermitize(level * (v * spread) @ v.conj().T))
-        rotated = MacCovarianceSet.from_covariances(covs)
+        rotated = MacCovarianceSet(covs)
         worst = max(worst, abs(exact_rate_report(channel, rotated).rates[k] - reference))
     return _tolerance_result(
         "mac_eigenbasis_irrelevance", 1e-3, worst,

@@ -20,7 +20,7 @@ from mimobc import (
     sample_channel,
     solve_bc,
 )
-from mimobc._linalg import haar_unitary, hermitize
+from mimobc._linalg import haar_unitary, hermitize, power_from_db
 from mimobc.baseline import _objective, generate_curves, waterfill
 
 #: 60-digit arithmetic for the references, apart from the global mpmath context.
@@ -253,7 +253,7 @@ class TestDualMacSumCapacity:
         profile = make_profile(5, [2, 2])
         h = sample_channel(profile, seed=30).composite.copy()
         h[:, 2] = h[:, 0]  # user 1 repeats a column of user 0
-        channel = ChannelRealization.from_blocks(profile, [h[:, sl] for sl in profile.block_slices])
+        channel = ChannelRealization(profile, [h[:, sl] for sl in profile.block_slices])
         with pytest.raises(NumericalRankError):
             channel.require_full_rank()
         result = dual_mac_sum_capacity(channel, 10.0)
@@ -342,7 +342,8 @@ class TestGenerateCurves:
         points = generate_curves(profile, correlation, grid, trials=trials, seed=2)
         channels = [sample_channel(profile, correlation, derive_seed(2, t)) for t in range(trials)]
         for point in points:
-            expected = np.mean([solve_bc(c, point.power_linear).sum_rate for c in channels])
+            power = power_from_db(point.power_db)
+            expected = np.mean([solve_bc(c, power).sum_rate for c in channels])
             assert point.linear_bd_sum_rate == pytest.approx(expected, rel=1e-12)
 
     def test_rank_deficient_trial_is_named(self, fig_setup, monkeypatch):

@@ -76,6 +76,12 @@ class TestMakeProfile:
         with pytest.raises(ValidationError):
             make_profile(4, [2, 0])
 
+    def test_base_antenna_count_is_at_most_two_to_the_53(self):
+        assert make_profile(2**53, [1]).base_antennas == 2**53
+        for base in (2**53 + 1, 10**400):
+            with pytest.raises(ValidationError, match=r"in \[1, 2\*\*53\]"):
+                make_profile(base, [1])
+
     def test_weights_validated(self):
         with pytest.raises(ValidationError):
             make_profile(4, [2, 2], weights=[1.0, -0.5])
@@ -140,11 +146,11 @@ class TestCorrelationModel:
 
     def test_rejects_non_hermitian(self):
         with pytest.raises(ValidationError, match="Hermitian"):
-            CorrelationModel.from_blocks([np.array([[1.0, 1.0], [0.0, 1.0]])])
+            CorrelationModel([np.array([[1.0, 1.0], [0.0, 1.0]])])
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValidationError, match="positive definite"):
-            CorrelationModel.from_blocks([np.diag([1.0, -0.5])])
+            CorrelationModel([np.diag([1.0, -0.5])])
 
     def test_rejects_nonpositive_gain(self):
         profile = make_profile(4, [2, 2])
@@ -169,7 +175,7 @@ class TestSampleChannel:
 
     def test_reference_near_far_setup(self):
         profile = make_profile(5, [2, 2])
-        correlation = CorrelationModel.from_blocks([np.eye(2), 2.0 * np.eye(2)])
+        correlation = CorrelationModel([np.eye(2), 2.0 * np.eye(2)])
         channel = sample_channel(profile, correlation, seed=0)
         assert channel.composite.shape == (5, 4)
         assert channel.gram_condition < 1e12
@@ -177,7 +183,7 @@ class TestSampleChannel:
     def test_single_draw_is_the_sample_channel_stream(self):
         # the batch sampler with count 1 reproduces sample_channel bit for bit
         profile = make_profile(6, [1, 2, 3])
-        correlation = CorrelationModel.from_blocks(
+        correlation = CorrelationModel(
             [random_hpd(np.random.default_rng(k), r) for k, r in enumerate(profile.user_antennas)]
         )
         for seed in range(20):
@@ -200,7 +206,7 @@ class TestSampleChannel:
         profile = make_profile(base, antennas)
         correlation = roots = None
         if correlated:
-            correlation = CorrelationModel.from_blocks(
+            correlation = CorrelationModel(
                 [random_hpd(np.random.default_rng(k), r) for k, r in enumerate(profile.user_antennas)]
             )
             roots = correlation.sqrt_blocks
@@ -228,7 +234,7 @@ class TestSampleChannel:
         # rows of a real-correlation block have covariance C_k
         profile = make_profile(4, [2])
         c = np.array([[2.0, 0.5], [0.5, 1.0]])
-        correlation = CorrelationModel.from_blocks([c])
+        correlation = CorrelationModel([c])
         rows = []
         for t in range(4000):
             channel = sample_channel(profile, correlation, derive_seed(9, t))
@@ -258,19 +264,34 @@ class TestChannelRealization:
         assert np.linalg.norm(gram - gram.conj().T) == 0.0
         assert np.linalg.eigvalsh(gram)[0] > 0
 
-    def test_from_blocks_validates_shapes(self):
+    def test_constructor_validates_shapes(self):
         profile = make_profile(4, [2, 2])
         good = [np.zeros((4, 2)), np.zeros((4, 2))]
-        ChannelRealization.from_blocks(profile, good)
+        ChannelRealization(profile, good)
         with pytest.raises(ValidationError, match="shape"):
-            ChannelRealization.from_blocks(profile, [np.zeros((4, 2)), np.zeros((4, 1))])
+            ChannelRealization(profile, [np.zeros((4, 2)), np.zeros((4, 1))])
 
-    def test_from_blocks_rejects_non_finite_entries(self):
+    def test_constructor_rejects_non_finite_entries(self):
         profile = make_profile(4, [2, 2])
         bad = np.ones((4, 2))
         bad[1, 0] = np.nan
         with pytest.raises(ValidationError, match="non-finite"):
-            ChannelRealization.from_blocks(profile, [np.ones((4, 2)), bad])
+            ChannelRealization(profile, [np.ones((4, 2)), bad])
+
+    def test_constructors_copy_the_callers_arrays(self):
+        # complex C-contiguous inputs are the very arrays np.asarray returns; each
+        # value type keeps read-only copies and leaves the caller's arrays writeable
+        profile = make_profile(4, [2, 2])
+        h = [np.eye(4, 2, dtype=complex), np.eye(4, 2, k=-2, dtype=complex)]
+        c = [np.eye(2, dtype=complex), 2.0 * np.eye(2, dtype=complex)]
+        channel = ChannelRealization(profile, iter(h))
+        correlation = CorrelationModel(iter(c))
+        for stored, given in ((channel.blocks, h), (correlation.blocks, c)):
+            assert type(stored) is tuple and len(stored) == 2
+            for kept, array in zip(stored, given):
+                assert not kept.flags.writeable and not np.shares_memory(kept, array)
+                array[0, 0] = 7.0
+                assert kept[0, 0] != 7.0
 
     def test_blocks_are_read_only(self):
         channel = sample_channel(make_profile(4, [2, 2]), seed=0)
@@ -285,7 +306,7 @@ class TestChannelRealization:
         for block, sl in zip(channel.blocks, profile.block_slices):
             assert np.shares_memory(block, channel.composite)
             np.testing.assert_array_equal(block, channel.composite[:, sl])
-        rebuilt = ChannelRealization.from_blocks(profile, channel.blocks)
+        rebuilt = ChannelRealization(profile, channel.blocks)
         np.testing.assert_array_equal(rebuilt.gram, channel.gram)
 
     def test_composite_channel_is_checked(self):
@@ -371,7 +392,7 @@ class TestFactorGrams:
                 expected_loss, expected_inverse = mpmath_rate_loss(h, profile)
                 assert abs(loss - expected_loss) <= 1e-10
                 blocks = [h[:, sl] for sl in profile.block_slices]
-                inverse = ChannelRealization.from_blocks(profile, blocks).gram_inverse
+                inverse = ChannelRealization(profile, blocks).gram_inverse
                 error = np.linalg.norm(inverse - expected_inverse)
                 assert error <= 1e-10 * np.linalg.norm(expected_inverse)
 
@@ -465,7 +486,7 @@ class TestFactorGrams:
         rng = np.random.default_rng(2)
         block = rng.standard_normal((5, 2)) + 1j * rng.standard_normal((5, 2))
         with pytest.raises(NumericalRankError):
-            read(ChannelRealization.from_blocks(profile, [block, block[:, ::-1]]))
+            read(ChannelRealization(profile, [block, block[:, ::-1]]))
 
     def test_rate_loss_row_of_a_duplicated_column_channel_is_flagged(
         self, tmp_path, monkeypatch, capsys

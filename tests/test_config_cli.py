@@ -421,6 +421,24 @@ class TestExitCodes:
         assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
         assert not out.exists()
 
+    def test_weights_that_overflow_the_power_levels(self, tmp_path, capsys):
+        # w P overflows, so every level would be nan and every asymptotic rate -inf
+        config = write_config(
+            tmp_path / "c.json", {"N": 4, "antennas": [2, 2], "weights": [1e308, 1e308]}
+        )
+        out = tmp_path / "x.csv"
+        assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert "non-finite power levels" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_base_antenna_count_beyond_two_to_the_53(self, tmp_path, capsys):
+        # rejected where the profile is built, before any closed form runs
+        config = write_config(tmp_path / "c.json", {"N": 10**400, "antennas": [1]})
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert "in [1, 2**53]" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "kind, payload, flags",
         [

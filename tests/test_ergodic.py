@@ -1,3 +1,6 @@
+import time
+from math import fsum
+
 import mpmath
 import numpy as np
 import pytest
@@ -32,6 +35,10 @@ LN2 = np.log(2.0)
 #: 30-digit mpmath context for the Digamma references.
 MP = mpmath.MPContext()
 MP.dps = 30
+
+#: 40-digit mpmath context for the references at large arguments.
+MP40 = mpmath.MPContext()
+MP40.dps = 40
 
 
 def mp_psi_sum(first, count):
@@ -92,6 +99,47 @@ class TestDigamma:
         for n in (1, 2, 3, 10, 100, 1000, 12345):
             assert relative_error(digamma_int(n), MP.digamma(n)) <= 1e-15
 
+    def test_harmonic_prefix_up_to_the_series_threshold(self):
+        # up to the threshold every value is the exact sum of the harmonic prefix
+        # terms, rounded once, as it was before the series branch existed
+        def prefix_sum(first, count):
+            low = first - count + 1
+            terms = [count / j for j in range(1, low)]
+            terms += [(first - j) / j for j in range(low, first)]
+            return fsum(terms + [-count * EULER_GAMMA])
+
+        threshold = ergodic_module._SERIES_FROM
+        for first, count in [(1, 1), (6, 4), (80, 64), (threshold, 1), (threshold + 15, 16)]:
+            assert ergodic_module._psi_sum(first, count) == prefix_sum(first, count)
+
+    @pytest.mark.parametrize(
+        "first, count", [(2**13 + 1, 1), (2**13 + 16, 16), (2**16, 1), (2**53, 16), (10**18, 16)]
+    )
+    def test_series_matches_40_digit_digamma(self, first, count):
+        reference = MP40.fsum(MP40.digamma(first - el) for el in range(count))
+        assert relative_error(ergodic_module._psi_sum(first, count), reference) <= 1e-15
+
+    @pytest.mark.parametrize("base", [10**8, 10**12, 2**53])
+    def test_closed_forms_at_large_base_antenna_counts(self, base):
+        # the harmonic prefix of psi(N) would take seconds at N = 1e8 and never end at 2**53
+        profile = make_profile(base, [1, 2])
+        start = time.perf_counter()
+        values = [
+            digamma_int(base),
+            ergodic_dpc_logdet(profile),
+            *(ergodic_block_logdet(profile, None, user) for user in range(2)),
+        ]
+        assert time.perf_counter() - start < 0.1
+        ln2 = MP40.log(2)
+        references = [
+            MP40.digamma(base),
+            MP40.fsum(MP40.digamma(base - el) for el in range(3)) / ln2,
+            -MP40.digamma(base - 2) / ln2,
+            -MP40.fsum(MP40.digamma(base - 1 - el) for el in range(2)) / ln2,
+        ]
+        for value, reference in zip(values, references):
+            assert relative_error(value, reference) <= 1e-15
+
     def test_domain(self):
         with pytest.raises(DomainError):
             digamma_int(0)
@@ -108,7 +156,7 @@ class TestErgodicDpcLogdet:
 
     def test_correlation_adds_its_logdet(self):
         profile = make_profile(5, [2, 2])
-        correlation = CorrelationModel.from_blocks([np.eye(2), 2.0 * np.eye(2)])
+        correlation = CorrelationModel([np.eye(2), 2.0 * np.eye(2)])
         shift = ergodic_dpc_logdet(profile, correlation) - ergodic_dpc_logdet(profile)
         assert shift == pytest.approx(2.0, abs=1e-12)
 
@@ -127,7 +175,7 @@ class TestErgodicDpcLogdet:
 class TestErgodicBlockLogdet:
     def test_single_user_is_negated_dpc_logdet(self):
         profile = make_profile(6, [4])
-        correlation = CorrelationModel.from_blocks([random_hpd(np.random.default_rng(1), 4)])
+        correlation = CorrelationModel([random_hpd(np.random.default_rng(1), 4)])
         assert ergodic_block_logdet(profile, correlation, 0) == pytest.approx(
             -ergodic_dpc_logdet(profile, correlation), abs=1e-12
         )
@@ -161,7 +209,7 @@ class TestErgodicBlockLogdet:
 )
 def test_closed_forms_reject_a_correlation_that_does_not_fit(blocks):
     profile = make_profile(6, [2, 2])
-    correlation = CorrelationModel.from_blocks(blocks)
+    correlation = CorrelationModel(blocks)
     with pytest.raises(ValidationError, match="do not match"):
         ergodic_dpc_logdet(profile, correlation)
     for user in range(profile.num_users):
@@ -254,7 +302,7 @@ class TestMonteCarloRateLoss:
 
     def test_correlation_invariance(self):
         profile = make_profile(5, [2, 2])
-        correlation = CorrelationModel.from_blocks([np.eye(2), 2.0 * np.eye(2)])
+        correlation = CorrelationModel([np.eye(2), 2.0 * np.eye(2)])
         shaped = monte_carlo_rate_loss(profile, correlation, trials=10_000, seed=1)
         assert abs(shaped.mean - ergodic_rate_loss(profile)) < 3 * shaped.stderr
 
@@ -276,7 +324,7 @@ class TestMonteCarloRateLoss:
             channels = _draw(rng, profile, None, count)
             scalar += [
                 instantaneous_rate_loss(
-                    ChannelRealization.from_blocks(profile, [h[:, sl] for sl in profile.block_slices])
+                    ChannelRealization(profile, [h[:, sl] for sl in profile.block_slices])
                 )
                 for h in channels
             ]

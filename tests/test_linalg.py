@@ -196,9 +196,8 @@ class TestFiniteMatrix:
         block = np.eye(2, dtype=complex)
         block[1, 1] = bad
         builders = [
-            lambda: CorrelationModel.from_blocks([np.eye(1), block]),
-            lambda: MacCovarianceSet.from_covariances([block]),
-            lambda: MacCovarianceSet((block,)),
+            lambda: CorrelationModel([np.eye(1), block]),
+            lambda: MacCovarianceSet([block]),
             lambda: waterfill(np.array([1.0, bad]), 3.0),
             lambda: waterfill(np.array([1.0, 2.0]), bad),
         ]

@@ -68,7 +68,7 @@ def test_kernel_matches_the_eigenvalue_rule_and_the_lu_reference(case):
     assert bool(stacked.full_rank[0]) == full_rank
 
     blocks = [h[:, sl] for sl in profile.block_slices]
-    channel = ChannelRealization.from_blocks(profile, blocks)
+    channel = ChannelRealization(profile, blocks)
     if not full_rank:
         with pytest.raises(NumericalRankError):
             instantaneous_rate_loss(channel)

@@ -66,22 +66,34 @@ def test_every_benchmark_tracer_hook_exists():
             assert callable(getattr(module, attr, None)), f"{module_name}.{attr}"
 
 
+def definitions(tree):
+    """(qualified name, name) of each module-level function and class and of each class member."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if isinstance(member, ast.FunctionDef):
+                    yield f"{node.name}.{member.name}", member.name
+
+
 def test_every_private_helper_is_used():
-    # a module-level private function or class that no other line of the package
-    # names is dead, unless the benchmark tracer hooks it
+    # a private module-level function or class, or a private method or (cached)
+    # property of a package class, that no other line of the package names is
+    # dead, unless the benchmark tracer hooks it; dunders are exempt
     hooked = {(module_name, attr) for module_name, attr, _ in load_tracer().HOOKS}
     sources = {path: path.read_text(encoding="utf-8") for path in sorted(SOURCE.glob("*.py"))}
     words = Counter(word for text in sources.values() for word in re.findall(r"\w+", text))
     private = [
-        (path, node.name)
+        (path, qualified, name)
         for path, text in sources.items()
-        for node in ast.parse(text).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name.startswith("_")
+        for qualified, name in definitions(ast.parse(text))
+        if name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
     ]
-    definitions = Counter(name for _, name in private)
+    defined = Counter(name for _, _, name in private)
     unused = [
-        f"{path.name}:{name}"
-        for path, name in private
-        if words[name] <= definitions[name] and (f"mimobc.{path.stem}", name) not in hooked
+        f"{path.name}:{qualified}"
+        for path, qualified, name in private
+        if words[name] <= defined[name] and (f"mimobc.{path.stem}", qualified) not in hooked
     ]
     assert not unused, unused
