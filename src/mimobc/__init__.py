@@ -28,7 +28,6 @@ from .ergodic import (
 from .errors import (
     ConfigurationError,
     DegeneracyError,
-    DomainError,
     MimoBcError,
     NumericalRankError,
     ValidationError,
@@ -44,7 +43,6 @@ __all__ = [
     "ConfigurationError",
     "CorrelationModel",
     "DegeneracyError",
-    "DomainError",
     "MimoBcError",
     "NumericalRankError",
     "ValidationError",

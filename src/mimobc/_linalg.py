@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from contextlib import suppress
-from math import inf
+from math import inf, isfinite
 
 import numpy as np
 
@@ -45,6 +45,14 @@ def integer(value, what: str) -> int:
     raise ValidationError(f"{what} must be an integer, got {value!r}")
 
 
+def finite(value, what: str) -> float:
+    """``value`` as a float; ValidationError unless it is a finite ``number``."""
+    value = number(value, what)
+    if not isfinite(value):
+        raise ValidationError(f"{what} is non-finite: {value}")
+    return value
+
+
 def positive_finite(value, what: str) -> float:
     """``value`` as a float; ValidationError unless it is a positive and finite ``number``."""
     value = number(value, what)
@@ -59,6 +67,31 @@ def power_from_db(db: float) -> float:
         return 10.0 ** (float(db) / 10.0)
     except OverflowError:
         return inf
+
+
+def linear_power(db, what: str) -> float:
+    """``power_from_db`` of a ``number`` of dB; ValidationError unless it is ``positive_finite``."""
+    db = number(db, what)
+    return positive_finite(power_from_db(db), f"{what} {db} dB as a linear power")
+
+
+def power_grid(points, what: str) -> tuple[float, ...]:
+    """A power grid's dB points as floats.
+
+    ValidationError unless ``points`` is a non-empty, strictly ascending
+    sequence of numbers, each with a ``linear_power``.
+    """
+    try:
+        grid = tuple(number(p, f"{what} point") for p in points)
+    except TypeError as exc:
+        raise ValidationError(f"{what} must be a list of dB values, got {points!r}") from exc
+    if not grid:
+        raise ValidationError(f"{what} must not be empty")
+    for db in grid:
+        linear_power(db, f"{what} point")
+    if any(b <= a for a, b in zip(grid, grid[1:])):
+        raise ValidationError(f"{what} must be strictly ascending, got {list(grid)}")
+    return grid
 
 
 def finite_matrix(a, what: str) -> np.ndarray:

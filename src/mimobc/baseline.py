@@ -29,7 +29,7 @@ from math import isfinite
 
 import numpy as np
 
-from ._linalg import LN2, hermitize, integer, number, positive_finite, power_from_db
+from ._linalg import LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid
 from .bc import _bc_exact_rates, _bd_directions
 from .channel import (
     COND_LIMIT,
@@ -63,13 +63,11 @@ def waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
 
     Maximizes sum_i log(1 + p_i g_i) subject to p >= 0, sum p = budget.
     Channels with nonpositive gain receive no power, and no channel does when
-    the budget is not positive.  A NaN or infinite budget or gain raises
-    ValidationError.
+    the budget is not positive.  A budget that is not a ``finite`` number, or
+    a NaN or infinite gain, raises ValidationError.
     """
     gains = np.asarray(gains, dtype=float)
-    budget = float(budget)
-    if not isfinite(budget):
-        raise ValidationError(f"waterfilling budget is non-finite: {budget}")
+    budget = finite(budget, "waterfilling budget")
     values = gains.ravel().tolist()
     if not all(map(isfinite, values)):
         raise ValidationError("waterfilling gains have non-finite entries")
@@ -182,8 +180,7 @@ def dual_mac_sum_capacity(
     full rank.
     """
     total_power = positive_finite(total_power, "transmit power")
-    if not tolerance > 0:
-        raise ValidationError(f"tolerance must be positive, got {tolerance}")
+    tolerance = positive_finite(tolerance, "tolerance")
     max_iterations = integer(max_iterations, "max_iterations")
     if max_iterations < 1:
         raise ValidationError(f"need at least one iteration, got {max_iterations}")
@@ -265,12 +262,9 @@ def generate_curves(
     counted per point, never silently dropped, next to the most iterations
     and the largest certified gap of the point's solves.
     """
-    grid = [number(p, "grid point") for p in power_grid_db]
-    if not grid:
-        raise ValidationError("power grid must not be empty")
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValidationError(f"power grid must be strictly ascending, got {grid}")
+    grid = power_grid(power_grid_db, "power grid")
     trials, seed = integer(trials, "trials"), integer(seed, "seed")
+    tolerance = positive_finite(tolerance, "tolerance")
     max_iterations = integer(max_iterations, "max_iterations")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
@@ -281,7 +275,7 @@ def generate_curves(
         ergodic_block_logdet(profile, correlation, k) for k in range(profile.num_users)
     )
 
-    powers = [positive_finite(power_from_db(p), "transmit power") for p in grid]
+    powers = [power_from_db(p) for p in grid]
     dpc_values = np.zeros((len(grid), trials))
     linear_values = np.zeros((len(grid), trials))
     nonconverged = [0] * len(grid)

@@ -23,7 +23,7 @@ from ._linalg import (
     normalize_eigenvector_phases,
     positive_finite,
 )
-from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range
+from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range, user_index
 from .errors import DegeneracyError, ValidationError
 from .mac import MacCovarianceSet, _check_dims
 
@@ -39,7 +39,7 @@ def mmse_receiver_exact(
     with T_k the principal square root of the user's covariance Q_k;
     ValidationError if the system I + sum_l H_l Q_l H_l^H overflows.
     """
-    block_index_range(channel.profile, user)
+    user = user_index(channel.profile, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
     # an overflowing sum is reported by the finiteness check below, not by numpy's warnings
@@ -158,7 +158,7 @@ def bc_exact_user_rate(
     H_k^H P_k P_k^H H_k| without assuming the interference terms vanish, so
     block diagonalization is verified rather than presumed.
     """
-    block_index_range(channel.profile, user)
+    user = user_index(channel.profile, user)
     stacked = [np.asarray(p)[None] for p in precoders]
     rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, [1.0])
     return float(rates[0, 0, user])

@@ -285,15 +285,21 @@ def make_profile(
     return SystemProfile(integer(base_antennas, "N"), antennas, weights)
 
 
+def user_index(profile: SystemProfile, user: int) -> int:
+    """``user`` as an ``integer``; IndexError unless it is a 0-based user of ``profile``."""
+    user = integer(user, "user index")
+    if not 0 <= user < profile.num_users:
+        raise IndexError(f"user index {user} out of range for {profile.num_users} users")
+    return user
+
+
 def block_index_range(profile: SystemProfile, user: int) -> slice:
-    """Row/column range of ``user`` (0-based) inside composite r x r matrices.
+    """Row/column range of ``user`` (a ``user_index``) inside composite r x r matrices.
 
     Selecting these rows and columns of a composite matrix extracts the
     user's diagonal block without ever materializing a 0/1 selector matrix.
     """
-    if not 0 <= user < profile.num_users:
-        raise IndexError(f"user index {user} out of range for {profile.num_users} users")
-    return profile.block_slices[user]
+    return profile.block_slices[user_index(profile, user)]
 
 
 @dataclass(frozen=True)
@@ -412,16 +418,13 @@ class ChannelRealization:
         return _factor_grams(self.composite[None], self.gram[None], self.profile)
 
     @cached_property
-    def gram_eigenvalues(self) -> np.ndarray:
-        """Ascending eigenvalues of the Gram matrix."""
-        return _readonly(np.linalg.eigvalsh(self.gram))
-
-    @cached_property
     def gram_condition(self) -> float:
-        smallest = float(self.gram_eigenvalues[0])
+        """2-norm condition number of the Gram matrix; ``inf`` unless it is positive definite."""
+        eigenvalues = np.linalg.eigvalsh(self.gram)
+        smallest = float(eigenvalues[0])
         if smallest <= 0.0:
             return float("inf")
-        return float(self.gram_eigenvalues[-1]) / smallest
+        return float(eigenvalues[-1]) / smallest
 
     def require_full_rank(self) -> None:
         """Raise unless the Gram matrix is numerically invertible (``_well_conditioned``)."""
@@ -451,7 +454,7 @@ class ChannelRealization:
     def gram_inverse_block(self, user: int) -> np.ndarray:
         """User's diagonal block of the inverse Gram matrix."""
         sl = block_index_range(self.profile, user)
-        return hermitize(self.gram_inverse[sl, sl])
+        return self.gram_inverse[sl, sl]
 
     @cached_property
     def inverse_block_logdet2(self) -> tuple[float, ...]:

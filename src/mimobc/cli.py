@@ -30,13 +30,7 @@ from .config import (
     load_config,
 )
 from .ergodic import monte_carlo_rate_loss, rate_loss_grid
-from .errors import (
-    ConfigurationError,
-    DegeneracyError,
-    DomainError,
-    NumericalRankError,
-    ValidationError,
-)
+from .errors import ConfigurationError, DegeneracyError, NumericalRankError, ValidationError
 from .mac import _asymptotes, _batch_rate_loss, optimal_power_split
 from .validation import MIN_VALIDATE_TRIALS, run_all_checks
 
@@ -240,9 +234,8 @@ def _build_parser() -> argparse.ArgumentParser:
         cmd.add_argument("--trials", type=int, help="Monte Carlo trial count")
         cmd.add_argument("--out", help="output file path")
         cmd.add_argument("--format", choices=["csv", "json"], help="output format")
-        cmd.add_argument(
-            "--ptx-grid-db", dest="ptx_grid_db", help="transmit power grid start:step:stop in dB"
-        )
+        if kind == "curves":
+            cmd.add_argument("--ptx-grid-db", help="transmit power grid start:step:stop in dB")
     return parser
 
 
@@ -253,12 +246,12 @@ def main(argv=None) -> int:
         "trials": args.trials,
         "out": args.out,
         "format": args.format,
-        "ptx_grid_db": args.ptx_grid_db,
+        "ptx_grid_db": getattr(args, "ptx_grid_db", None),
     }
     try:
         config = load_config(args.kind, args.config, overrides)
         return _RUNNERS[args.kind](config)
-    except (ConfigurationError, ValidationError, DomainError) as exc:
+    except (ConfigurationError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR
     except (NumericalRankError, DegeneracyError, np.linalg.LinAlgError) as exc:

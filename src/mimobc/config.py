@@ -9,11 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import partial
-from math import isfinite
 
 import numpy as np
 
-from ._linalg import integer, number, positive_finite, power_from_db
+from ._linalg import integer, linear_power, number, positive_finite, power_grid
 from .channel import CorrelationModel, SystemProfile, make_profile
 from .errors import ConfigurationError, ValidationError
 
@@ -66,11 +65,6 @@ class ExperimentConfig:
     extra_profiles: tuple[tuple[tuple[int, ...], int], ...] = ()
 
 
-def _require_finite(name: str, *values: float) -> None:
-    if not all(map(isfinite, values)):
-        raise ConfigurationError(f"{name} must be finite, got {list(values)}")
-
-
 def _configured(check, name: str, value):
     """``check(value, name)``, with its ValidationError raised as a ConfigurationError."""
     try:
@@ -85,12 +79,6 @@ _integer = partial(_configured, integer)
 _number = partial(_configured, number)
 
 
-def _require_power_db(name: str, *values: float) -> None:
-    """ConfigurationError unless every dB value is a positive finite linear power."""
-    for db in values:
-        _configured(positive_finite, f"{name} {db} dB as a linear power", power_from_db(db))
-
-
 def parse_grid(spec) -> tuple[float, ...]:
     """Parse a power grid: 'start:step:stop' in dB, or an explicit list."""
     if isinstance(spec, str):
@@ -101,10 +89,9 @@ def parse_grid(spec) -> tuple[float, ...]:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
             raise ConfigurationError(f"non-numeric grid spec {spec!r}") from exc
-        _require_finite("grid spec", start, step, stop)
-        _require_power_db("grid point", start, stop)
-        if step <= 0:
-            raise ConfigurationError(f"grid step must be positive, got {step}")
+        _configured(positive_finite, "grid step", step)
+        for db in (start, stop):
+            _configured(linear_power, "grid point", db)
         if stop < start:
             raise ConfigurationError(f"grid stop {stop} below start {start}")
         intervals = (stop - start) / step + 1e-9
@@ -113,20 +100,8 @@ def parse_grid(spec) -> tuple[float, ...]:
                 f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points"
             )
         count = int(np.floor(intervals)) + 1
-        grid = tuple(start + i * step for i in range(count))
-    else:
-        try:
-            grid = tuple(_number("grid point", p) for p in spec)
-        except TypeError as exc:
-            raise ConfigurationError(
-                f"grid must be a list of dB values or a string, got {spec!r}"
-            ) from exc
-        if not grid:
-            raise ConfigurationError("power grid must not be empty")
-    _require_power_db("grid point", *grid)
-    if any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ConfigurationError(f"power grid must be strictly ascending, got {list(grid)}")
-    return grid
+        spec = tuple(start + i * step for i in range(count))
+    return _configured(power_grid, "power grid", spec)
 
 
 def _parse_extra_profiles(raw) -> tuple[tuple[tuple[int, ...], int], ...]:
@@ -155,7 +130,7 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
                 data = json.load(handle)
         except OSError as exc:
             raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
             raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigurationError(f"config file {path} must hold a JSON object")
@@ -177,15 +152,12 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     seed = _integer("seed", merged.pop("seed", 1))
     max_iterations = _integer("max_iterations", merged.pop("max_iterations", 500))
     ptx_db = _number("ptx_db", merged.pop("ptx_db", 30.0))
-    tolerance = _number("tolerance", merged.pop("tolerance", 1e-8))
+    tolerance = _configured(positive_finite, "tolerance", merged.pop("tolerance", 1e-8))
     if trials < 0:
         raise ConfigurationError(f"trials must be nonnegative, got {trials}")
     if not 0 <= seed <= _MAX_SEED:
         raise ConfigurationError(f"seed must be in [0, 2**64 - 1], got {seed}")
-    _require_power_db("ptx_db", ptx_db)
-    _require_finite("tolerance", tolerance)
-    if tolerance <= 0:
-        raise ConfigurationError(f"tolerance must be positive, got {tolerance}")
+    _configured(linear_power, "ptx_db", ptx_db)
     if max_iterations < 1:
         raise ConfigurationError(f"max_iterations must be positive, got {max_iterations}")
 

@@ -15,17 +15,17 @@ from math import fsum, log
 
 import numpy as np
 
-from ._linalg import LN2, integer
+from ._linalg import LN2, finite, integer
 from .channel import (
     CorrelationModel,
     SystemProfile,
-    block_index_range,
     check_correlation,
     derive_seed,
     make_profile,
+    user_index,
     _draw,
 )
-from .errors import ConfigurationError, DomainError, NumericalRankError, ValidationError
+from .errors import ConfigurationError, NumericalRankError, ValidationError
 from .mac import _batch_rate_loss
 
 __all__ = [
@@ -75,9 +75,10 @@ def _psi_sum(first: int, count: int) -> float:
 
 def digamma_int(n: int) -> float:
     """Digamma function at a positive integer: psi(n) = -gamma + sum_{j<n} 1/j."""
-    if int(n) != n or n < 1:
-        raise DomainError(f"digamma recursion needs a positive integer, got {n!r}")
-    return _psi_sum(int(n), 1)
+    n = integer(n, "digamma argument")
+    if n < 1:
+        raise ValidationError(f"digamma recursion needs a positive integer, got {n}")
+    return _psi_sum(n, 1)
 
 
 def ergodic_dpc_logdet(
@@ -104,7 +105,7 @@ def ergodic_block_logdet(
     freedom, giving -(1/ln 2) sum_{l=0}^{r_k-1} psi(N - r + r_k - l); the
     user's correlation block contributes -log2 |C_k|.
     """
-    block_index_range(profile, user)
+    user = user_index(profile, user)
     check_correlation(profile, correlation)
     r_k = profile.user_antennas[user]
     first = profile.base_antennas - profile.total_antennas + r_k
@@ -145,17 +146,11 @@ def ergodic_rate_loss_equal(num_users: int, antennas_each: int, base_antennas: i
 
     Evaluates (1/ln 2) [sum_{l=1}^{(K-1) rbar} l / (N - l)
     + sum_{l=1}^{rbar-1} (K-1) l / (N - K rbar + l)]; the second sum is empty
-    for single-antenna users.
+    for single-antenna users.  The arguments must form a ``make_profile`` profile.
     """
-    if num_users < 1:
-        raise DomainError(f"need at least one user, got {num_users}")
-    if antennas_each < 1:
-        raise DomainError(f"antenna count must be positive, got {antennas_each}")
-    if base_antennas < num_users * antennas_each:
-        raise DomainError(
-            f"closed forms need at least as many base antennas ({base_antennas}) "
-            f"as terminal antennas in sum ({num_users * antennas_each})"
-        )
+    profile = make_profile(base_antennas, [antennas_each] * integer(num_users, "users"))
+    num_users, base_antennas = profile.num_users, profile.base_antennas
+    antennas_each = profile.user_antennas[0]
     total = 0.0
     for el in range(1, (num_users - 1) * antennas_each + 1):
         total += el / (base_antennas - el)
@@ -170,6 +165,8 @@ def power_offset_db(rate_loss_bits: float, total_antennas: int) -> float:
     Two affine rate curves of slope r separated vertically by ``rate_loss_bits``
     are separated horizontally by (loss / r) * 10 log10(2) dB.
     """
+    rate_loss_bits = finite(rate_loss_bits, "rate loss")
+    total_antennas = integer(total_antennas, "antenna total")
     if total_antennas < 1:
         raise ValidationError(f"antenna total must be positive, got {total_antennas}")
     return rate_loss_bits / total_antennas * 10.0 * np.log10(2.0)
@@ -195,10 +192,6 @@ class MonteCarloEstimate:
     trials: int
     seed: int
     discarded: int = 0
-
-    def __post_init__(self) -> None:
-        if self.trials < 2:
-            raise ValidationError(f"need at least 2 trials, got {self.trials}")
 
 
 def monte_carlo_rate_loss(
@@ -303,7 +296,8 @@ def rate_loss_grid(extra_profiles=()) -> list[RateLossCell]:
     """
     requested = [(antennas, n) for antennas in GRID_PROFILES for n in GRID_BASE_ANTENNAS]
     requested.extend(
-        (tuple(int(r) for r in antennas), int(n)) for antennas, n in extra_profiles
+        (tuple(integer(r, "antennas") for r in antennas), integer(n, "N"))
+        for antennas, n in extra_profiles
     )
     cells: list[RateLossCell] = []
     for antennas, n in requested:

@@ -19,7 +19,3 @@ class NumericalRankError(MimoBcError, ArithmeticError):
 
 class DegeneracyError(MimoBcError, ArithmeticError):
     """A degenerate channel produced a zero direction where a positive scale is required."""
-
-
-class DomainError(MimoBcError, ValueError):
-    """Argument outside the domain of a closed-form expression."""

@@ -20,7 +20,7 @@ from .channel import (
     SystemProfile,
     _factor_grams,
     _readonly,
-    block_index_range,
+    user_index,
 )
 from .errors import ValidationError
 
@@ -91,7 +91,7 @@ def asymptotic_user_rate(
 
     Returns r_k log2(power_level) - log2 |user block of (H^H H)^{-1}|.
     """
-    block_index_range(channel.profile, user)
+    user = user_index(channel.profile, user)
     power_level = positive_finite(power_level, "power level")
     return _user_asymptote(
         channel.profile.user_antennas[user], power_level, channel.inverse_block_logdet2[user]

@@ -296,6 +296,15 @@ class TestParser:
         assert "invalid choice: 'xml'" in capsys.readouterr().err
         assert main(["table1", "--config", str(tmp_path / "missing.json")]) == 2
 
+    @pytest.mark.parametrize("kind", ["table1", "rate-loss", "validate"])
+    def test_only_curves_takes_a_power_grid(self, tmp_path, capsys, kind):
+        out = tmp_path / "x.csv"
+        with pytest.raises(SystemExit) as exited:
+            main([kind, "--trials", "0", "--out", str(out), "--ptx-grid-db", "0:5:10"])
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --ptx-grid-db" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurvesCommand:
     def test_reference_setup_columns_and_monotonicity(self, tmp_path):
@@ -407,6 +416,16 @@ class TestExitCodes:
 
     def test_unreadable_config(self, tmp_path):
         assert main(["table1", "--config", str(tmp_path / "missing.json")]) == 2
+
+    def test_integer_literal_too_long_to_convert(self, tmp_path, capsys):
+        # json.load raises a plain ValueError beyond 4,300 digits, not a JSONDecodeError
+        config = tmp_path / "big.json"
+        config.write_text('{"N": 1' + "0" * 5000 + ', "antennas": [1]}', encoding="utf-8")
+        out = tmp_path / "x.csv"
+        argv = ["curves", "--config", str(config), "--trials", "2", "--out", str(out)]
+        assert main(argv) == 2
+        assert "is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_infeasible_profile(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"N": 3, "antennas": [2, 2]})

@@ -10,8 +10,8 @@ import mimobc.channel as channel_module
 import mimobc.ergodic as ergodic_module
 from mimobc import (
     ChannelRealization,
+    ConfigurationError,
     CorrelationModel,
-    DomainError,
     ValidationError,
     derive_seed,
     digamma_int,
@@ -141,9 +141,9 @@ class TestDigamma:
             assert relative_error(value, reference) <= 1e-15
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             digamma_int(0)
-        with pytest.raises(DomainError):
+        with pytest.raises(ValidationError):
             digamma_int(-3)
 
 
@@ -267,7 +267,7 @@ class TestEqualAntennaForm:
         assert checks["ergodic_special_cases"].passed
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ergodic_rate_loss_equal(3, 2, 5)
 
 
@@ -289,7 +289,7 @@ class TestSingleAntennaForm:
         assert checks["ergodic_special_cases"].passed
 
     def test_domain(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(ConfigurationError):
             ergodic_rate_loss_equal(3, 1, 2)
 
 

@@ -14,7 +14,14 @@ from mimobc import (
     solve_bc,
 )
 from mimobc.baseline import generate_curves, waterfill
-from mimobc.bc import asymptotic_receiver, bc_covariance
+from mimobc.bc import asymptotic_receiver, bc_covariance, bc_exact_user_rate, mmse_receiver_exact
+from mimobc.ergodic import (
+    digamma_int,
+    ergodic_block_logdet,
+    ergodic_rate_loss_equal,
+    power_offset_db,
+    rate_loss_grid,
+)
 from mimobc.mac import (
     MacCovarianceSet,
     asymptotic_user_rate,
@@ -112,8 +119,12 @@ class TestInvertLower:
 PROFILE = make_profile(5, [2, 2])
 CHANNEL = sample_channel(PROFILE, seed=3)
 
-#: Every entry point that takes a transmit power, power level or path gain.
+#: Every entry point that takes a transmit power, power level, path gain or solver tolerance.
 POWER_ENTRY_POINTS = {
+    "dual_mac_sum_capacity tolerance": lambda t: dual_mac_sum_capacity(CHANNEL, 10.0, t),
+    "generate_curves tolerance": lambda t: generate_curves(
+        PROFILE, None, [0.0], trials=2, tolerance=t
+    ),
     "dual_mac_sum_capacity": lambda p: dual_mac_sum_capacity(CHANNEL, p),
     "asymptotic_receiver": lambda p: asymptotic_receiver(CHANNEL, p, 0),
     "bc_covariance": lambda p: bc_covariance(CHANNEL, p, 0),
@@ -142,6 +153,34 @@ INTEGER_ENTRY_POINTS = {
     "generate_curves max_iterations": lambda m: generate_curves(
         PROFILE, None, [0.0], trials=2, max_iterations=m
     ),
+    "digamma_int": digamma_int,
+    "ergodic_rate_loss_equal users": lambda k: ergodic_rate_loss_equal(k, 2, 6),
+    "ergodic_rate_loss_equal antennas": lambda r: ergodic_rate_loss_equal(2, r, 6),
+    "ergodic_rate_loss_equal N": lambda n: ergodic_rate_loss_equal(1, 2, n),
+    "power_offset_db antenna total": lambda r: power_offset_db(1.0, r),
+    "rate_loss_grid antennas": lambda r: rate_loss_grid([((r, 2), 5)]),
+    "rate_loss_grid N": lambda n: rate_loss_grid([((1,), n)]),
+}
+
+#: Every entry point that takes a user index.
+USER_ENTRY_POINTS = {
+    "mmse_receiver_exact": lambda k: mmse_receiver_exact(
+        CHANNEL, MacCovarianceSet.uniform(PROFILE, 1.0), k
+    ),
+    "asymptotic_receiver": lambda k: asymptotic_receiver(CHANNEL, 1.0, k),
+    "bc_covariance": lambda k: bc_covariance(CHANNEL, 1.0, k),
+    "bc_exact_user_rate": lambda k: bc_exact_user_rate(
+        CHANNEL, solve_bc(CHANNEL, 1.0).precoders, k
+    ),
+    "ergodic_block_logdet": lambda k: ergodic_block_logdet(PROFILE, None, k),
+    "asymptotic_user_rate": lambda k: asymptotic_user_rate(CHANNEL, 1.0, k),
+    "ChannelRealization.gram_inverse_block": lambda k: CHANNEL.gram_inverse_block(k),
+}
+
+#: Every entry point that takes a finite number of either sign.
+FINITE_ENTRY_POINTS = {
+    "waterfill budget": lambda b: waterfill(np.array([1.0, 2.0]), b),
+    "power_offset_db rate loss": lambda loss: power_offset_db(loss, 4),
 }
 
 
@@ -188,6 +227,32 @@ class TestInteger:
             assert type(integer(value, "n")) is int and integer(value, "n") == 2
         assert integer((1 << 64) - 1, "seed") == (1 << 64) - 1
         assert derive_seed(2.0, np.int64(3)) == derive_seed(2, 3)
+
+
+class TestUserIndex:
+    @pytest.mark.parametrize("user", [1.5, True, "0", np.True_, None])
+    @pytest.mark.parametrize("entry", sorted(USER_ENTRY_POINTS))
+    def test_entry_point_rejects(self, entry, user):
+        with pytest.raises(ValidationError, match="user index must be an integer"):
+            USER_ENTRY_POINTS[entry](user)
+
+    @pytest.mark.parametrize("user", [1, 1.0, np.int64(1)])
+    @pytest.mark.parametrize("entry", sorted(USER_ENTRY_POINTS))
+    def test_entry_point_accepts_an_integral_value(self, entry, user):
+        assert np.all(np.asarray(USER_ENTRY_POINTS[entry](user)) == USER_ENTRY_POINTS[entry](1))
+
+
+class TestFiniteNumber:
+    @pytest.mark.parametrize("value", ["1", True, np.True_, None, 1j])
+    @pytest.mark.parametrize("entry", sorted(FINITE_ENTRY_POINTS))
+    def test_entry_point_rejects_a_non_number(self, entry, value):
+        with pytest.raises(ValidationError, match="must be a number"):
+            FINITE_ENTRY_POINTS[entry](value)
+
+    @pytest.mark.parametrize("loss", [float("nan"), float("inf"), -float("inf")])
+    def test_rate_loss_is_finite(self, loss):
+        with pytest.raises(ValidationError, match="rate loss is non-finite"):
+            power_offset_db(loss, 4)
 
 
 class TestFiniteMatrix:
