@@ -32,7 +32,6 @@ import numpy as np
 from ._linalg import LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid
 from .bc import _bc_exact_rates, _bd_directions
 from .channel import (
-    COND_LIMIT,
     ChannelRealization,
     CorrelationModel,
     SystemProfile,
@@ -289,16 +288,16 @@ def generate_curves(
         channels = np.stack(
             [_sample_blocks(profile, correlation, derive_seed(seed, t)) for t in chunk]
         )
-        factors = _factor_grams(
-            channels, hermitize(channels.conj().swapaxes(-1, -2) @ channels), profile
-        )
+        factors = _factor_grams(channels, profile)
         if not factors.full_rank.all():
+            # the realization's own check words the error; the chunk stops either way,
+            # since every later step needs a factor per trial
             bad = int(np.argmin(factors.full_rank))
-            condition = ChannelRealization._from_composite(profile, channels[bad]).gram_condition
-            raise NumericalRankError(
-                f"trial {chunk[bad]}: Gram matrix condition number {condition:.3e} "
-                f"exceeds limit {COND_LIMIT:.0e}"
-            )
+            try:
+                ChannelRealization._from_composite(profile, channels[bad]).require_full_rank()
+            except NumericalRankError as exc:
+                raise NumericalRankError(f"trial {chunk[bad]}: {exc}") from None
+            raise NumericalRankError(f"trial {chunk[bad]}: Gram matrix is rank deficient")
         # unit-power precoder directions: at power P the covariances scale by P / r
         pieces = _bd_directions(profile, channels, factors)
         directions = [d / c[:, None, :] for _, d, c in pieces]

@@ -39,7 +39,7 @@ def mmse_receiver_exact(
     with T_k the principal square root of the user's covariance Q_k;
     ValidationError if the system I + sum_l H_l Q_l H_l^H overflows.
     """
-    user = user_index(channel.profile, user)
+    user = user_index(channel.profile.num_users, user)
     _check_dims(channel, covariances)
     n = channel.profile.base_antennas
     # an overflowing sum is reported by the finiteness check below, not by numpy's warnings
@@ -80,7 +80,7 @@ def _bd_directions(
     diagonal renormalizer: their squares are the diagonal of W^H (block of
     (H^H H)^{-1}) W, computed as the actual norms.
     """
-    gram_inverse = hermitize(factors.inverse)
+    gram_inverse = factors.inverse
     pseudo_inverse = factors.pseudo_inverse(channels)
     pieces: list = [None] * profile.num_users
     for users, rows in profile._blocks_by_size:
@@ -158,7 +158,7 @@ def bc_exact_user_rate(
     H_k^H P_k P_k^H H_k| without assuming the interference terms vanish, so
     block diagonalization is verified rather than presumed.
     """
-    user = user_index(channel.profile, user)
+    user = user_index(channel.profile.num_users, user)
     stacked = [np.asarray(p)[None] for p in precoders]
     rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, [1.0])
     return float(rates[0, 0, user])

@@ -84,8 +84,8 @@ class GramFactors(NamedTuple):
 
     @property
     def inverse(self) -> np.ndarray:
-        """G^-1 = L^-H L^-1."""
-        return self.inv_chol.conj().swapaxes(-1, -2) @ self.inv_chol
+        """G^-1 = L^-H L^-1, hermitized against roundoff."""
+        return hermitize(self.inv_chol.conj().swapaxes(-1, -2) @ self.inv_chol)
 
     def pseudo_inverse(self, channels: np.ndarray) -> np.ndarray:
         """(H^H H)^-1 H^H = L^-H (L^-1 H^H) of each channel H of a stack of the full-rank draws."""
@@ -106,14 +106,13 @@ def _squared_norm(a: np.ndarray) -> np.ndarray:
     return np.square(a.view(np.float64)).sum(axis=(-2, -1))
 
 
-def _factor_grams(
-    channels: np.ndarray, grams: np.ndarray, profile: "SystemProfile"
-) -> GramFactors:
-    """Screen a stack of Gram matrices G = H^H H and factor its full-rank draws.
+def _factor_grams(channels: np.ndarray, profile: "SystemProfile") -> GramFactors:
+    """Screen the Gram matrices G = H^H H of a stack of channels and factor its full-rank draws.
 
-    ``channels`` is the ``(B, N, r)`` stack of composite channels H and
-    ``grams`` their Gram matrices, of which only the lower triangles are read
-    (the imaginary parts of their diagonals are ignored).  The rank rule is
+    ``channels`` is the ``(B, N, r)`` stack of composite channels H.  G is
+    formed here, for every caller, by one batched product and is not
+    symmetrized: only its lower triangle is read (and the real part of its
+    diagonal).  The rank rule is
     ``_well_conditioned`` on the eigenvalues of G.  One Cholesky factor L per
     draw and its triangular inverse (``invert_lower``, in numpy for every stack
     shape) give
@@ -126,6 +125,7 @@ def _factor_grams(
     with C the user's columns of L^-1; the blocks of one size are factored by
     one batched Cholesky, or by QRs of C on the draws that took a QR.
     """
+    grams = channels.conj().swapaxes(-1, -2) @ channels
     try:
         chol = np.linalg.cholesky(grams)
         full_rank = None
@@ -285,11 +285,11 @@ def make_profile(
     return SystemProfile(integer(base_antennas, "N"), antennas, weights)
 
 
-def user_index(profile: SystemProfile, user: int) -> int:
-    """``user`` as an ``integer``; IndexError unless it is a 0-based user of ``profile``."""
+def user_index(users: int, user: int) -> int:
+    """``user`` as an ``integer``; IndexError unless it is a 0-based index of ``users`` users."""
     user = integer(user, "user index")
-    if not 0 <= user < profile.num_users:
-        raise IndexError(f"user index {user} out of range for {profile.num_users} users")
+    if not 0 <= user < users:
+        raise IndexError(f"user index {user} out of range for {users} users")
     return user
 
 
@@ -299,7 +299,7 @@ def block_index_range(profile: SystemProfile, user: int) -> slice:
     Selecting these rows and columns of a composite matrix extracts the
     user's diagonal block without ever materializing a 0/1 selector matrix.
     """
-    return profile.block_slices[user_index(profile, user)]
+    return profile.block_slices[user_index(profile.num_users, user)]
 
 
 @dataclass(frozen=True)
@@ -352,8 +352,8 @@ class CorrelationModel:
         return tuple(stacks)
 
     def block_logdet2(self, user: int) -> float:
-        """log2-determinant of one correlation block."""
-        return logdet2_hpd(self.blocks[user])
+        """log2-determinant of the correlation block of ``user`` (a ``user_index``)."""
+        return logdet2_hpd(self.blocks[user_index(len(self.blocks), user)])
 
 
 @dataclass(frozen=True)
@@ -414,8 +414,8 @@ class ChannelRealization:
 
     @cached_property
     def _gram_factors(self) -> GramFactors:
-        """The rate-loss kernel ``_factor_grams`` on this Gram matrix, a stack of one."""
-        return _factor_grams(self.composite[None], self.gram[None], self.profile)
+        """The rate-loss kernel ``_factor_grams`` on this channel, a stack of one."""
+        return _factor_grams(self.composite[None], self.profile)
 
     @cached_property
     def gram_condition(self) -> float:
@@ -443,7 +443,7 @@ class ChannelRealization:
     @cached_property
     def gram_inverse(self) -> np.ndarray:
         self.require_full_rank()
-        return _readonly(hermitize(self._gram_factors.inverse[0]))
+        return _readonly(self._gram_factors.inverse[0])
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:

@@ -15,6 +15,7 @@ import functools
 import io
 import json
 import sys
+from dataclasses import astuple
 from math import isfinite
 
 import numpy as np
@@ -69,10 +70,10 @@ def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
         handle.write(buffer.getvalue())
 
 
-def _write_json(path: str, kind: str, config: ExperimentConfig, header, rows) -> None:
+def _write_json(path: str, config: ExperimentConfig, header, rows) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "experiment": kind,
+        "experiment": config.kind,
         "seed": config.seed,
         "trials": config.trials,
         "rows": [
@@ -89,7 +90,7 @@ def _write(config: ExperimentConfig, default_name: str, header, rows) -> str:
     if config.format == "csv":
         _write_csv(path, header, rows)
     else:
-        _write_json(path, config.kind, config, header, rows)
+        _write_json(path, config, header, rows)
     return path
 
 
@@ -165,21 +166,8 @@ def _run_curves(config: ExperimentConfig) -> int:
         "max_iterations",
         "max_gap_bits",
     ]
-    rows = [
-        [
-            p.power_db,
-            p.dpc_sum_capacity,
-            p.linear_bd_sum_rate,
-            p.dpc_affine,
-            p.linear_affine,
-            p.dpc_stderr,
-            p.linear_stderr,
-            p.nonconverged,
-            p.max_iterations,
-            p.max_gap_bits,
-        ]
-        for p in points
-    ]
+    # CurvePoint declares its fields in column order
+    rows = [list(astuple(p)) for p in points]
     path = _write(config, "curves", header, rows)
     print(f"wrote {len(rows)} grid points to {path}")
     return _EXIT_OK

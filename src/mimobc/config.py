@@ -7,7 +7,7 @@ fail loudly instead of silently running with defaults.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
@@ -49,20 +49,22 @@ MAX_GRID_POINTS = 100_000
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One run's resolved settings; ``load_config`` alone builds it and holds every default."""
+
     kind: str
-    base_antennas: int | None = None
-    antennas: tuple[int, ...] | None = None
-    weights: tuple[float, ...] | None = None
-    correlation: object = "identity"
-    ptx_grid_db: tuple[float, ...] = field(default_factory=tuple)
-    ptx_db: float = 30.0
-    trials: int = 0
-    seed: int = 1
-    out: str | None = None
-    format: str = "csv"
-    tolerance: float = 1e-8
-    max_iterations: int = 500
-    extra_profiles: tuple[tuple[tuple[int, ...], int], ...] = ()
+    base_antennas: int | None
+    antennas: tuple[int, ...] | None
+    weights: tuple[float, ...] | None
+    correlation: object
+    ptx_grid_db: tuple[float, ...]
+    ptx_db: float
+    trials: int
+    seed: int
+    out: str | None
+    format: str
+    tolerance: float
+    max_iterations: int
+    extra_profiles: tuple[tuple[tuple[int, ...], int], ...]
 
 
 def _configured(check, name: str, value):

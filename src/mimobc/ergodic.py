@@ -105,7 +105,7 @@ def ergodic_block_logdet(
     freedom, giving -(1/ln 2) sum_{l=0}^{r_k-1} psi(N - r + r_k - l); the
     user's correlation block contributes -log2 |C_k|.
     """
-    user = user_index(profile, user)
+    user = user_index(profile.num_users, user)
     check_correlation(profile, correlation)
     r_k = profile.user_antennas[user]
     first = profile.base_antennas - profile.total_antennas + r_k

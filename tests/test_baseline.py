@@ -360,6 +360,10 @@ class TestGenerateCurves:
         # trial 66 falls in the second stack of trials
         with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix condition number"):
             generate_curves(profile, correlation, [10.0], trials=70, seed=4)
+        # a flagged stack stops even when the trial alone passes the rank check
+        monkeypatch.setattr(ChannelRealization, "require_full_rank", lambda channel: None)
+        with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix is rank deficient"):
+            generate_curves(profile, correlation, [10.0], trials=70, seed=4)
 
     def test_builds_no_transmit_covariance(self, fig_setup, monkeypatch):
         # the BD rate needs only the precoder directions, never the covariances

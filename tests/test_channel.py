@@ -27,7 +27,12 @@ from mimobc.channel import (
 )
 from mimobc.bc import bc_covariance, mmse_receiver_exact
 from mimobc.cli import main
-from mimobc.mac import MacCovarianceSet, asymptotic_user_rate
+from mimobc.mac import (
+    MacCovarianceSet,
+    _batch_rate_loss,
+    asymptotic_user_rate,
+    instantaneous_rate_loss,
+)
 
 from conftest import random_hpd
 
@@ -125,9 +130,11 @@ class TestBlockIndexRange:
                 channel, MacCovarianceSet.uniform(channel.profile, 1.0), k
             ),
             lambda channel, k: ergodic_block_logdet(channel.profile, None, k),
+            lambda channel, k: CorrelationModel.identity(channel.profile).block_logdet2(k),
         ],
         ids=[
-            "asymptotic_user_rate", "bc_covariance", "mmse_receiver_exact", "ergodic_block_logdet"
+            "asymptotic_user_rate", "bc_covariance", "mmse_receiver_exact", "ergodic_block_logdet",
+            "CorrelationModel.block_logdet2",
         ],
     )
     def test_every_entry_point_rejects_a_user_outside_the_profile(self, entry, user):
@@ -365,11 +372,11 @@ class TestFactorGrams:
             )
             grams = gram_stack(channels)
             expected = _well_conditioned(np.linalg.eigvalsh(grams))
-            factors = _factor_grams(channels, grams, profile)
+            factors = _factor_grams(channels, profile)
             assert factors.full_rank.tolist() == expected.tolist()
             assert len(factors.chol) == int(expected.sum())
             for i in range(len(grams)):
-                one = _factor_grams(channels[i : i + 1], grams[i : i + 1], profile)
+                one = _factor_grams(channels[i : i + 1], profile)
                 assert bool(one.full_rank[0]) == bool(expected[i])
             bound = np.trace(grams, axis1=-2, axis2=-1).real * np.trace(
                 np.linalg.inv(grams), axis1=-2, axis2=-1
@@ -386,7 +393,7 @@ class TestFactorGrams:
                 np.random.default_rng(5), profile.base_antennas, profile.total_antennas,
                 np.geomspace(1e2, 1e11, 10),
             )
-            factors = _factor_grams(channels, gram_stack(channels), profile)
+            factors = _factor_grams(channels, profile)
             assert factors.full_rank.all()
             for h, loss in zip(channels, factors.rate_loss):
                 expected_loss, expected_inverse = mpmath_rate_loss(h, profile)
@@ -419,7 +426,7 @@ class TestFactorGrams:
         qr_factored = 0
         for h in channels:
             stack = np.repeat(h[None], copies, axis=0)
-            factors = _factor_grams(stack, gram_stack(stack), profile)
+            factors = _factor_grams(stack, profile)
             assert factors.full_rank.all()
             assert bool(block_inverses) == blocked
             for factor, inverse in zip(factors.chol, factors.inv_chol):
@@ -435,12 +442,30 @@ class TestFactorGrams:
             qr_factored += bool(bound > channel_module._QR_BOUND * r)
         assert qr_factored > 0  # some draws took their factor from a QR of H
 
+    @pytest.mark.parametrize(
+        "base, antennas",
+        [(6, (3, 3)), (6, (2, 2, 2)), (12, (4, 3, 3))],
+        ids=["3,3/6", "2,2,2/6", "4,3,3/12"],
+    )
+    @pytest.mark.parametrize("scaled", [False, True], ids=["identity", "scalar"])
+    def test_a_realization_and_a_row_give_the_same_bits(self, base, antennas, scaled):
+        # both form G = H^H H by the kernel's one product, so no value may move in its last bit
+        profile = make_profile(base, antennas)
+        gains = np.linspace(0.5, 2.0, len(antennas))
+        correlation = CorrelationModel.scalar(profile, gains) if scaled else None
+        for seed in range(50):
+            channel = sample_channel(profile, correlation, seed)
+            row = _batch_rate_loss(_sample_blocks(profile, correlation, seed)[None], profile)
+            assert instantaneous_rate_loss(channel) == row.rate_loss[0]
+            assert channel.gram_logdet2 == row.logdet2[0]
+            assert channel.inverse_block_logdet2 == tuple(row.block_logdet2[0].tolist())
+
     def test_a_stack_of_singular_grams_has_no_factors(self):
         profile = make_profile(5, [2, 2])
         rng = np.random.default_rng(6)
         block = rng.standard_normal((3, 5, 2)) + 1j * rng.standard_normal((3, 5, 2))
         channels = np.concatenate([block, block[:, :, ::-1]], axis=-1)
-        factors = _factor_grams(channels, gram_stack(channels), profile)
+        factors = _factor_grams(channels, profile)
         assert factors.full_rank.tolist() == [False] * 3
         assert factors.chol.shape == factors.inv_chol.shape == (0, 4, 4)
         assert factors.rate_loss.shape == (0,)
@@ -459,10 +484,10 @@ class TestFactorGrams:
                 np.linalg.cholesky(grams)
             except np.linalg.LinAlgError:
                 raised += 1
-            factors = _factor_grams(channels, grams, profile)
+            factors = _factor_grams(channels, profile)
             assert factors.full_rank.tolist() == [i != 3 for i in range(8)]
             keep = np.arange(8) != 3
-            regular = _factor_grams(channels[keep], grams[keep], profile)
+            regular = _factor_grams(channels[keep], profile)
             np.testing.assert_allclose(factors.rate_loss, regular.rate_loss, rtol=0, atol=1e-12)
         assert 0 < raised < 6  # both the raising and the non-raising Cholesky are covered
 

@@ -175,6 +175,7 @@ USER_ENTRY_POINTS = {
     "ergodic_block_logdet": lambda k: ergodic_block_logdet(PROFILE, None, k),
     "asymptotic_user_rate": lambda k: asymptotic_user_rate(CHANNEL, 1.0, k),
     "ChannelRealization.gram_inverse_block": lambda k: CHANNEL.gram_inverse_block(k),
+    "CorrelationModel.block_logdet2": lambda k: CorrelationModel.identity(PROFILE).block_logdet2(k),
 }
 
 #: Every entry point that takes a finite number of either sign.
