@@ -30,7 +30,7 @@ from math import isfinite
 import numpy as np
 
 from ._linalg import LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid
-from .bc import _bc_exact_rates, _bd_directions
+from .bc import _bc_exact_rates, _bd_directions, _bd_power
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -110,35 +110,6 @@ class SumCapacityResult:
         return MacCovarianceSet(self.covariance[sl, sl] for sl in self.profile.block_slices)
 
 
-def _waterfill_direction(
-    gram: np.ndarray,
-    covariance: np.ndarray,
-    identity: np.ndarray,
-    other_columns: np.ndarray,
-    blocks: tuple,
-    total_power: float,
-) -> np.ndarray:
-    """Composite covariance of simultaneous waterfilling against the whitened channels.
-
-    ``identity`` is I_r, and ``other_columns`` and ``blocks`` are the
-    profile's ``_other_columns`` and ``_block_indices``.  With that mask,
-    (G Q) * mask[k] = G Q_{-k}; one solve then gives every user's whitened
-    channel, and one ``eigh`` per block size their modes.
-    """
-    r = gram.shape[-1]
-    whitened = np.linalg.solve(identity + (gram @ covariance) * other_columns, gram)
-    modes = [np.linalg.eigh(hermitize(whitened[index])) for index in blocks]
-    gains = np.concatenate([values.ravel() for values, _ in modes])
-    powers = waterfill(np.maximum(gains, 0.0), total_power)
-    refilled = np.zeros((r, r), dtype=complex)
-    offset = 0
-    for (_, rows, columns), (values, vectors) in zip(blocks, modes):
-        p = powers[offset : offset + values.size].reshape(values.shape)
-        offset += values.size
-        refilled[rows, columns] = (vectors * p[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
-    return hermitize(refilled)
-
-
 def _certified_gap(
     gram: np.ndarray, covariance: np.ndarray, profile: SystemProfile, total_power: float
 ) -> float:
@@ -152,8 +123,8 @@ def _certified_gap(
     """
     gradient = np.linalg.solve(np.eye(gram.shape[-1]) + gram @ covariance, gram)
     top = max(
-        float(np.linalg.eigvalsh(hermitize(gradient[index[1:]]))[:, -1].max())
-        for index in profile._block_indices
+        float(np.linalg.eigvalsh(hermitize(gradient[rows[:, :, None], rows[:, None, :]])).max())
+        for _, rows in profile._blocks_by_size
     )
     inner = float(np.trace(gradient @ covariance).real)
     return max(0.0, total_power * top - inner) / LN2
@@ -188,15 +159,31 @@ def dual_mac_sum_capacity(
     gram = channel.gram
     r = profile.total_antennas
     identity = np.eye(r)
-    other_columns, blocks = profile._other_columns, profile._block_indices
+    # per group of users with one antenna count: S[blocks[i]] holds block k of
+    # S[k] for each user k of the group, and M[blocks[i][1:]] the group's
+    # diagonal blocks of a composite matrix M
+    blocks = [
+        (users[:, None, None], rows[:, :, None], rows[:, None, :])
+        for users, rows in profile._blocks_by_size
+    ]
     current = (total_power / r) * np.eye(r, dtype=complex)
     history = [float(_objective(gram, current))]
     converged = False
 
     for _ in range(max_iterations):
-        refilled = _waterfill_direction(
-            gram, current, identity, other_columns, blocks, total_power
-        )
+        # simultaneous waterfilling against the whitened channels: with the mask,
+        # (G Q) * _other_columns[k] = G Q_{-k}, so one solve whitens every user,
+        # and one eigh per block size gives their modes
+        whitened = np.linalg.solve(identity + (gram @ current) * profile._other_columns, gram)
+        modes = [np.linalg.eigh(hermitize(whitened[index])) for index in blocks]
+        powers = waterfill(np.concatenate([gains.ravel() for gains, _ in modes]), total_power)
+        refilled = np.zeros((r, r), dtype=complex)
+        offset = 0
+        for index, (gains, vectors) in zip(blocks, modes):
+            p = powers[offset : offset + gains.size].reshape(gains.shape)
+            offset += gains.size
+            refilled[index[1:]] = (vectors * p[:, None, :]) @ vectors.conj().swapaxes(-1, -2)
+        refilled = hermitize(refilled)
         # backtracking line search keeps the objective monotone for any K; the
         # candidates are exactly Hermitian as convex combinations of two such
         candidates = _KEEP_WEIGHTS * current + _STEP_WEIGHTS * refilled
@@ -237,10 +224,10 @@ class CurvePoint:
     linear_affine: float
     dpc_stderr: float
     linear_stderr: float
-    nonconverged: int = 0
+    nonconverged: int
     #: The most iterations and the largest certified gap of this point's solves.
-    max_iterations: int = 0
-    max_gap_bits: float = 0.0
+    max_iterations: int
+    max_gap_bits: float
 
 
 def generate_curves(
@@ -259,7 +246,8 @@ def generate_curves(
     (trial t uses the stream seeded with derive_seed(seed, t)), and evaluates
     both closed-form affine approximations.  Solver non-convergence is
     counted per point, never silently dropped, next to the most iterations
-    and the largest certified gap of the point's solves.
+    and the largest certified gap of the point's solves.  A grid point above
+    ``bc.MAX_BD_POWER_DB`` raises ValidationError before any draw.
     """
     grid = power_grid(power_grid_db, "power grid")
     trials, seed = integer(trials, "trials"), integer(seed, "seed")
@@ -267,6 +255,7 @@ def generate_curves(
     max_iterations = integer(max_iterations, "max_iterations")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
+    _bd_power(power_from_db(grid[-1]))  # the grid ascends
 
     r = profile.total_antennas
     dpc_offset = ergodic_dpc_logdet(profile, correlation)

@@ -22,12 +22,27 @@ from ._linalg import (
     logdet2_hpd,
     normalize_eigenvector_phases,
     positive_finite,
+    power_from_db,
 )
 from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range, user_index
 from .errors import DegeneracyError, ValidationError
 from .mac import MacCovarianceSet, _check_dims
 
 __all__ = ["solve_bc"]
+
+#: Largest transmit power, in dB, of the exact BD rate.  The precoders leave a
+#: rounding-level residual interference that the exact rate scales by the
+#: power: the rate's distance to its asymptote bottoms out near 1e-13 bits at
+#: 150-160 dB and grows tenfold per 10 dB above, past 1 bit by 290 dB.
+MAX_BD_POWER_DB = 160.0
+
+
+def _bd_power(total_power) -> float:
+    """``total_power`` if it is ``positive_finite`` and at most ``MAX_BD_POWER_DB``."""
+    total_power = positive_finite(total_power, "transmit power")
+    if total_power > power_from_db(MAX_BD_POWER_DB):
+        raise ValidationError(f"transmit power {total_power:g} is above {MAX_BD_POWER_DB:g} dB")
+    return total_power
 
 
 def mmse_receiver_exact(
@@ -138,7 +153,7 @@ def _bc_exact_rates(
     gains = np.asarray(gains, dtype=float)[:, None, None, None, None]
     rates = np.empty((gains.shape[0], len(channels), profile.num_users))
     for users, rows in profile._blocks_by_size:
-        own = owner == np.array(users)[:, None, None]  # (m, 1, columns)
+        own = owner == users[:, None, None]  # (m, 1, columns)
         block = cross[:, rows]  # (T, m, r_k, columns)
         interference, signal = np.where(own, 0.0, block), np.where(own, block, 0.0)
         noise = np.eye(rows.shape[1]) + gains * hermitize(
@@ -196,8 +211,8 @@ class BcSolution:
 
 
 def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
-    """Build the full block-diagonalizing downlink solution for one channel."""
-    total_power = positive_finite(total_power, "transmit power")
+    """The block-diagonalizing downlink solution of one channel, at most ``MAX_BD_POWER_DB``."""
+    total_power = _bd_power(total_power)
     profile = channel.profile
     column_norm = sqrt(total_power / profile.total_antennas)
     channel.require_full_rank()

@@ -240,29 +240,19 @@ class SystemProfile:
         return _equal_runs(self.user_antennas)
 
     @cached_property
-    def _blocks_by_size(self) -> tuple[tuple[list[int], np.ndarray], ...]:
-        """Users grouped by antenna count, each group with its ``(m, r_k)`` row indices."""
+    def _blocks_by_size(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """Users grouped by antenna count: each group's ``(m,)`` users and ``(m, r_k)`` row indices.
+
+        ``M[rows[:, :, None], rows[:, None, :]]`` is the ``(m, r_k, r_k)``
+        stack of the group's diagonal blocks of an r x r composite matrix M.
+        """
         groups: dict[int, list[int]] = {}
         for k, r_k in enumerate(self.user_antennas):
             groups.setdefault(r_k, []).append(k)
         slices = self.block_slices
         return tuple(
-            (users, np.array([np.arange(slices[k].start, slices[k].stop) for k in users]))
+            (np.array(users), np.array([np.arange(slices[k].start, slices[k].stop) for k in users]))
             for users in groups.values()
-        )
-
-    @cached_property
-    def _block_indices(self) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
-        """Per group of ``_blocks_by_size``: fancy indices (users, rows, columns).
-
-        ``M[rows, columns]`` is the ``(m, r_k, r_k)`` stack of the group's
-        diagonal blocks of an r x r composite matrix M, and
-        ``S[users, rows, columns]`` holds block k of S[k] for every user k of
-        the group.
-        """
-        return tuple(
-            (np.array(users)[:, None, None], rows[:, :, None], rows[:, None, :])
-            for users, rows in self._blocks_by_size
         )
 
     @cached_property

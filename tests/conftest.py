@@ -1,21 +1,8 @@
-import os
-from pathlib import Path
-
 import numpy as np
 import pytest
 
 from mimobc import CorrelationModel, make_profile, sample_channel
-from mimobc.validation import random_hpd, run_all_checks  # noqa: F401  (random_hpd serves the test modules)
-
-
-#: The ``src`` directory of this checkout.
-SRC = Path(__file__).resolve().parents[1] / "src"
-
-
-def checkout_env() -> dict:
-    """The environment for a subprocess that must import this checkout's package."""
-    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
-    return {**os.environ, "PYTHONPATH": path}
+from mimobc.validation import run_all_checks
 
 
 @pytest.fixture(scope="session")

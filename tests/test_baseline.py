@@ -321,14 +321,23 @@ class TestGenerateCurves:
             name: count_calls(monkeypatch, module, name)
             for module, name in [
                 (mimobc.baseline, "dual_mac_sum_capacity"),
+                (mimobc.baseline, "_certified_gap"),
+                (mimobc.baseline, "_objective"),
+                (mimobc.baseline, "waterfill"),
                 (mimobc.channel, "_sample_blocks"),
                 (mimobc.bc, "bc_covariance"),
             ]
         }
         grid = [float(p) for p in range(0, 41, 5)]
         generate_curves(profile, correlation, grid, trials=3, seed=1)
-        assert {name: len(made) for name, made in calls.items()} == {
-            "dual_mac_sum_capacity": 27, "_sample_blocks": 3, "bc_covariance": 0,
+        counts = {name: len(made) for name, made in calls.items()}
+        # each solve scores its start and waterfills at least once, so the
+        # tracer's objective, waterfill and gap layers never read 0
+        assert counts["_objective"] >= 27 and counts["waterfill"] >= 27
+        del counts["_objective"], counts["waterfill"]
+        assert counts == {
+            "dual_mac_sum_capacity": 27, "_certified_gap": 27, "_sample_blocks": 3,
+            "bc_covariance": 0,
         }
 
     @pytest.mark.parametrize(
@@ -375,6 +384,20 @@ class TestGenerateCurves:
 
         monkeypatch.setattr("mimobc.bc.bc_covariance", fail)
         assert generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4) == expected
+
+    def test_power_bound_of_the_bd_rate(self, fig_setup):
+        # unbounded, linear_exact - linear_affine read 2.405 to 250 dB and -3,567 at 3,000 dB
+        profile, correlation = fig_setup
+        for grid in ([300.0], [0.0, 160.5]):
+            with pytest.raises(ValidationError, match="above 160 dB"):
+                generate_curves(profile, correlation, grid, trials=2, seed=1)
+        (point,) = generate_curves(profile, correlation, [160.0], trials=3, seed=1)
+        asymptotes = [
+            4 * np.log2(1e16 / 4)
+            - sum(sample_channel(profile, correlation, derive_seed(1, t)).inverse_block_logdet2)
+            for t in range(3)
+        ]
+        assert abs(point.linear_bd_sum_rate - np.mean(asymptotes)) <= 1e-9
 
     def test_rejects_bad_grid(self, fig_setup):
         profile, correlation = fig_setup

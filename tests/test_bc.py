@@ -11,6 +11,7 @@ from mimobc import (
     solve_bc,
 )
 from mimobc.bc import (
+    MAX_BD_POWER_DB,
     _bc_exact_rates,
     _bd_directions,
     asymptotic_receiver,
@@ -27,10 +28,9 @@ from mimobc._linalg import (
     hermitize,
     logdet2_hpd,
     normalize_eigenvector_phases,
+    power_from_db,
 )
-from mimobc.validation import _eigenbasis_slack
-
-from conftest import random_hpd
+from mimobc.validation import _eigenbasis_slack, random_hpd
 
 
 def identity_channel(antennas) -> ChannelRealization:
@@ -347,6 +347,26 @@ class TestBcPrecoder:
                 np.eye(2) + power / 4 * np.linalg.inv(block)
             )
             assert via_scales == pytest.approx(direct, abs=1e-9)
+
+
+class TestBdPowerBound:
+    def test_a_power_above_the_bound_is_rejected(self):
+        # unbounded, this channel's exact BD rate read 0.58 bits below its asymptote at 300 dB
+        channel = sample_channel(make_profile(5, [2, 2]), seed=3)
+        with pytest.raises(ValidationError, match="above 160 dB"):
+            solve_bc(channel, 1e30)
+        with pytest.raises(ValidationError, match="above 160 dB"):
+            solve_bc(channel, np.nextafter(power_from_db(MAX_BD_POWER_DB), np.inf))
+
+    @pytest.mark.parametrize("base, antennas", [(5, (2, 2)), (12, (4, 3, 3)), (6, (2, 2, 2))])
+    def test_the_bound_is_within_rounding_of_the_asymptote(self, base, antennas):
+        # r log2(P / r) - sum_k log2|[G^-1]_kk|, on the same channel
+        profile = make_profile(base, antennas)
+        power, r = power_from_db(MAX_BD_POWER_DB), profile.total_antennas
+        for seed in range(20):
+            channel = sample_channel(profile, seed=seed)
+            asymptote = r * np.log2(power / r) - sum(channel.inverse_block_logdet2)
+            assert abs(solve_bc(channel, power).sum_rate - asymptote) <= 1e-9
 
 
 class TestBcCovariance:

@@ -33,8 +33,7 @@ from mimobc.mac import (
     asymptotic_user_rate,
     instantaneous_rate_loss,
 )
-
-from conftest import random_hpd
+from mimobc.validation import random_hpd
 
 
 def per_user_draw(rng, profile, sqrt_blocks, count):

@@ -24,7 +24,7 @@ from mimobc.errors import ConfigurationError
 from mimobc.mac import asymptotic_rate_report, dpc_asymptotic_sum_rate
 from mimobc.validation import CheckResult
 
-from conftest import checkout_env
+from checkout import checkout_env
 
 
 def read_csv(path):
@@ -425,6 +425,16 @@ class TestExitCodes:
         argv = ["curves", "--config", str(config), "--trials", "2", "--out", str(out)]
         assert main(argv) == 2
         assert "is not valid JSON" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_curves_power_above_the_bd_bound(self, tmp_path, capsys):
+        # accepted by the config, whose dB rule is only a finite positive power
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        out = tmp_path / "x.csv"
+        argv = ["curves", "--config", config, "--trials", "2", "--out", str(out),
+                "--ptx-grid-db", "300:1:300"]
+        assert main(argv) == 2
+        assert "above 160 dB" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_profile(self, tmp_path):

@@ -26,8 +26,8 @@ from mimobc import (
 )
 from mimobc.channel import _draw
 from mimobc.ergodic import EULER_GAMMA, default_trials, ergodic_rate_loss_equal, rate_loss_grid
+from mimobc.validation import random_hpd
 
-from conftest import random_hpd
 from reference_table import REFERENCE_RATE_LOSS
 
 LN2 = np.log(2.0)

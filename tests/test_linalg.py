@@ -31,8 +31,7 @@ from mimobc.mac import (
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE as CUTOFF
 from mimobc._linalg import _INVERSE_BLOCK as BLOCK
 from mimobc._linalg import integer, invert_lower, positive_finite
-
-from conftest import random_hpd
+from mimobc.validation import random_hpd
 
 
 def cholesky_stack(rng, count, size):

@@ -18,8 +18,7 @@ from mimobc.mac import (
     exact_rate_report,
     optimal_power_split,
 )
-
-from conftest import random_hpd
+from mimobc.validation import random_hpd
 
 
 def identity_channel(size: int) -> ChannelRealization:

@@ -16,7 +16,7 @@ import pytest
 
 from mimobc import validation
 
-from conftest import checkout_env
+from checkout import checkout_env
 
 CHECK_NAMES = sorted(
     name.removeprefix("check_") for name in vars(validation) if name.startswith("check_")
