@@ -27,7 +27,6 @@ from .ergodic import (
 )
 from .errors import (
     ConfigurationError,
-    DegeneracyError,
     MimoBcError,
     NumericalRankError,
     ValidationError,
@@ -42,7 +41,6 @@ __all__ = [
     "ChannelRealization",
     "ConfigurationError",
     "CorrelationModel",
-    "DegeneracyError",
     "MimoBcError",
     "NumericalRankError",
     "ValidationError",

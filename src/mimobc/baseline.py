@@ -36,8 +36,8 @@ from .channel import (
     CorrelationModel,
     SystemProfile,
     _factor_grams,
-    _sample_blocks,
     derive_seed,
+    sample_channel,
 )
 from .ergodic import ergodic_block_logdet, ergodic_dpc_logdet
 from .errors import NumericalRankError, ValidationError
@@ -279,16 +279,15 @@ def generate_curves(
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         chunk = range(start, stop)
-        channels = np.stack(
-            [_sample_blocks(profile, correlation, derive_seed(seed, t)) for t in chunk]
-        )
+        realizations = [sample_channel(profile, correlation, derive_seed(seed, t)) for t in chunk]
+        channels = np.stack([channel.composite for channel in realizations])
         factors = _factor_grams(channels, profile)
         if not factors.full_rank.all():
             # the realization's own check words the error; the chunk stops either way,
             # since every later step needs a factor per trial
             bad = int(np.argmin(factors.full_rank))
             try:
-                ChannelRealization._from_composite(profile, channels[bad]).require_full_rank()
+                realizations[bad].require_full_rank()
             except NumericalRankError as exc:
                 raise NumericalRankError(f"trial {chunk[bad]}: {exc}") from None
             raise NumericalRankError(f"trial {chunk[bad]}: Gram matrix is rank deficient")
@@ -297,8 +296,7 @@ def generate_curves(
         directions = [d / c[:, None, :] for _, d, c in pieces]
         rates = _bc_exact_rates(profile, channels, directions, gains)
         linear_values[:, start:stop] = rates.sum(axis=-1)
-        for t, composite in zip(chunk, channels):
-            channel = ChannelRealization._from_composite(profile, composite)
+        for t, channel in zip(chunk, realizations):
             for i, power in enumerate(powers):
                 result = dual_mac_sum_capacity(channel, power, tolerance)
                 nonconverged[i] += not result.converged

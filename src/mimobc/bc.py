@@ -25,7 +25,7 @@ from ._linalg import (
     power_from_db,
 )
 from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range, user_index
-from .errors import DegeneracyError, ValidationError
+from .errors import ValidationError
 from .mac import MacCovarianceSet, _check_dims
 
 __all__ = ["solve_bc"]
@@ -93,7 +93,9 @@ def _bd_directions(
     fixed by making its largest-magnitude entry real positive, so the output
     is deterministic up to degenerate eigenvalues.  The column norms are the
     diagonal renormalizer: their squares are the diagonal of W^H (block of
-    (H^H H)^{-1}) W, computed as the actual norms.
+    (H^H H)^{-1}) W, computed as the actual norms.  They are positive: each
+    square is an eigenvalue of [G^-1]_kk, at least 1 / lambda_max(G) for a
+    finite G.
     """
     gram_inverse = factors.inverse
     pseudo_inverse = factors.pseudo_inverse(channels)
@@ -105,8 +107,6 @@ def _bd_directions(
         directions = pseudo_inverse[:, rows].conj().swapaxes(-1, -2) @ bases
         scales = np.linalg.norm(directions, axis=-2)
         for j, k in enumerate(users):
-            if np.any(scales[:, j] <= 0.0):
-                raise DegeneracyError(f"nonpositive column scale for user {k}")
             pieces[k] = (bases[:, j], directions[:, j], scales[:, j])
     return pieces
 
@@ -215,7 +215,6 @@ def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
     total_power = _bd_power(total_power)
     profile = channel.profile
     column_norm = sqrt(total_power / profile.total_antennas)
-    channel.require_full_rank()
     pieces = _bd_directions(profile, channel.composite[None], channel._gram_factors)
     bases, directions, scales = zip(*[(w[0], d[0], c[0]) for w, d, c in pieces])
     precoders = tuple(column_norm * d / c for d, c in zip(directions, scales))

@@ -54,7 +54,9 @@ def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
     ``COND_LIMIT`` times it; the one conditioning rule of the package.
     """
     smallest = eigenvalues[..., 0]
-    return (smallest > 0.0) & (eigenvalues[..., -1] <= COND_LIMIT * smallest)
+    # above about 1.8e296 the bound overflows to inf, which every finite eigenvalue meets
+    with np.errstate(over="ignore"):
+        return (smallest > 0.0) & (eigenvalues[..., -1] <= COND_LIMIT * smallest)
 
 
 #: A Gram matrix with tr(G) tr(G^-1) at most this fraction of ``COND_LIMIT`` is
@@ -351,9 +353,12 @@ class ChannelRealization:
     """Per-user channel matrices plus cached composite and Gram products.
 
     Takes the profile and any iterable of array-likes, one ``(N, r_k)`` block
-    per user, and keeps a checked, read-only copy of each.  Immutable after
+    per user, and keeps a checked, read-only copy of each: finite, of the
+    user's shape, and with a finite squared norm in sum.  Immutable after
     construction; all derived matrices are cached lazily and exposed as
-    read-only arrays, so realizations are safe to share across threads.
+    read-only arrays, so realizations are safe to share across threads.  The
+    rank-dependent accessors raise NumericalRankError through one gate,
+    ``_gram_factors``.
     """
 
     profile: SystemProfile
@@ -372,24 +377,12 @@ class ChannelRealization:
                     f"channel block {k} has shape {h.shape}, expected {expected}"
                 )
             converted.append(_readonly(h))
+        # tr G = ||H||_F^2 bounds every Gram entry and every partial sum of H^H H; the
+        # BLAS dot overflows to inf or NaN without a numpy warning, and both fail here
+        trace = sum(float(np.vdot(h, h).real) for h in converted)
+        if not isfinite(trace):
+            raise ValidationError("channel squared norm ||H||_F^2 = tr(H^H H) is not finite")
         object.__setattr__(self, "blocks", tuple(converted))
-
-    @classmethod
-    def _from_composite(cls, profile: SystemProfile, composite) -> "ChannelRealization":
-        """The realization of an ``(N, r)`` composite channel, checked once.
-
-        A read-only copy of the composite is cached as ``composite``, and the
-        user blocks are read-only views of its columns.
-        """
-        h = _readonly(finite_matrix(composite, "channel"))
-        expected = (profile.base_antennas, profile.total_antennas)
-        if h.shape != expected:
-            raise ValidationError(f"channel has shape {h.shape}, expected {expected}")
-        channel = object.__new__(cls)
-        object.__setattr__(channel, "profile", profile)
-        object.__setattr__(channel, "blocks", tuple(h[:, sl] for sl in profile.block_slices))
-        channel.__dict__["composite"] = h
-        return channel
 
     @cached_property
     def composite(self) -> np.ndarray:
@@ -404,8 +397,18 @@ class ChannelRealization:
 
     @cached_property
     def _gram_factors(self) -> GramFactors:
-        """The rate-loss kernel ``_factor_grams`` on this channel, a stack of one."""
-        return _factor_grams(self.composite[None], self.profile)
+        """The rate-loss kernel ``_factor_grams`` on this channel, a stack of one.
+
+        The one rank gate of the accessors below: NumericalRankError unless
+        the Gram matrix is numerically invertible (``_well_conditioned``).
+        """
+        factors = _factor_grams(self.composite[None], self.profile)
+        if not factors.full_rank[0]:
+            raise NumericalRankError(
+                f"Gram matrix condition number {self.gram_condition:.3e} "
+                f"exceeds limit {COND_LIMIT:.0e}"
+            )
+        return factors
 
     @cached_property
     def gram_condition(self) -> float:
@@ -417,28 +420,21 @@ class ChannelRealization:
         return float(eigenvalues[-1]) / smallest
 
     def require_full_rank(self) -> None:
-        """Raise unless the Gram matrix is numerically invertible (``_well_conditioned``)."""
-        if not self._gram_factors.full_rank[0]:
-            raise NumericalRankError(
-                f"Gram matrix condition number {self.gram_condition:.3e} "
-                f"exceeds limit {COND_LIMIT:.0e}"
-            )
+        """Raise the rank gate's NumericalRankError unless the Gram matrix is full rank."""
+        self._gram_factors  # noqa: B018 - the cached property raises
 
     @cached_property
     def gram_logdet2(self) -> float:
         """log2-determinant of the Gram matrix."""
-        self.require_full_rank()
         return float(self._gram_factors.logdet2[0])
 
     @cached_property
     def gram_inverse(self) -> np.ndarray:
-        self.require_full_rank()
         return _readonly(self._gram_factors.inverse[0])
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
         """Left pseudo-inverse (H^H H)^{-1} H^H (valid since N >= r)."""
-        self.require_full_rank()
         return _readonly(self._gram_factors.pseudo_inverse(self.composite[None])[0])
 
     def gram_inverse_block(self, user: int) -> np.ndarray:
@@ -449,7 +445,6 @@ class ChannelRealization:
     @cached_property
     def inverse_block_logdet2(self) -> tuple[float, ...]:
         """log2-determinant of every user's diagonal block of the inverse Gram matrix."""
-        self.require_full_rank()
         return tuple(self._gram_factors.block_logdet2[0].tolist())
 
 
@@ -518,5 +513,5 @@ def sample_channel(
     matrix.  Identical (profile, correlation, seed) inputs yield bit-identical
     output; seeds are interpreted modulo 2**64.
     """
-    composite = _sample_blocks(profile, correlation, integer(seed, "seed"))
-    return ChannelRealization._from_composite(profile, composite)
+    h = _sample_blocks(profile, correlation, integer(seed, "seed"))
+    return ChannelRealization(profile, (h[:, sl] for sl in profile.block_slices))

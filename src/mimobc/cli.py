@@ -31,7 +31,7 @@ from .config import (
     load_config,
 )
 from .ergodic import monte_carlo_rate_loss, rate_loss_grid
-from .errors import ConfigurationError, DegeneracyError, NumericalRankError, ValidationError
+from .errors import ConfigurationError, NumericalRankError, ValidationError
 from .mac import _asymptotes, _batch_rate_loss, optimal_power_split
 from .validation import MIN_VALIDATE_TRIALS, run_all_checks
 
@@ -241,7 +241,7 @@ def main(argv=None) -> int:
     except (ConfigurationError, ValidationError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR
-    except (NumericalRankError, DegeneracyError, np.linalg.LinAlgError) as exc:
+    except (NumericalRankError, np.linalg.LinAlgError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return _EXIT_NUMERICAL_ERROR
     except OSError as exc:

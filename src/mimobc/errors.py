@@ -15,7 +15,3 @@ class ValidationError(MimoBcError, ValueError):
 
 class NumericalRankError(MimoBcError, ArithmeticError):
     """A Gram matrix is too ill-conditioned for the requested operation."""
-
-
-class DegeneracyError(MimoBcError, ArithmeticError):
-    """A degenerate channel produced a zero direction where a positive scale is required."""

@@ -385,7 +385,7 @@ class TestGenerateCurves:
 
     def test_rank_deficient_trial_is_named(self, fig_setup, monkeypatch):
         profile, correlation = fig_setup
-        draw = mimobc.baseline._sample_blocks
+        draw = mimobc.channel._sample_blocks
 
         def duplicate_a_column(profile, correlation, seed):
             h = draw(profile, correlation, seed)
@@ -393,7 +393,7 @@ class TestGenerateCurves:
                 h[:, 2] = h[:, 0]
             return h
 
-        monkeypatch.setattr("mimobc.baseline._sample_blocks", duplicate_a_column)
+        monkeypatch.setattr("mimobc.channel._sample_blocks", duplicate_a_column)
         # trial 66 falls in the second stack of trials
         with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix condition number"):
             generate_curves(profile, correlation, [10.0], trials=70, seed=4)

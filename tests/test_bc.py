@@ -180,11 +180,12 @@ class TestMmseReceiver:
         assert largest_error(got, expected) <= np.linalg.cond(system) * EPS
 
     def test_overflowing_system_is_a_validation_error(self):
+        # a finite-norm channel whose H_k Q_k H_k^H overflows at a large power
         profile = make_profile(5, [2, 2])
         channel = ChannelRealization(
-            profile, [1e160 * h for h in sample_channel(profile, seed=3).blocks]
+            profile, [1e150 * h for h in sample_channel(profile, seed=3).blocks]
         )
-        covariances = MacCovarianceSet.uniform(profile, 10.0)
+        covariances = MacCovarianceSet.uniform(profile, 1e100)
         # the overflow surfaces as the typed failure alone: any escaping warning fails here
         with pytest.raises(ValidationError, match="MMSE receiver system has non-finite"):
             mmse_receiver_exact(channel, covariances, 0)

@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import mimobc.baseline
+import mimobc.channel
 from mimobc import derive_seed, instantaneous_rate_loss, sample_channel
 from mimobc._linalg import power_from_db
 from mimobc.baseline import DEFAULT_TOLERANCE
@@ -642,6 +642,37 @@ class TestExitCodes:
         assert "at least 100 trials" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "payload, flags, message",
+        [
+            ({"N": 5, "antennas": [2, 2]}, ["--ptx-grid-db", "1:2"],
+             "grid spec must be start:step:stop, got '1:2'"),
+            ({"N": 5, "antennas": [2, 2]}, ["--ptx-grid-db", "a:1:2"],
+             "non-numeric grid spec 'a:1:2'"),
+            ({"N": 5, "antennas": [2, 2], "trials": -1}, [], "trials must be nonnegative, got -1"),
+            ([{"N": 5, "antennas": [2, 2]}], [], "must hold a JSON object"),
+            ({"N": 5, "antennas": [2, 2], "correlation": "x"}, [],
+             "correlation must be 'identity', {'scalars': [...]}, or {'matrices': [...]}, got 'x'"),
+        ],
+        ids=["grid-spec-two-parts", "grid-spec-non-numeric", "negative-trials", "json-list",
+             "unknown-correlation"],
+    )
+    def test_rejected_config(self, tmp_path, capsys, payload, flags, message):
+        config = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "x.csv"
+        assert main(["curves", "--config", config, "--out", str(out), *flags]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_unknown_experiment_kind(self, capsys):
+        with pytest.raises(ConfigurationError, match="^unknown experiment kind 'nope'"):
+            load_config("nope")
+        # the parser refuses the subcommand before any config is loaded
+        with pytest.raises(SystemExit) as exit_info:
+            main(["nope"])
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'nope'" in capsys.readouterr().err
+
     def test_rank_deficient_curves_trial_is_a_numerical_error(self, tmp_path, monkeypatch, capsys):
         def duplicate_a_column(profile, correlation, seed):
             h = draw(profile, correlation, seed)
@@ -649,8 +680,8 @@ class TestExitCodes:
                 h[:, 2] = h[:, 0]
             return h
 
-        draw = mimobc.baseline._sample_blocks
-        monkeypatch.setattr("mimobc.baseline._sample_blocks", duplicate_a_column)
+        draw = mimobc.channel._sample_blocks
+        monkeypatch.setattr("mimobc.channel._sample_blocks", duplicate_a_column)
         config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
         out = tmp_path / "x.csv"
         assert main(["curves", "--config", config, "--trials", "3", "--seed", "1",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from mimobc import (
+    ChannelRealization,
     CorrelationModel,
     ValidationError,
     derive_seed,
@@ -25,11 +26,12 @@ from mimobc.mac import (
     MacCovarianceSet,
     asymptotic_user_rate,
     dpc_asymptotic_sum_rate,
+    exact_rate_report,
     optimal_power_split,
 )
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE as CUTOFF
 from mimobc._linalg import _INVERSE_BLOCK as BLOCK
-from mimobc._linalg import integer, invert_lower, positive_finite
+from mimobc._linalg import hermitian_input, integer, invert_lower, positive_finite, power_grid
 from mimobc.validation import random_hpd
 
 
@@ -264,3 +266,56 @@ class TestFiniteMatrix:
             with pytest.raises(ValidationError, match="non-finite"):
                 build()
 
+
+#: (call, error type, message) of each rejection of a library entry point whose
+#: message no other test matches.
+REJECTIONS = {
+    "power_grid not a list": (
+        lambda: power_grid(5, "power grid"), ValidationError,
+        "power grid must be a list of dB values, got 5",
+    ),
+    "hermitian_input not square": (
+        lambda: hermitian_input(np.ones((2, 3)), "matrix", definite=False), ValidationError,
+        r"matrix is not square: shape \(2, 3\)",
+    ),
+    "dual_mac_sum_capacity max_iterations 0": (
+        lambda: dual_mac_sum_capacity(CHANNEL, 10.0, max_iterations=0), ValidationError,
+        "need at least one iteration, got 0",
+    ),
+    "generate_curves one trial": (
+        lambda: generate_curves(PROFILE, None, [0.0], trials=1), ValidationError,
+        "need at least 2 trials, got 1",
+    ),
+    "make_profile no users": (
+        lambda: make_profile(5, []), ValidationError, "at least one user is required",
+    ),
+    "CorrelationModel.scalar gain count": (
+        lambda: CorrelationModel.scalar(PROFILE, [1.0]), ValidationError, "1 gains for 2 users",
+    ),
+    "ChannelRealization block count": (
+        lambda: ChannelRealization(PROFILE, [np.ones((5, 2))]), ValidationError,
+        "1 channel blocks for 2 users",
+    ),
+    "power_offset_db antenna total 0": (
+        lambda: power_offset_db(1.0, 0), ValidationError, "antenna total must be positive, got 0",
+    ),
+    "exact_rate_report covariance count": (
+        lambda: exact_rate_report(CHANNEL, MacCovarianceSet([np.eye(2)])), ValidationError,
+        "1 covariances for 2 users",
+    ),
+    "bc_exact_user_rate precoder count": (
+        lambda: bc_exact_user_rate(CHANNEL, solve_bc(CHANNEL, 1.0).precoders[:1], 0),
+        ValidationError, "1 precoders for 2 users",
+    ),
+    "bc_exact_user_rate precoder rows": (
+        lambda: bc_exact_user_rate(CHANNEL, [p[1:] for p in solve_bc(CHANNEL, 1.0).precoders], 0),
+        ValidationError, "precoder 0 has 4 rows, expected 5",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REJECTIONS))
+def test_entry_point_rejection(case):
+    call, error, message = REJECTIONS[case]
+    with pytest.raises(error, match=f"^{message}$"):
+        call()

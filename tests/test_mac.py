@@ -325,6 +325,11 @@ class TestMacCovarianceSet:
         with pytest.raises(ValidationError):
             MacCovarianceSet([np.diag([1.0, -0.1])])
 
+    def test_overflowing_total_power_is_the_validation_error_alone(self):
+        # each trace is 2e308 = inf; numpy's overflow warning must not escape first
+        with pytest.raises(ValidationError, match="total transmit power is not finite"):
+            MacCovarianceSet([1e308 * np.eye(2), 1e308 * np.eye(2)])
+
     def test_keeps_read_only_copies_of_any_iterable(self):
         q = np.eye(2, dtype=complex)
         covariances = MacCovarianceSet(iter([q, 2.0 * q]))
