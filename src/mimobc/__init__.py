@@ -25,12 +25,7 @@ from .ergodic import (
     monte_carlo_rate_loss,
     power_offset_db,
 )
-from .errors import (
-    ConfigurationError,
-    MimoBcError,
-    NumericalRankError,
-    ValidationError,
-)
+from .errors import MimoBcError, NumericalRankError, ValidationError
 from .mac import instantaneous_rate_loss
 from .validation import run_all_checks
 
@@ -39,7 +34,6 @@ __version__ = "0.1.0"
 __all__ = [
     "COND_LIMIT",
     "ChannelRealization",
-    "ConfigurationError",
     "CorrelationModel",
     "MimoBcError",
     "NumericalRankError",

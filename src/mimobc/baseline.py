@@ -49,6 +49,9 @@ __all__ = ["dual_mac_sum_capacity"]
 #: and of the config's ``tolerance`` key.
 DEFAULT_TOLERANCE = 1e-8
 
+#: Most waterfilling iterations of one ``dual_mac_sum_capacity`` solve.
+MAX_ITERATIONS = 500
+
 #: Line-search step sizes tried per iteration, largest first.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 2**-8, 2**-12, 2**-16)
 
@@ -142,7 +145,6 @@ def dual_mac_sum_capacity(
     channel: ChannelRealization,
     total_power: float,
     tolerance: float = DEFAULT_TOLERANCE,
-    max_iterations: int = 500,
 ) -> SumCapacityResult:
     """Maximize the dual-uplink sum rate under a total power constraint.
 
@@ -153,15 +155,12 @@ def dual_mac_sum_capacity(
     every step size of the line search with one batched log-determinant of
     I + Q G; the first step that improves the objective is taken.  Terminates
     once an accepted step improves the objective by less than ``tolerance``
-    bits (or no step improves it at all); hitting ``max_iterations`` returns
+    bits (or no step improves it at all); hitting ``MAX_ITERATIONS`` returns
     the best iterate flagged as non-converged.  The channel need not have
     full rank.
     """
     total_power = positive_finite(total_power, "transmit power")
     tolerance = positive_finite(tolerance, "tolerance")
-    max_iterations = integer(max_iterations, "max_iterations")
-    if max_iterations < 1:
-        raise ValidationError(f"need at least one iteration, got {max_iterations}")
 
     profile = channel.profile
     gram = channel.gram
@@ -178,7 +177,7 @@ def dual_mac_sum_capacity(
     history = [float(_objective(gram, current))]
     converged = False
 
-    for _ in range(max_iterations):
+    for _ in range(MAX_ITERATIONS):
         # simultaneous waterfilling against the whitened channels: with the mask,
         # (G Q) * _other_columns[k] = G Q_{-k}, so one solve whitens every user,
         # and one eigh per block size gives their modes

@@ -30,7 +30,7 @@ from ._linalg import (
     number,
     positive_finite,
 )
-from .errors import ConfigurationError, NumericalRankError, ValidationError
+from .errors import NumericalRankError, ValidationError
 
 __all__ = [
     "COND_LIMIT",
@@ -217,7 +217,7 @@ class SystemProfile:
             raise ValidationError("at least one weight must be positive")
         total = sum(antennas)
         if self.base_antennas < total:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"base station has {self.base_antennas} antennas but terminals "
                 f"have {total} in sum; the base must have at least as many"
             )
@@ -311,11 +311,6 @@ class CorrelationModel:
             for k, c in enumerate(self.blocks)
         )
         object.__setattr__(self, "blocks", tuple(blocks))
-
-    @classmethod
-    def identity(cls, profile: SystemProfile) -> "CorrelationModel":
-        """Uncorrelated channels: C_k = I for every user."""
-        return cls(np.eye(r, dtype=complex) for r in profile.user_antennas)
 
     @classmethod
     def scalar(cls, profile: SystemProfile, gains) -> "CorrelationModel":

@@ -31,7 +31,7 @@ from .config import (
     load_config,
 )
 from .ergodic import monte_carlo_rate_loss, rate_loss_grid
-from .errors import ConfigurationError, NumericalRankError, ValidationError
+from .errors import NumericalRankError, ValidationError
 from .mac import _asymptotes, _batch_rate_loss, optimal_power_split
 from .validation import MIN_VALIDATE_TRIALS, run_all_checks
 
@@ -174,7 +174,7 @@ def _run_curves(config: ExperimentConfig) -> int:
 
 def _run_validate(config: ExperimentConfig) -> int:
     if config.trials < MIN_VALIDATE_TRIALS:
-        raise ConfigurationError(
+        raise ValidationError(
             f"validate needs at least {MIN_VALIDATE_TRIALS} trials, got {config.trials}"
         )
     results = run_all_checks(trials=config.trials, seed=config.seed)
@@ -238,7 +238,7 @@ def main(argv=None) -> int:
     try:
         config = load_config(args.kind, args.config, overrides)
         return _RUNNERS[args.kind](config)
-    except (ConfigurationError, ValidationError) as exc:
+    except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR
     except (NumericalRankError, np.linalg.LinAlgError) as exc:

@@ -8,14 +8,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
 from ._linalg import integer, linear_power, number, positive_finite, power_grid
 from .baseline import DEFAULT_TOLERANCE
 from .channel import CorrelationModel, SystemProfile, make_profile
-from .errors import ConfigurationError, ValidationError
+from .errors import ValidationError
 
 SCHEMA_VERSION = "4"
 
@@ -49,60 +48,46 @@ class ExperimentConfig:
     tolerance: float
 
 
-def _configured(check, name: str, value):
-    """``check(value, name)``, with its ValidationError raised as a ConfigurationError."""
-    try:
-        return check(value, name)
-    except ValidationError as exc:
-        raise ConfigurationError(str(exc)) from exc
-
-
-#: ``_integer(name, value)`` and ``_number(name, value)``: the library's ``integer`` and
-#: ``number`` rules, failing with ConfigurationError.
-_integer = partial(_configured, integer)
-_number = partial(_configured, number)
-
-
 def parse_grid(spec) -> tuple[float, ...]:
     """Parse a power grid: 'start:step:stop' in dB, or an explicit list."""
     if isinstance(spec, str):
         parts = spec.split(":")
         if len(parts) != 3:
-            raise ConfigurationError(f"grid spec must be start:step:stop, got {spec!r}")
+            raise ValidationError(f"grid spec must be start:step:stop, got {spec!r}")
         try:
             start, step, stop = (float(p) for p in parts)
         except ValueError as exc:
-            raise ConfigurationError(f"non-numeric grid spec {spec!r}") from exc
-        _configured(positive_finite, "grid step", step)
+            raise ValidationError(f"non-numeric grid spec {spec!r}") from exc
+        positive_finite(step, "grid step")
         for db in (start, stop):
-            _configured(linear_power, "grid point", db)
+            linear_power(db, "grid point")
         if stop < start:
-            raise ConfigurationError(f"grid stop {stop} below start {start}")
+            raise ValidationError(f"grid stop {stop} below start {start}")
         intervals = (stop - start) / step + 1e-9
         if intervals >= MAX_GRID_POINTS:
-            raise ConfigurationError(
+            raise ValidationError(
                 f"grid spec {spec!r} has more than {MAX_GRID_POINTS} points"
             )
         count = int(np.floor(intervals)) + 1
         spec = tuple(start + i * step for i in range(count))
-    return _configured(power_grid, "power grid", spec)
+    return power_grid(spec, "power grid")
 
 
 def load_config(kind: str, path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides for one run."""
     if kind not in _KINDS:
-        raise ConfigurationError(f"unknown experiment kind {kind!r}; expected one of {_KINDS}")
+        raise ValidationError(f"unknown experiment kind {kind!r}; expected one of {_KINDS}")
     merged: dict = {}
     if path is not None:
         try:
             with open(path, encoding="utf-8") as handle:
                 data = json.load(handle)
         except OSError as exc:
-            raise ConfigurationError(f"cannot read config file {path}: {exc}") from exc
+            raise ValidationError(f"cannot read config file {path}: {exc}") from exc
         except ValueError as exc:  # JSONDecodeError, or an integer literal too long to convert
-            raise ConfigurationError(f"config file {path} is not valid JSON: {exc}") from exc
+            raise ValidationError(f"config file {path} is not valid JSON: {exc}") from exc
         if not isinstance(data, dict):
-            raise ConfigurationError(f"config file {path} must hold a JSON object")
+            raise ValidationError(f"config file {path} must hold a JSON object")
         merged.update(data)
     for key, value in (overrides or {}).items():
         if value is not None:
@@ -110,34 +95,32 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
 
     declared = merged.pop("experiment", None)
     if declared is not None and declared != kind:
-        raise ConfigurationError(
+        raise ValidationError(
             f"config file declares experiment {declared!r} but the {kind!r} subcommand was invoked"
         )
 
-    trials = _integer("trials", merged.pop("trials", _DEFAULT_TRIALS[kind]))
-    seed = _integer("seed", merged.pop("seed", 1))
-    ptx_db = _number("ptx_db", merged.pop("ptx_db", 30.0))
-    tolerance = _configured(
-        positive_finite, "tolerance", merged.pop("tolerance", DEFAULT_TOLERANCE)
-    )
+    trials = integer(merged.pop("trials", _DEFAULT_TRIALS[kind]), "trials")
+    seed = integer(merged.pop("seed", 1), "seed")
+    ptx_db = number(merged.pop("ptx_db", 30.0), "ptx_db")
+    tolerance = positive_finite(merged.pop("tolerance", DEFAULT_TOLERANCE), "tolerance")
     if trials < 0:
-        raise ConfigurationError(f"trials must be nonnegative, got {trials}")
+        raise ValidationError(f"trials must be nonnegative, got {trials}")
     if not 0 <= seed <= _MAX_SEED:
-        raise ConfigurationError(f"seed must be in [0, 2**64 - 1], got {seed}")
-    _configured(linear_power, "ptx_db", ptx_db)
+        raise ValidationError(f"seed must be in [0, 2**64 - 1], got {seed}")
+    linear_power(ptx_db, "ptx_db")
 
     fmt = merged.pop("format", "csv")
     if fmt not in ("csv", "json"):
-        raise ConfigurationError(f"format must be 'csv' or 'json', got {fmt!r}")
+        raise ValidationError(f"format must be 'csv' or 'json', got {fmt!r}")
 
     base = merged.pop("N", None)
     antennas = merged.pop("antennas", None)
     weights = merged.pop("weights", None)
-    base = None if base is None else _integer("N", base)
+    base = None if base is None else integer(base, "N")
     if antennas is not None:
-        antennas = tuple(_integer("antennas", r) for r in _list("antennas", antennas))
+        antennas = tuple(integer(r, "antennas") for r in _list("antennas", antennas))
     if weights is not None:
-        weights = tuple(_number("weight", w) for w in _list("weights", weights))
+        weights = tuple(number(w, "weight") for w in _list("weights", weights))
 
     grid_spec = merged.pop("ptx_grid_db", None)
     grid = parse_grid(grid_spec) if grid_spec is not None else parse_grid("-10:5:40")
@@ -146,7 +129,7 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
     out = merged.pop("out", None)
 
     if merged:
-        raise ConfigurationError(f"unknown config keys: {sorted(merged)}")
+        raise ValidationError(f"unknown config keys: {sorted(merged)}")
 
     return ExperimentConfig(
         kind=kind,
@@ -166,26 +149,26 @@ def load_config(kind: str, path: str | None = None, overrides: dict | None = Non
 
 def build_profile(config: ExperimentConfig) -> SystemProfile:
     if config.base_antennas is None or config.antennas is None:
-        raise ConfigurationError(
+        raise ValidationError(
             f"the {config.kind!r} experiment needs 'N' and 'antennas' in the config"
         )
     return make_profile(config.base_antennas, config.antennas, config.weights)
 
 
 def _list(name: str, value) -> list:
-    """``value`` itself; ConfigurationError unless it is a list."""
+    """``value`` itself; ValidationError unless it is a list."""
     if not isinstance(value, (list, tuple)):
-        raise ConfigurationError(f"{name} must be a list, got {value!r}")
+        raise ValidationError(f"{name} must be a list, got {value!r}")
     return value
 
 
 def _correlation_entry(entry) -> complex:
     """A correlation matrix entry: a real number or an [re, im] pair of numbers."""
     if not isinstance(entry, (list, tuple)):
-        return _number("correlation entry", entry)
+        return number(entry, "correlation entry")
     if len(entry) != 2:
-        raise ConfigurationError(f"a correlation entry pair must be [re, im], got {entry!r}")
-    return complex(_number("correlation entry", entry[0]), _number("correlation entry", entry[1]))
+        raise ValidationError(f"a correlation entry pair must be [re, im], got {entry!r}")
+    return complex(number(entry[0], "correlation entry"), number(entry[1], "correlation entry"))
 
 
 def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> CorrelationModel | None:
@@ -199,17 +182,17 @@ def build_correlation(config: ExperimentConfig, profile: SystemProfile) -> Corre
         return None
     if isinstance(spec, dict) and set(spec) == {"scalars"}:
         scalars = _list("correlation scalars", spec["scalars"])
-        return CorrelationModel.scalar(profile, [_number("correlation scalar", c) for c in scalars])
+        return CorrelationModel.scalar(profile, [number(c, "correlation scalar") for c in scalars])
     if isinstance(spec, dict) and set(spec) == {"matrices"}:
         blocks = []
         for k, raw in enumerate(_list("correlation matrices", spec["matrices"])):
             name = f"correlation matrix {k}"
             rows = [_list(f"a row of {name}", row) for row in _list(name, raw)]
             if len({len(row) for row in rows}) > 1:
-                raise ConfigurationError(f"the rows of {name} differ in length")
+                raise ValidationError(f"the rows of {name} differ in length")
             blocks.append(np.array([[_correlation_entry(entry) for entry in row] for row in rows]))
         return CorrelationModel(blocks)
-    raise ConfigurationError(
+    raise ValidationError(
         "correlation must be 'identity', {'scalars': [...]}, or {'matrices': [...]}, "
         f"got {spec!r}"
     )

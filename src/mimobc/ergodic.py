@@ -25,7 +25,7 @@ from .channel import (
     user_index,
     _draw,
 )
-from .errors import ConfigurationError, NumericalRankError, ValidationError
+from .errors import NumericalRankError, ValidationError
 from .mac import _batch_rate_loss
 
 __all__ = [
@@ -190,7 +190,6 @@ class MonteCarloEstimate:
     mean: float
     stderr: float
     trials: int
-    seed: int
     discarded: int
 
 
@@ -248,7 +247,7 @@ def monte_carlo_rate_loss(
 
     mean = float(np.mean(values))
     stderr = float(np.std(values, ddof=1) / np.sqrt(trials))
-    return MonteCarloEstimate(mean, stderr, trials, seed, discarded)
+    return MonteCarloEstimate(mean, stderr, trials, discarded)
 
 
 @dataclass(frozen=True)
@@ -296,8 +295,10 @@ def rate_loss_grid() -> list[RateLossCell]:
     for antennas in GRID_PROFILES:
         for n in GRID_BASE_ANTENNAS:
             try:
-                value = ergodic_rate_loss(make_profile(n, antennas))
-            except ConfigurationError:  # more terminal than base antennas
+                profile = make_profile(n, antennas)
+            except ValidationError:  # more terminal than base antennas
                 value = None
+            else:
+                value = ergodic_rate_loss(profile)
             cells.append(RateLossCell(antennas, n, value))
     return cells

@@ -5,12 +5,8 @@ class MimoBcError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class ConfigurationError(MimoBcError, ValueError):
-    """A system profile or experiment configuration violates a structural rule."""
-
-
 class ValidationError(MimoBcError, ValueError):
-    """Input data fails validation (dimensions, definiteness, value ranges)."""
+    """Rejected input: a bad value or shape, a broken structural rule, or a config error."""
 
 
 class NumericalRankError(MimoBcError, ArithmeticError):

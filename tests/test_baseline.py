@@ -251,16 +251,18 @@ class TestDualMacSumCapacity:
         for q in result.covariances.covariances:
             assert np.linalg.eigvalsh(q)[0] > -1e-12
 
-    def test_iteration_budget_respected(self):
+    def test_iteration_budget_respected(self, monkeypatch):
+        monkeypatch.setattr(mimobc.baseline, "MAX_ITERATIONS", 2)
         channel = sample_channel(make_profile(5, [2, 2]), seed=28)
-        result = dual_mac_sum_capacity(channel, 100.0, tolerance=1e-16, max_iterations=2)
+        result = dual_mac_sum_capacity(channel, 100.0, tolerance=1e-16)
         assert result.iterations <= 2
         assert not result.converged
 
     @pytest.mark.parametrize("cap", [1, 2, 3])
-    def test_a_binding_cap_stops_after_that_many_steps(self, cap):
+    def test_a_binding_cap_stops_after_that_many_steps(self, cap, monkeypatch):
+        monkeypatch.setattr(mimobc.baseline, "MAX_ITERATIONS", cap)
         channel = sample_channel(make_profile(6, [2, 2, 1]), seed=27)
-        result = dual_mac_sum_capacity(channel, 1.0, tolerance=1e-16, max_iterations=cap)
+        result = dual_mac_sum_capacity(channel, 1.0, tolerance=1e-16)
         assert result.iterations == cap
         assert len(result.objective_history) == cap + 1
         assert not result.converged

@@ -8,7 +8,6 @@ from scipy.linalg import block_diag
 import mimobc.channel as channel_module
 from mimobc import (
     ChannelRealization,
-    ConfigurationError,
     CorrelationModel,
     NumericalRankError,
     ValidationError,
@@ -75,7 +74,7 @@ class TestMakeProfile:
         assert make_profile(2, [1, 1]).total_antennas == 2
 
     def test_too_few_base_antennas(self):
-        with pytest.raises(ConfigurationError, match="3.*4|4.*3"):
+        with pytest.raises(ValidationError, match="3.*4|4.*3"):
             make_profile(3, [2, 2])
 
     def test_nonpositive_antenna_count(self):
@@ -131,7 +130,7 @@ class TestBlockIndexRange:
                 channel, MacCovarianceSet.uniform(channel.profile, 1.0), k
             ),
             lambda channel, k: ergodic_block_logdet(channel.profile, None, k),
-            lambda channel, k: CorrelationModel.identity(channel.profile).block_logdet2(k),
+            lambda channel, k: CorrelationModel(np.eye(2) for _ in range(2)).block_logdet2(k),
         ],
         ids=[
             "asymptotic_user_rate", "bc_covariance", "mmse_receiver_exact", "ergodic_block_logdet",
@@ -147,7 +146,7 @@ class TestBlockIndexRange:
 class TestCorrelationModel:
     def test_identity_and_scalar(self):
         profile = make_profile(5, [2, 3])
-        identity = CorrelationModel.identity(profile)
+        identity = CorrelationModel(np.eye(r) for r in profile.user_antennas)
         assert identity.antennas == (2, 3)
         nearfar = CorrelationModel.scalar(profile, [1.0, 2.0])
         np.testing.assert_allclose(nearfar.blocks[1], 2.0 * np.eye(3))
@@ -234,7 +233,7 @@ class TestSampleChannel:
 
     def test_correlation_dimension_mismatch(self):
         profile = make_profile(5, [2, 2])
-        other = CorrelationModel.identity(make_profile(5, [1, 2]))
+        other = CorrelationModel(np.eye(r) for r in (1, 2))
         with pytest.raises(ValidationError, match="do not match"):
             sample_channel(profile, other, seed=0)
 

@@ -23,7 +23,7 @@ from mimobc.config import (
     parse_grid,
 )
 from mimobc.ergodic import MonteCarloEstimate
-from mimobc.errors import ConfigurationError
+from mimobc.errors import ValidationError
 from mimobc.mac import asymptotic_rate_report, dpc_asymptotic_sum_rate
 from mimobc.validation import CheckResult
 
@@ -75,25 +75,25 @@ class TestConfig:
         assert len(parse_grid(f"0:0.01:{MAX_GRID_POINTS / 100 - 0.01:g}")) == MAX_GRID_POINTS
         for spec in ("0:1e-300:40", "0:5e-324:40", f"0:0.01:{MAX_GRID_POINTS / 100:g}"):
             started = time.perf_counter()
-            with pytest.raises(ConfigurationError, match=f"more than {MAX_GRID_POINTS} points"):
+            with pytest.raises(ValidationError, match=f"more than {MAX_GRID_POINTS} points"):
                 parse_grid(spec)
             assert time.perf_counter() - started < 0.5
-        with pytest.raises(ConfigurationError, match="positive and finite"):
+        with pytest.raises(ValidationError, match="positive and finite"):
             parse_grid("-1e308:1:1e308")
 
     def test_grid_rejections(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             parse_grid("0:0:20")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             parse_grid("20:5:0")
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             parse_grid([3.0, 2.0])
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             parse_grid([])
 
     def test_unknown_keys_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", {"trails": 5})
-        with pytest.raises(ConfigurationError, match="trails"):
+        with pytest.raises(ValidationError, match="trails"):
             load_config("table1", path)
 
     @pytest.mark.parametrize(
@@ -114,7 +114,7 @@ class TestConfig:
     @pytest.mark.parametrize("kind", KINDS)
     def test_unknown_override_is_rejected(self, kind, key):
         # overrides pass the same end-of-parse check as the file's keys
-        with pytest.raises(ConfigurationError, match=re.escape(f"unknown config keys: ['{key}']")):
+        with pytest.raises(ValidationError, match=re.escape(f"unknown config keys: ['{key}']")):
             load_config(kind, overrides={key: 7})
 
     def test_readme_lists_every_config_key(self):
@@ -135,7 +135,7 @@ class TestConfig:
 
     def test_kind_mismatch_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", {"experiment": "curves"})
-        with pytest.raises(ConfigurationError, match="curves"):
+        with pytest.raises(ValidationError, match="curves"):
             load_config("table1", path)
 
     def test_flag_overrides_file(self, tmp_path):
@@ -146,7 +146,7 @@ class TestConfig:
 
     def test_negative_tolerance_rejected(self, tmp_path):
         path = write_config(tmp_path / "c.json", {"tolerance": -1e-8})
-        with pytest.raises(ConfigurationError, match="tolerance"):
+        with pytest.raises(ValidationError, match="tolerance"):
             load_config("curves", path)
 
     @pytest.mark.parametrize(
@@ -166,7 +166,7 @@ class TestConfig:
         config = write_config(
             tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "trials": 1, **payload}
         )
-        with pytest.raises(ConfigurationError, match=next(iter(payload))):
+        with pytest.raises(ValidationError, match=next(iter(payload))):
             load_config("rate-loss", config)
         out = tmp_path / "x.csv"
         assert main(["rate-loss", "--config", config, "--out", str(out)]) == 2
@@ -227,7 +227,7 @@ class TestTable1Command:
 
     def test_discarded_draws_are_reported_per_cell(self, tmp_path, monkeypatch):
         def estimate(profile, correlation, trials, seed):
-            return MonteCarloEstimate(1.0, 0.1, trials, seed, discarded=profile.num_users)
+            return MonteCarloEstimate(1.0, 0.1, trials, discarded=profile.num_users)
 
         monkeypatch.setattr("mimobc.cli.monte_carlo_rate_loss", estimate)
         out = tmp_path / "table.csv"
@@ -490,6 +490,28 @@ class TestExitCodes:
         assert main(["rate-loss", "--config", config, "--trials", "2",
                      "--out", str(tmp_path / "x.csv")]) == 2
 
+    @pytest.mark.parametrize(
+        "kind, payload, message",
+        [
+            (
+                "rate-loss", {"N": 3, "antennas": [2, 2]},
+                "base station has 3 antennas but terminals have 4 in sum; "
+                "the base must have at least as many",
+            ),
+            ("curves", {"N": 5, "antennas": [2, 2], "seed": 1.5}, "seed must be an integer, got 1.5"),
+        ],
+        ids=["structural-rule", "value"],
+    )
+    def test_rejected_input_is_one_configuration_error_line(
+        self, tmp_path, capsys, kind, payload, message
+    ):
+        # a broken structural rule and a bad value are one error type with one report
+        config = write_config(tmp_path / "c.json", payload)
+        out = tmp_path / "x.csv"
+        assert main([kind, "--config", config, "--trials", "2", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"configuration error: {message}\n"
+        assert not out.exists()
+
     def test_non_finite_weight(self, tmp_path):
         config = write_config(
             tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "weights": [1, float("nan")]}
@@ -535,7 +557,7 @@ class TestExitCodes:
     )
     def test_non_finite_config_value(self, tmp_path, kind, payload, flags):
         config = write_config(tmp_path / "c.json", payload)
-        with pytest.raises(ConfigurationError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             load_config(kind, config, {"ptx_grid_db": flags[1] if flags else None})
         out = tmp_path / "x.csv"
         argv = [kind, "--config", config, "--trials", "2", "--out", str(out), *flags]
@@ -560,7 +582,7 @@ class TestExitCodes:
     def test_db_value_without_a_finite_positive_power(self, tmp_path, kind, payload, grid):
         # 10^(dB/10) overflows above about 3,083 dB and underflows to 0 below about -3,240 dB
         config = write_config(tmp_path / "c.json", payload)
-        with pytest.raises(ConfigurationError, match="positive and finite"):
+        with pytest.raises(ValidationError, match="positive and finite"):
             load_config(kind, config, {"ptx_grid_db": grid})
         out = tmp_path / "x.csv"
         flags = [f"--ptx-grid-db={grid}"] if grid else []
@@ -616,7 +638,7 @@ class TestExitCodes:
             tmp_path / "c.json", {"N": 5, "antennas": [2, 2], "correlation": correlation}
         )
         loaded = load_config("rate-loss", config)
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError):
             build_correlation(loaded, build_profile(loaded))
         out = tmp_path / "x.csv"
         assert main(["rate-loss", "--config", config, "--trials", "2", "--out", str(out)]) == 2
@@ -665,7 +687,7 @@ class TestExitCodes:
         assert not out.exists()
 
     def test_unknown_experiment_kind(self, capsys):
-        with pytest.raises(ConfigurationError, match="^unknown experiment kind 'nope'"):
+        with pytest.raises(ValidationError, match="^unknown experiment kind 'nope'"):
             load_config("nope")
         # the parser refuses the subcommand before any config is loaded
         with pytest.raises(SystemExit) as exit_info:

@@ -10,7 +10,6 @@ import mimobc.channel as channel_module
 import mimobc.ergodic as ergodic_module
 from mimobc import (
     ChannelRealization,
-    ConfigurationError,
     CorrelationModel,
     ValidationError,
     derive_seed,
@@ -267,7 +266,7 @@ class TestEqualAntennaForm:
         assert checks["ergodic_special_cases"].passed
 
     def test_domain(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="at least as many"):
             ergodic_rate_loss_equal(3, 2, 5)
 
 
@@ -289,7 +288,7 @@ class TestSingleAntennaForm:
         assert checks["ergodic_special_cases"].passed
 
     def test_domain(self):
-        with pytest.raises(ConfigurationError):
+        with pytest.raises(ValidationError, match="at least as many"):
             ergodic_rate_loss_equal(3, 1, 2)
 
 

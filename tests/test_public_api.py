@@ -1,6 +1,7 @@
 """The package's public surface: exactly the names the CLI, the benchmark and the README use."""
 
 import ast
+import builtins
 import dataclasses
 import functools
 import importlib
@@ -9,6 +10,7 @@ import re
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import mimobc
@@ -28,12 +30,12 @@ PUBLIC_NAMES = {
     "COND_LIMIT", "ChannelRealization", "monte_carlo_rate_loss", "power_offset_db",
     "run_all_checks", "solve_bc",
     # the error types
-    "ConfigurationError", "MimoBcError", "NumericalRankError", "ValidationError",
+    "MimoBcError", "NumericalRankError", "ValidationError",
 }
 
 
 def test_all_lists_exactly_the_public_names():
-    assert len(mimobc.__all__) == len(PUBLIC_NAMES) == 20
+    assert len(mimobc.__all__) == len(PUBLIC_NAMES) == 19
     assert set(mimobc.__all__) == PUBLIC_NAMES
 
 
@@ -135,15 +137,24 @@ def source_nodes():
             yield path.name, node
 
 
+def package_errors() -> dict:
+    """The error types that ``mimobc.errors`` defines, by name."""
+    return {
+        name: value
+        for name, value in vars(mimobc.errors).items()
+        if isinstance(value, type) and value.__module__ == mimobc.errors.__name__
+    }
+
+
+def test_errors_are_the_base_one_for_rejected_input_and_one_for_rank():
+    assert set(package_errors()) == {"MimoBcError", "ValidationError", "NumericalRankError"}
+
+
 def test_every_raise_is_a_package_error_or_an_index_error():
     # callers tell failures apart by type: a package error names the broken
     # rule, and only a user index out of range is an IndexError, as for a
     # sequence; an error type that nothing raises is dead
-    errors = {
-        name
-        for name, value in vars(mimobc.errors).items()
-        if isinstance(value, type) and value.__module__ == mimobc.errors.__name__
-    }
+    errors = set(package_errors())
     raised = [
         (f"{name}:{node.lineno}", ast.unparse(getattr(node.exc, "func", node.exc)))
         for name, node in source_nodes()
@@ -152,6 +163,49 @@ def test_every_raise_is_a_package_error_or_an_index_error():
     assert len(raised) > 50
     assert [(where, name) for where, name in raised if name not in errors | {"IndexError"}] == []
     assert errors - {name for _, name in raised} == {"MimoBcError"}
+
+
+def caught_types():
+    """(where, type) of each type an ``except`` clause of the package names.
+
+    The type is what the clause's expression resolves to in its module, or
+    None for a bare ``except`` or a name the module does not bind.
+    """
+    for path in sorted(SOURCE.glob("*.py")):
+        handlers = [
+            node
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ExceptHandler)
+        ]
+        if not handlers:
+            continue  # importing __main__ would run the CLI
+        namespace = {**vars(builtins), **vars(importlib.import_module(f"mimobc.{path.stem}"))}
+        for node in handlers:
+            if node.type is None:
+                yield f"{path.name}:{node.lineno}: except:", None
+                continue
+            exprs = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            for expr in exprs:
+                where = f"{path.name}:{node.lineno}: {ast.unparse(expr)}"
+                try:
+                    kind = eval(compile(ast.Expression(expr), path.name, "eval"), namespace)
+                except (NameError, AttributeError):
+                    kind = None
+                yield where, kind
+
+
+def test_every_except_names_a_builtin_a_package_error_or_a_linalg_error():
+    # a handler resolves its type only when an exception reaches it, so a
+    # retired or unimported type would fail on a path no test may take
+    allowed = {
+        value
+        for value in vars(builtins).values()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    allowed |= {*package_errors().values(), np.linalg.LinAlgError}
+    caught = list(caught_types())
+    assert len(caught) > 5
+    assert [where for where, kind in caught if kind not in allowed] == []
 
 
 def test_every_value_is_built_by_its_checked_constructor():
