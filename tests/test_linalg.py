@@ -16,6 +16,7 @@ from mimobc import (
 )
 from mimobc.baseline import generate_curves, waterfill
 from mimobc.bc import asymptotic_receiver, bc_covariance, bc_exact_user_rate, mmse_receiver_exact
+from mimobc.config import load_config
 from mimobc.ergodic import (
     digamma_int,
     ergodic_block_logdet,
@@ -152,6 +153,11 @@ INTEGER_ENTRY_POINTS = {
     "ergodic_rate_loss_equal antennas": lambda r: ergodic_rate_loss_equal(2, r, 6),
     "ergodic_rate_loss_equal N": lambda n: ergodic_rate_loss_equal(1, 2, n),
     "power_offset_db antenna total": lambda r: power_offset_db(1.0, r),
+    # the config keys go through the same check, so they reject what the library does
+    "load_config trials": lambda t: load_config("curves", overrides={"trials": t}),
+    "load_config seed": lambda s: load_config("curves", overrides={"seed": s}),
+    "load_config N": lambda n: load_config("curves", overrides={"N": n, "antennas": [1]}),
+    "load_config antennas": lambda r: load_config("curves", overrides={"antennas": [r, 2]}),
 }
 
 #: Every entry point that takes a user index.
