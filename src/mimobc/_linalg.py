@@ -103,8 +103,9 @@ def finite_matrix(a, what: str) -> np.ndarray:
 
 
 def hermitize(a: np.ndarray) -> np.ndarray:
-    """Symmetrize a square matrix (or stack of them) against roundoff."""
-    return 0.5 * (a + a.conj().swapaxes(-1, -2))
+    """Symmetrize a square matrix or a stack of them against roundoff, without overflow."""
+    half = 0.5 * a
+    return half + half.conj().swapaxes(-1, -2)
 
 
 def hermitian_input(a, what: str, definite: bool) -> np.ndarray:

@@ -30,11 +30,12 @@ from math import isfinite
 import numpy as np
 
 from ._linalg import LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid
-from .bc import _bc_exact_rates, _bd_directions, _bd_power
+from .bc import _bd_rates
 from .channel import (
     ChannelRealization,
     CorrelationModel,
     SystemProfile,
+    _check_received_power,
     _factor_grams,
     derive_seed,
     sample_channel,
@@ -55,8 +56,8 @@ MAX_ITERATIONS = 500
 #: Line-search step sizes tried per iteration, largest first.
 _STEPS = (1.0, 0.5, 0.25, 0.125, 0.0625, 2**-8, 2**-12, 2**-16)
 
-#: Trials of a ``generate_curves`` chunk, drawn, factored and rated by the BD
-#: precoder as one stack; the bound keeps the stacks small at large N and r.
+#: Trials of a ``generate_curves`` chunk, drawn, factored and rated under BD as
+#: one stack; the bound keeps the stacks small at large N and r.
 _CHUNK_TRIALS = 64
 
 #: ``_STEPS`` shaped to weigh a stack of composite covariances, and their complements.
@@ -157,10 +158,12 @@ def dual_mac_sum_capacity(
     once an accepted step improves the objective by less than ``tolerance``
     bits (or no step improves it at all); hitting ``MAX_ITERATIONS`` returns
     the best iterate flagged as non-converged.  The channel need not have
-    full rank.
+    full rank.  ValidationError unless ``channel._check_received_power``
+    admits the power.
     """
     total_power = positive_finite(total_power, "transmit power")
     tolerance = positive_finite(tolerance, "tolerance")
+    _check_received_power(total_power, channel.squared_norm)
 
     profile = channel.profile
     gram = channel.gram
@@ -251,15 +254,15 @@ def generate_curves(
     (trial t uses the stream seeded with derive_seed(seed, t)), and evaluates
     both closed-form affine approximations.  Solver non-convergence is
     counted per point, never silently dropped, next to the most iterations
-    and the largest certified gap of the point's solves.  A grid point above
-    ``bc.MAX_BD_POWER_DB`` raises ValidationError before any draw.
+    and the largest certified gap of the point's solves.  A draw on which the
+    top grid power fails ``channel._check_received_power`` raises
+    ValidationError before its chunk is rated.
     """
     grid = power_grid(power_grid_db, "power grid")
     trials, seed = integer(trials, "trials"), integer(seed, "seed")
     tolerance = positive_finite(tolerance, "tolerance")
     if trials < 2:
         raise ValidationError(f"need at least 2 trials, got {trials}")
-    _bd_power(power_from_db(grid[-1]))  # the grid ascends
 
     r = profile.total_antennas
     dpc_offset = ergodic_dpc_logdet(profile, correlation)
@@ -290,11 +293,8 @@ def generate_curves(
             except NumericalRankError as exc:
                 raise NumericalRankError(f"trial {chunk[bad]}: {exc}") from None
             raise NumericalRankError(f"trial {chunk[bad]}: Gram matrix is rank deficient")
-        # unit-power precoder directions: at power P the covariances scale by P / r
-        pieces = _bd_directions(profile, channels, factors)
-        directions = [d / c[:, None, :] for _, d, c in pieces]
-        rates = _bc_exact_rates(profile, channels, directions, gains)
-        linear_values[:, start:stop] = rates.sum(axis=-1)
+        _check_received_power(max(powers), max(c.squared_norm for c in realizations))
+        linear_values[:, start:stop] = _bd_rates(profile, factors.inverse, gains).sum(axis=-1)
         for t, channel in zip(chunk, realizations):
             for i, power in enumerate(powers):
                 result = dual_mac_sum_capacity(channel, power, tolerance)

@@ -16,33 +16,25 @@ from math import sqrt
 import numpy as np
 
 from ._linalg import (
+    LN2,
     finite_matrix,
     hermitian_sqrt,
     hermitize,
     logdet2_hpd,
     normalize_eigenvector_phases,
     positive_finite,
-    power_from_db,
 )
-from .channel import ChannelRealization, GramFactors, SystemProfile, block_index_range, user_index
+from .channel import (
+    ChannelRealization,
+    SystemProfile,
+    _check_received_power,
+    block_index_range,
+    user_index,
+)
 from .errors import ValidationError
 from .mac import MacCovarianceSet, _check_dims
 
 __all__ = ["solve_bc"]
-
-#: Largest transmit power, in dB, of the exact BD rate.  The precoders leave a
-#: rounding-level residual interference that the exact rate scales by the
-#: power: the rate's distance to its asymptote bottoms out near 1e-13 bits at
-#: 150-160 dB and grows tenfold per 10 dB above, past 1 bit by 290 dB.
-MAX_BD_POWER_DB = 160.0
-
-
-def _bd_power(total_power) -> float:
-    """``total_power`` if it is ``positive_finite`` and at most ``MAX_BD_POWER_DB``."""
-    total_power = positive_finite(total_power, "transmit power")
-    if total_power > power_from_db(MAX_BD_POWER_DB):
-        raise ValidationError(f"transmit power {total_power:g} is above {MAX_BD_POWER_DB:g} dB")
-    return total_power
 
 
 def mmse_receiver_exact(
@@ -79,36 +71,46 @@ def asymptotic_receiver(
     return scale * channel.pseudo_inverse[sl, :]
 
 
-def _bd_directions(
-    profile: SystemProfile, channels: np.ndarray, factors: GramFactors
-) -> list[tuple[np.ndarray, ...]]:
-    """Every user's BD (bases W_k, directions H (H^H H)^{-1} E_k W_k, their column norms).
+def _bd_directions(channel: ChannelRealization) -> list[tuple[np.ndarray, ...]]:
+    """Every user's BD (basis W_k, directions H (H^H H)^{-1} E_k W_k, their column norms).
 
-    ``channels`` is a ``(T, N, r)`` stack of full-rank composite channels H
-    and ``factors`` their ``channel._factor_grams``; user k's entry holds
-    ``(T, r_k, r_k)`` bases, ``(T, N, r_k)`` directions and ``(T, r_k)`` norms.
     The decorrelation basis W_k is the unitary eigenbasis of the user's block
-    of the inverse Gram matrix, one ``eigh`` per block size for the whole
-    stack.  Columns are ordered by ascending eigenvalue; each column's phase is
-    fixed by making its largest-magnitude entry real positive, so the output
-    is deterministic up to degenerate eigenvalues.  The column norms are the
-    diagonal renormalizer: their squares are the diagonal of W^H (block of
+    of the inverse Gram matrix, one ``eigh`` per block size.  Columns are
+    ordered by ascending eigenvalue; each column's phase is fixed by making
+    its largest-magnitude entry real positive, so the output is deterministic
+    up to degenerate eigenvalues.  The column norms are the diagonal
+    renormalizer: their squares are the diagonal of W^H (block of
     (H^H H)^{-1}) W, computed as the actual norms.  They are positive: each
     square is an eigenvalue of [G^-1]_kk, at least 1 / lambda_max(G) for a
     finite G.
     """
-    gram_inverse = factors.inverse
-    pseudo_inverse = factors.pseudo_inverse(channels)
-    pieces: list = [None] * profile.num_users
-    for users, rows in profile._blocks_by_size:
-        _, vectors = np.linalg.eigh(gram_inverse[:, rows[:, :, None], rows[:, None, :]])
-        bases = normalize_eigenvector_phases(vectors)  # (T, m, r_k, r_k)
+    pieces: list = [None] * channel.profile.num_users
+    for users, rows in channel.profile._blocks_by_size:
+        _, vectors = np.linalg.eigh(channel.gram_inverse[rows[:, :, None], rows[:, None, :]])
+        bases = normalize_eigenvector_phases(vectors)  # (m, r_k, r_k)
         # H (H^H H)^{-1} E_k is the conjugate transpose of the pseudo-inverse row block
-        directions = pseudo_inverse[:, rows].conj().swapaxes(-1, -2) @ bases
+        directions = channel.pseudo_inverse[rows].conj().swapaxes(-1, -2) @ bases
         scales = np.linalg.norm(directions, axis=-2)
         for j, k in enumerate(users):
-            pieces[k] = (bases[:, j], directions[:, j], scales[:, j])
+            pieces[k] = (bases[j], directions[j], scales[j])
     return pieces
+
+
+def _bd_rates(profile: SystemProfile, gram_inverse: np.ndarray, gains) -> np.ndarray:
+    """BD rates of every user of a ``(T, r, r)`` stack of G^-1 at each gain g = P / r.
+
+    Under BD no user sees another user's streams, and user k's streams see
+    the gains 1 / lambda_ki, the eigenvalues lambda_ki of [G^-1]_kk being the
+    squared column norms of ``_bd_directions``.  Returns the ``(len(gains),
+    T, K)`` rates sum_i log2(1 + g / lambda_ki), from one ``eigvalsh`` per
+    block size, in ``log1p``, which keeps their relative accuracy at low power.
+    """
+    gains = np.asarray(gains, dtype=float)[:, None, None, None]
+    rates = np.empty((gains.shape[0], len(gram_inverse), profile.num_users))
+    for users, rows in profile._blocks_by_size:
+        eigenvalues = np.linalg.eigvalsh(gram_inverse[:, rows[:, :, None], rows[:, None, :]])
+        rates[:, :, users] = np.log1p(gains / eigenvalues).sum(axis=-1) / LN2
+    return rates
 
 
 def bc_covariance(
@@ -125,43 +127,7 @@ def bc_covariance(
     rows = channel.pseudo_inverse[sl, :]
     block = channel.gram_inverse_block(user)
     scale = total_power / channel.profile.total_antennas
-    return hermitize(scale * rows.conj().T @ np.linalg.solve(block, rows))
-
-
-def _bc_exact_rates(
-    profile: SystemProfile, channels: np.ndarray, precoders, gains
-) -> np.ndarray:
-    """Exact downlink rates of every user of a stack with the precoders' powers scaled by each gain.
-
-    ``channels`` is a ``(T, N, r)`` stack of composite channels and
-    ``precoders`` holds every user's ``(T, N, columns)`` stack.  Returns a
-    ``(len(gains), T, K)`` array whose entry (i, t, k) is log2 |I + (I + g_i
-    A_k)^{-1} g_i S_k| of channel t, clamped at 0, with A_k = sum_{l != k}
-    H_k^H P_l P_l^H H_k and S_k = H_k^H P_k P_k^H H_k formed once; every gain,
-    channel and the users of one antenna count share one batched Cholesky
-    log-determinant.
-    """
-    if len(precoders) != profile.num_users:
-        raise ValidationError(f"{len(precoders)} precoders for {profile.num_users} users")
-    for k, p in enumerate(precoders):
-        finite_matrix(p, f"precoder {k}")
-        if p.shape[-2] != profile.base_antennas:
-            raise ValidationError(f"precoder {k} has {p.shape[-2]} rows, expected "
-                                  f"{profile.base_antennas}")
-    owner = np.repeat(np.arange(profile.num_users), [p.shape[-1] for p in precoders])
-    cross = channels.conj().swapaxes(-1, -2) @ np.concatenate(precoders, axis=-1)  # H^H P
-    gains = np.asarray(gains, dtype=float)[:, None, None, None, None]
-    rates = np.empty((gains.shape[0], len(channels), profile.num_users))
-    for users, rows in profile._blocks_by_size:
-        own = owner == users[:, None, None]  # (m, 1, columns)
-        block = cross[:, rows]  # (T, m, r_k, columns)
-        interference, signal = np.where(own, 0.0, block), np.where(own, block, 0.0)
-        noise = np.eye(rows.shape[1]) + gains * hermitize(
-            interference @ interference.conj().swapaxes(-1, -2)
-        )
-        full = noise + gains * hermitize(signal @ signal.conj().swapaxes(-1, -2))
-        rates[:, :, users] = logdet2_hpd(full) - logdet2_hpd(noise)
-    return np.maximum(rates, 0.0)
+    return hermitize(scale * (rows.conj().T @ np.linalg.solve(block, rows)))
 
 
 def bc_exact_user_rate(
@@ -169,14 +135,28 @@ def bc_exact_user_rate(
 ) -> float:
     """Exact downlink rate of one user with all other precoded signals as noise.
 
-    Evaluates log2 |I + (I + sum_{l != k} H_k^H P_l P_l^H H_k)^{-1}
-    H_k^H P_k P_k^H H_k| without assuming the interference terms vanish, so
-    block diagonalization is verified rather than presumed.
+    Evaluates log2 |I + (I + A_k)^{-1} S_k|, clamped at 0, with
+    A_k = sum_{l != k} H_k^H P_l P_l^H H_k and S_k = H_k^H P_k P_k^H H_k,
+    without assuming the interference terms vanish, so block diagonalization
+    is verified rather than presumed.
     """
-    user = user_index(channel.profile.num_users, user)
-    stacked = [np.asarray(p)[None] for p in precoders]
-    rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, [1.0])
-    return float(rates[0, 0, user])
+    profile = channel.profile
+    user = user_index(profile.num_users, user)
+    if len(precoders) != profile.num_users:
+        raise ValidationError(f"{len(precoders)} precoders for {profile.num_users} users")
+    precoders = [finite_matrix(p, f"precoder {k}") for k, p in enumerate(precoders)]
+    for k, p in enumerate(precoders):
+        if p.ndim != 2:
+            raise ValidationError(f"precoder {k} is not a matrix: shape {p.shape}")
+        if p.shape[0] != profile.base_antennas:
+            raise ValidationError(f"precoder {k} has {p.shape[0]} rows, expected "
+                                  f"{profile.base_antennas}")
+    own = np.repeat(np.arange(profile.num_users), [p.shape[1] for p in precoders]) == user
+    cross = channel.blocks[user].conj().T @ np.concatenate(precoders, axis=1)  # H_k^H P
+    interference, signal = cross[:, ~own], cross[:, own]
+    noise = np.eye(cross.shape[0]) + hermitize(interference @ interference.conj().T)
+    full = noise + hermitize(signal @ signal.conj().T)
+    return max(0.0, logdet2_hpd(full) - logdet2_hpd(noise))
 
 
 @dataclass(frozen=True)
@@ -184,8 +164,8 @@ class BcSolution:
     """Complete downlink solution at one transmit power.
 
     Holds, per user, the precoder, the decorrelation basis, the positive
-    diagonal column scales, the transmit covariance, and the exact achieved
-    rate.
+    diagonal column scales, the transmit covariance, and the BD rate
+    (``_bd_rates``).
     """
 
     total_power: float
@@ -211,17 +191,20 @@ class BcSolution:
 
 
 def solve_bc(channel: ChannelRealization, total_power: float) -> BcSolution:
-    """The block-diagonalizing downlink solution of one channel, at most ``MAX_BD_POWER_DB``."""
-    total_power = _bd_power(total_power)
+    """The block-diagonalizing downlink solution of one channel.
+
+    ValidationError unless ``channel._check_received_power`` admits the power.
+    """
+    total_power = positive_finite(total_power, "transmit power")
+    _check_received_power(total_power, channel.squared_norm)
     profile = channel.profile
     column_norm = sqrt(total_power / profile.total_antennas)
-    pieces = _bd_directions(profile, channel.composite[None], channel._gram_factors)
-    bases, directions, scales = zip(*[(w[0], d[0], c[0]) for w, d, c in pieces])
+    bases, directions, scales = zip(*_bd_directions(channel))
     precoders = tuple(column_norm * d / c for d, c in zip(directions, scales))
     covariances = tuple(
         bc_covariance(channel, total_power, k) for k in range(profile.num_users)
     )
-    rates = _bc_exact_rates(profile, channel.composite[None], [p[None] for p in precoders], [1.0])
+    rates = _bd_rates(profile, channel.gram_inverse[None], [total_power / profile.total_antennas])
     return BcSolution(
         total_power=total_power,
         precoders=precoders,

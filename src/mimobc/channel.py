@@ -89,11 +89,6 @@ class GramFactors(NamedTuple):
         """G^-1 = L^-H L^-1, hermitized against roundoff."""
         return hermitize(self.inv_chol.conj().swapaxes(-1, -2) @ self.inv_chol)
 
-    def pseudo_inverse(self, channels: np.ndarray) -> np.ndarray:
-        """(H^H H)^-1 H^H = L^-H (L^-1 H^H) of each channel H of a stack of the full-rank draws."""
-        inv_chol = self.inv_chol
-        return inv_chol.conj().swapaxes(-1, -2) @ (inv_chol @ channels.conj().swapaxes(-1, -2))
-
     @property
     def rate_loss(self) -> np.ndarray:
         """log2|G| + sum_k log2|[G^-1]_kk|, the rate loss of linear filtering, per draw."""
@@ -106,6 +101,17 @@ class GramFactors(NamedTuple):
 def _squared_norm(a: np.ndarray) -> np.ndarray:
     """Squared Frobenius norm of each matrix of a contiguous complex stack."""
     return np.square(a.view(np.float64)).sum(axis=(-2, -1))
+
+
+def _check_received_power(total_power: float, squared_norm: float) -> None:
+    """ValidationError unless 2 P (1 + ||H||_F^2) is finite, the overflow rule of solver and BD.
+
+    P tr(G) bounds each entry of P G and each BD gain; 2 (1 + ...) keeps the
+    covariances, whose entries reach P, their sums and rounding finite.
+    """
+    if not isfinite(2.0 * total_power * (1.0 + squared_norm)):
+        raise ValidationError(f"transmit power {total_power:g} is too large for the channel "
+                              f"squared norm ||H||_F^2 = {squared_norm:g}")
 
 
 def _factor_grams(channels: np.ndarray, profile: "SystemProfile") -> GramFactors:
@@ -372,12 +378,16 @@ class ChannelRealization:
                     f"channel block {k} has shape {h.shape}, expected {expected}"
                 )
             converted.append(_readonly(h))
+        object.__setattr__(self, "blocks", tuple(converted))
         # tr G = ||H||_F^2 bounds every Gram entry and every partial sum of H^H H; the
         # BLAS dot overflows to inf or NaN without a numpy warning, and both fail here
-        trace = sum(float(np.vdot(h, h).real) for h in converted)
-        if not isfinite(trace):
+        if not isfinite(self.squared_norm):
             raise ValidationError("channel squared norm ||H||_F^2 = tr(H^H H) is not finite")
-        object.__setattr__(self, "blocks", tuple(converted))
+
+    @cached_property
+    def squared_norm(self) -> float:
+        """||H||_F^2 = tr(H^H H), the squared Frobenius norm of the composite channel."""
+        return sum(float(np.vdot(h, h).real) for h in self.blocks)
 
     @cached_property
     def composite(self) -> np.ndarray:
@@ -429,8 +439,9 @@ class ChannelRealization:
 
     @cached_property
     def pseudo_inverse(self) -> np.ndarray:
-        """Left pseudo-inverse (H^H H)^{-1} H^H (valid since N >= r)."""
-        return _readonly(self._gram_factors.pseudo_inverse(self.composite[None])[0])
+        """Left pseudo-inverse (H^H H)^{-1} H^H = L^-H (L^-1 H^H) (valid since N >= r)."""
+        inv_chol = self._gram_factors.inv_chol[0]
+        return _readonly(inv_chol.conj().T @ (inv_chol @ self.composite.conj().T))
 
     def gram_inverse_block(self, user: int) -> np.ndarray:
         """User's diagonal block of the inverse Gram matrix."""

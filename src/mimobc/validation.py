@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import haar_unitary, hermitize, logdet2_hpd
 from .baseline import dual_mac_sum_capacity, generate_curves, waterfill
-from .bc import bc_covariance, solve_bc
+from .bc import bc_covariance, bc_exact_user_rate, solve_bc
 from .channel import (
     ChannelRealization,
     CorrelationModel,
@@ -313,7 +313,7 @@ def check_bc_solution_invariants(seed: int) -> CheckResult:
         level = total_power / r
         where = f"channel {i}"
         bd_worst = 0.0
-        for k, p in enumerate(solution.precoders):
+        for k, (p, rate) in enumerate(zip(solution.precoders, solution.rates)):
             for l, h in enumerate(channel.blocks):
                 if l != k:
                     bd_worst = max(
@@ -337,6 +337,8 @@ def check_bc_solution_invariants(seed: int) -> CheckResult:
                 ("spectrum", 1e-8 * max(1.0, level), spectrum_err, where),
                 ("idempotent", 1e-9,
                  float(np.linalg.norm(projector @ projector - projector)), where),
+                ("exact_rate", 1e-9,
+                 abs(rate - bc_exact_user_rate(channel, solution.precoders, k)), where),
             ]
         facets += [
             ("bd_residual", 1e-9, bd_worst, where),

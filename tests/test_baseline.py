@@ -31,6 +31,8 @@ from mimobc.baseline import (
     waterfill,
 )
 
+from bd_reference import bd_asymptote, mpmath_bd_rate
+
 #: 60-digit arithmetic for the references, apart from the global mpmath context.
 _MP = mpmath.MPContext()
 _MP.dps = 60
@@ -405,7 +407,7 @@ class TestGenerateCurves:
             generate_curves(profile, correlation, [10.0], trials=70, seed=4)
 
     def test_builds_no_transmit_covariance(self, fig_setup, monkeypatch):
-        # the BD rate needs only the precoder directions, never the covariances
+        # the BD rate needs only the eigenvalues of [G^-1]_kk, never the covariances
         profile, correlation = fig_setup
         expected = generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4)
 
@@ -415,19 +417,52 @@ class TestGenerateCurves:
         monkeypatch.setattr("mimobc.bc.bc_covariance", fail)
         assert generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4) == expected
 
-    def test_power_bound_of_the_bd_rate(self, fig_setup):
-        # unbounded, linear_exact - linear_affine read 2.405 to 250 dB and -3,567 at 3,000 dB
+    def test_builds_no_precoder(self, fig_setup, monkeypatch):
         profile, correlation = fig_setup
-        for grid in ([300.0], [0.0, 160.5]):
-            with pytest.raises(ValidationError, match="above 160 dB"):
-                generate_curves(profile, correlation, grid, trials=2, seed=1)
-        (point,) = generate_curves(profile, correlation, [160.0], trials=3, seed=1)
-        asymptotes = [
-            4 * np.log2(1e16 / 4)
-            - sum(sample_channel(profile, correlation, derive_seed(1, t)).inverse_block_logdet2)
-            for t in range(3)
+        expected = generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4)
+        names = ("_bd_directions", "solve_bc", "bc_exact_user_rate")
+        calls = [count_calls(monkeypatch, mimobc.bc, name) for name in names]
+        assert generate_curves(profile, correlation, [10.0, 20.0], trials=2, seed=4) == expected
+        assert calls == [[], [], []]
+
+    def test_bd_rate_meets_its_asymptote_at_any_power_and_gain(self, fig_setup):
+        # the interference-aware log-det read linear_exact - linear_affine 2.405 at
+        # 250 dB and -3,567 at 3,000 dB, and fell 125 bits short on a 1e20-scaled channel
+        profile, correlation = fig_setup
+        grid = [160.0, 300.0, 1000.0, 3000.0]
+        cases = [(correlation, grid)] + [
+            # channels scaled by s through the path gains s^2
+            (CorrelationModel.scalar(profile, [scale**2, 2.0 * scale**2]), [10.0])
+            for scale in (1e12, 1e15, 1e20, 1e100)
         ]
-        assert abs(point.linear_bd_sum_rate - np.mean(asymptotes)) <= 1e-9
+        for model, powers in cases:
+            points = generate_curves(profile, model, powers, trials=3, seed=1)
+            channels = [sample_channel(profile, model, derive_seed(1, t)) for t in range(3)]
+            for point, db in zip(points, powers):
+                asymptote = np.mean([bd_asymptote(c, power_from_db(db)) for c in channels])
+                assert abs(point.linear_bd_sum_rate - asymptote) <= 1e-9
+                assert point.linear_bd_sum_rate <= point.dpc_sum_capacity
+
+    def test_low_power_bd_rate_matches_mpmath(self):
+        # the log2(1 + x) form, or the interference-aware log-det, is off by up to 1.7e-7 at -90 dB
+        profile = make_profile(5, [2, 2])
+        grid = [-90.0, -60.0]
+        points = generate_curves(profile, None, grid, trials=3, seed=2)
+        channels = [sample_channel(profile, None, derive_seed(2, t)) for t in range(3)]
+        for point, db in zip(points, grid):
+            expected = np.mean(
+                [sum(mpmath_bd_rate(c, power_from_db(db), k) for k in range(2)) for c in channels]
+            )
+            assert abs(point.linear_bd_sum_rate - expected) <= 1e-14 * expected
+
+    def test_overflow_rule_on_the_top_grid_power(self, fig_setup, monkeypatch):
+        # 2 P (1 + ||H||_F^2) overflows at 3,080 dB on every channel, and the chunk
+        # stops before it is rated
+        profile, correlation = fig_setup
+        calls = count_calls(monkeypatch, mimobc.bc, "_bd_rates")
+        with pytest.raises(ValidationError, match="is too large for the channel squared norm"):
+            generate_curves(profile, correlation, [0.0, 3080.0], trials=2, seed=1)
+        assert calls == []
 
     def test_rejects_bad_grid(self, fig_setup):
         profile, correlation = fig_setup

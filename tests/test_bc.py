@@ -2,18 +2,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
+import mimobc.bc
+
 from mimobc import (
     ChannelRealization,
     CorrelationModel,
     derive_seed,
+    dual_mac_sum_capacity,
     make_profile,
     sample_channel,
     solve_bc,
 )
 from mimobc.bc import (
-    MAX_BD_POWER_DB,
-    _bc_exact_rates,
-    _bd_directions,
+    _bd_rates,
     asymptotic_receiver,
     bc_covariance,
     bc_exact_user_rate,
@@ -30,7 +31,9 @@ from mimobc._linalg import (
     normalize_eigenvector_phases,
     power_from_db,
 )
-from mimobc.validation import _eigenbasis_slack, random_hpd
+from mimobc.validation import _eigenbasis_slack, check_bc_solution_invariants, random_hpd
+
+from bd_reference import bd_asymptote, mpmath_bd_rate
 
 
 def identity_channel(antennas) -> ChannelRealization:
@@ -271,7 +274,7 @@ class TestDecorrelationBasis:
             )
 
 
-class TestStackedDirections:
+class TestStackedRates:
     @pytest.mark.parametrize(
         "base, antennas", [(5, (2, 2)), (6, (2, 1, 2)), (6, (1, 4)), (12, (4, 3, 3))]
     )
@@ -279,18 +282,18 @@ class TestStackedDirections:
         profile = make_profile(base, antennas)
         correlation = CorrelationModel.scalar(profile, np.linspace(1.0, 2.0, len(antennas)))
         seeds = [derive_seed(7, t) for t in range(12)]
+        gains = np.array([1e-9, 1.0, 1e3, 1e14])
         channels = np.stack([_sample_blocks(profile, correlation, s) for s in seeds])
-        stacked = _bd_directions(profile, channels, _factor_grams(channels, profile))
+        stacked = _bd_rates(profile, _factor_grams(channels, profile).inverse, gains)
+        assert stacked.shape == (4, 12, len(antennas))
         for t, seed in enumerate(seeds):
             channel = sample_channel(profile, correlation, seed)
-            alone = _bd_directions(profile, channel.composite[None], channel._gram_factors)
-            for k, (mine, own) in enumerate(zip(stacked, alone)):
-                for a, b in zip(mine, own):
-                    if profile.total_antennas <= 8:
-                        # every factor of either stack is inverted by the same substitution
-                        np.testing.assert_array_equal(a[t], b[0])
-                    else:
-                        assert np.linalg.norm(a[t] - b[0]) <= 1e-12 * np.linalg.norm(b[0])
+            alone = _bd_rates(profile, channel.gram_inverse[None], gains)[:, 0]
+            if profile.total_antennas <= 8:
+                # every factor of either stack is inverted by the same substitution
+                np.testing.assert_array_equal(stacked[:, t], alone)
+            else:
+                np.testing.assert_allclose(stacked[:, t], alone, rtol=1e-12, atol=0.0)
 
 
 class TestScalingFactors:
@@ -350,24 +353,67 @@ class TestBcPrecoder:
             assert via_scales == pytest.approx(direct, abs=1e-9)
 
 
-class TestBdPowerBound:
-    def test_a_power_above_the_bound_is_rejected(self):
-        # unbounded, this channel's exact BD rate read 0.58 bits below its asymptote at 300 dB
-        channel = sample_channel(make_profile(5, [2, 2]), seed=3)
-        with pytest.raises(ValidationError, match="above 160 dB"):
-            solve_bc(channel, 1e30)
-        with pytest.raises(ValidationError, match="above 160 dB"):
-            solve_bc(channel, np.nextafter(power_from_db(MAX_BD_POWER_DB), np.inf))
+def rule_edge(channel):
+    """The largest power that meets the overflow rule 2 P (1 + ||H||_F^2) on ``channel``."""
+    norm = channel.squared_norm
+    power = np.finfo(float).max / (2.0 * (1.0 + norm))
+    while np.isfinite(2.0 * float(np.nextafter(power, np.inf)) * (1.0 + norm)):
+        power = np.nextafter(power, np.inf)
+    while not np.isfinite(2.0 * float(power) * (1.0 + norm)):
+        power = np.nextafter(power, 0.0)
+    return float(power)
 
+
+class TestClosedFormBdRate:
     @pytest.mark.parametrize("base, antennas", [(5, (2, 2)), (12, (4, 3, 3)), (6, (2, 2, 2))])
-    def test_the_bound_is_within_rounding_of_the_asymptote(self, base, antennas):
-        # r log2(P / r) - sum_k log2|[G^-1]_kk|, on the same channel
+    def test_within_rounding_of_the_asymptote_from_160_to_1000_db(self, base, antennas):
         profile = make_profile(base, antennas)
-        power, r = power_from_db(MAX_BD_POWER_DB), profile.total_antennas
         for seed in range(20):
             channel = sample_channel(profile, seed=seed)
-            asymptote = r * np.log2(power / r) - sum(channel.inverse_block_logdet2)
-            assert abs(solve_bc(channel, power).sum_rate - asymptote) <= 1e-9
+            for db in (160.0, 200.0, 300.0, 500.0, 1000.0):
+                power = power_from_db(db)
+                assert abs(solve_bc(channel, power).sum_rate - bd_asymptote(channel, power)) <= 1e-9
+
+    @pytest.mark.parametrize("scale", [1e12, 1e15, 1e20, 1e100])
+    def test_large_gain_channel_meets_its_asymptote(self, scale):
+        # the interference-aware log-det read -3.4e-6, -3.6, -125 and -2,253 bits here
+        profile = make_profile(5, [2, 2])
+        blocks = sample_channel(profile, seed=3).blocks
+        channel = ChannelRealization(profile, [scale * h for h in blocks])
+        solution = solve_bc(channel, 10.0)
+        assert abs(solution.sum_rate - bd_asymptote(channel, 10.0)) <= 1e-9
+        assert solution.sum_rate <= dual_mac_sum_capacity(channel, 10.0).sum_rate_bits
+        for k, rate in enumerate(solution.rates):
+            assert rate == pytest.approx(mpmath_bd_rate(channel, 10.0, k), rel=1e-14)
+
+    @pytest.mark.parametrize("db", [-90.0, -60.0])
+    def test_low_power_matches_mpmath(self, db):
+        # the log2(1 + x) form, or the interference-aware log-det, is off by up to 1.7e-7 at -90 dB
+        power = power_from_db(db)
+        channels = [sample_channel(make_profile(5, [2, 2]), seed=seed) for seed in range(5)]
+        channels += list(well_conditioned_channels(np.random.default_rng(5)))
+        for channel in channels:
+            for k, rate in enumerate(solve_bc(channel, power).rates):
+                expected = mpmath_bd_rate(channel, power, k)
+                assert abs(rate - expected) <= 1e-14 * expected
+
+    @pytest.mark.parametrize(
+        "base, antennas, scale",
+        [(5, (2, 2), 1.0), (5, (2, 2), 1e-100), (5, (2, 2), 1e100), (1, (1,), 1.0), (2, (1,), 1e-20)],
+    )
+    def test_overflow_rule_edge(self, base, antennas, scale):
+        # at the edge both solvers run with no numpy warning (tier-1 turns one into an error)
+        profile = make_profile(base, antennas)
+        blocks = sample_channel(profile, seed=3).blocks
+        channel = ChannelRealization(profile, [scale * h for h in blocks])
+        power = rule_edge(channel)
+        linear = solve_bc(channel, power).sum_rate
+        dpc = dual_mac_sum_capacity(channel, power).sum_rate_bits
+        assert np.isfinite(linear) and linear <= dpc
+        beyond = float(np.nextafter(power, np.inf))
+        for solve in (solve_bc, dual_mac_sum_capacity):
+            with pytest.raises(ValidationError, match="is too large for the channel squared norm"):
+                solve(channel, beyond)
 
 
 class TestBcCovariance:
@@ -454,24 +500,20 @@ class TestBcExactUserRate:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_power_grid_matches_a_per_power_lu_evaluation(self, seed):
-        # two antenna counts, so both user groups of the batched evaluation run
+        # two antenna counts, so both user groups run; the precoders scaled by sqrt(gain)
         channel = sample_channel(make_profile(6, [2, 1, 2]), seed=seed)
         directions = solve_bc(channel, 5.0).precoders
-        gains = np.array([1e-3, 1.0, 1e2, 1e4])
-        stacked = [d[None] for d in directions]
-        rates = _bc_exact_rates(channel.profile, channel.composite[None], stacked, gains)[:, 0]
-        assert rates.shape == (4, 3)
-        for i, gain in enumerate(gains):
+        for gain in (1e-3, 1.0, 1e2, 1e4):
+            precoders = [np.sqrt(gain) * d for d in directions]
             for k, h_k in enumerate(channel.blocks):
-                crosses = [h_k.conj().T @ (np.sqrt(gain) * d) for d in directions]
+                crosses = [h_k.conj().T @ p for p in precoders]
                 noise = np.eye(h_k.shape[1]) + sum(
                     c @ c.conj().T for el, c in enumerate(crosses) if el != k
                 )
                 full = noise + crosses[k] @ crosses[k].conj().T
                 expected = (np.linalg.slogdet(full)[1] - np.linalg.slogdet(noise)[1]) / np.log(2.0)
-                assert rates[i, k] == pytest.approx(max(0.0, expected), rel=1e-12, abs=1e-12)
-        for k in range(3):
-            assert bc_exact_user_rate(channel, directions, k) == rates[1, k]
+                rate = bc_exact_user_rate(channel, precoders, k)
+                assert rate == pytest.approx(max(0.0, expected), rel=1e-12, abs=1e-12)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_precoder_is_rejected(self, bad):
@@ -503,3 +545,11 @@ class TestEigenbasisOptimality:
 class TestBcSolutionInvariants:
     def test_invariants_on_random_channels(self, checks):
         assert checks["bc_solution_invariants"].passed
+
+    def test_a_closed_form_off_by_1e_8_bits_fails_the_exact_rate_facet(self, monkeypatch):
+        closed_form = mimobc.bc._bd_rates
+        monkeypatch.setattr(
+            "mimobc.bc._bd_rates", lambda *args: closed_form(*args) + 1e-8
+        )
+        result = check_bc_solution_invariants(1)
+        assert not result.passed and result.detail.startswith("exact_rate error 1.0")

@@ -317,13 +317,17 @@ class TestChannelRealization:
 
     def test_constructor_rejects_a_channel_whose_gram_trace_overflows(self):
         # ||H||_F^2 = tr G bounds every Gram entry: at 1e154 it overflows, and the
-        # failure is the ValidationError alone, with no numpy overflow warning
+        # failure is the ValidationError alone, with no numpy overflow warning; at
+        # 1e153 (tr G = 2.7e307) 1 W meets the overflow rule 2 P (1 + tr G) and 10 W does not
         profile = make_profile(5, [2, 2])
         blocks = sample_channel(profile, seed=3).blocks
         channel = ChannelRealization(profile, [1e153 * b for b in blocks])
         assert np.isfinite(instantaneous_rate_loss(channel))
-        assert np.isfinite(solve_bc(channel, 10.0).sum_rate)
-        assert np.isfinite(dual_mac_sum_capacity(channel, 10.0).sum_rate_bits)
+        assert np.isfinite(solve_bc(channel, 1.0).sum_rate)
+        assert np.isfinite(dual_mac_sum_capacity(channel, 1.0).sum_rate_bits)
+        for solve in (solve_bc, dual_mac_sum_capacity):
+            with pytest.raises(ValidationError, match="is too large for the channel"):
+                solve(channel, 10.0)
         with pytest.raises(ValidationError, match="not finite"):
             ChannelRealization(profile, [1e154 * b for b in blocks])
 

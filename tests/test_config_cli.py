@@ -475,14 +475,25 @@ class TestExitCodes:
         assert "is not valid JSON" in capsys.readouterr().err
         assert not out.exists()
 
-    def test_curves_power_above_the_bd_bound(self, tmp_path, capsys):
-        # accepted by the config, whose dB rule is only a finite positive power
+    def test_curves_at_300_db(self, tmp_path):
         config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
         out = tmp_path / "x.csv"
         argv = ["curves", "--config", config, "--trials", "2", "--out", str(out),
                 "--ptx-grid-db", "300:1:300"]
+        assert main(argv) == 0
+        header, (row,) = read_csv(out)
+        values = dict(zip(header, row))
+        assert float(values["linear_exact"]) <= float(values["dpc_exact"])
+
+    def test_curves_power_past_the_overflow_rule(self, tmp_path, capsys):
+        # accepted by the config, whose dB rule is only a finite positive power;
+        # 2 P (1 + ||H||_F^2) overflows at 1e308 W on every channel
+        config = write_config(tmp_path / "c.json", {"N": 5, "antennas": [2, 2]})
+        out = tmp_path / "x.csv"
+        argv = ["curves", "--config", config, "--trials", "2", "--out", str(out),
+                "--ptx-grid-db", "3080:1:3080"]
         assert main(argv) == 2
-        assert "above 160 dB" in capsys.readouterr().err
+        assert "is too large for the channel squared norm" in capsys.readouterr().err
         assert not out.exists()
 
     def test_infeasible_profile(self, tmp_path):

@@ -306,6 +306,10 @@ REJECTIONS = {
         lambda: bc_exact_user_rate(CHANNEL, solve_bc(CHANNEL, 1.0).precoders[:1], 0),
         ValidationError, "1 precoders for 2 users",
     ),
+    "bc_exact_user_rate precoder not a matrix": (
+        lambda: bc_exact_user_rate(CHANNEL, [np.ones(5), np.ones((5, 2))], 0),
+        ValidationError, r"precoder 0 is not a matrix: shape \(5,\)",
+    ),
     "bc_exact_user_rate precoder rows": (
         lambda: bc_exact_user_rate(CHANNEL, [p[1:] for p in solve_bc(CHANNEL, 1.0).precoders], 0),
         ValidationError, "precoder 0 has 4 rows, expected 5",

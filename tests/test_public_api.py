@@ -7,6 +7,7 @@ import functools
 import importlib
 import importlib.util
 import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -177,8 +178,6 @@ def caught_types():
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
             if isinstance(node, ast.ExceptHandler)
         ]
-        if not handlers:
-            continue  # importing __main__ would run the CLI
         namespace = {**vars(builtins), **vars(importlib.import_module(f"mimobc.{path.stem}"))}
         for node in handlers:
             if node.type is None:
@@ -192,6 +191,14 @@ def caught_types():
                 except (NameError, AttributeError):
                     kind = None
                 yield where, kind
+
+
+def test_importing_the_main_module_does_not_run_the_cli(monkeypatch):
+    # the entry point would parse these arguments and exit
+    monkeypatch.setattr("sys.argv", ["mimobc", "--no-such-flag"])
+    monkeypatch.delitem(sys.modules, "mimobc.__main__", raising=False)
+    module = importlib.import_module("mimobc.__main__")
+    assert callable(module.entry_point)
 
 
 def test_every_except_names_a_builtin_a_package_error_or_a_linalg_error():
