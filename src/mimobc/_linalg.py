@@ -61,6 +61,14 @@ def positive_finite(value, what: str) -> float:
     return value
 
 
+def trial_count(value) -> int:
+    """``value`` as an ``integer`` number of Monte Carlo trials; ValidationError below 2."""
+    trials = integer(value, "trials")
+    if trials < 2:
+        raise ValidationError(f"need at least 2 trials, got {trials}")
+    return trials
+
+
 def power_from_db(db: float) -> float:
     """Linear power 10^(db / 10); ``inf`` where the float range overflows."""
     try:

@@ -29,7 +29,9 @@ from math import isfinite
 
 import numpy as np
 
-from ._linalg import LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid
+from ._linalg import (
+    LN2, finite, hermitize, integer, positive_finite, power_from_db, power_grid, trial_count
+)
 from .bc import _bd_rates
 from .channel import (
     ChannelRealization,
@@ -37,10 +39,11 @@ from .channel import (
     SystemProfile,
     _check_received_power,
     _factor_grams,
+    _rank_message,
     derive_seed,
     sample_channel,
 )
-from .ergodic import ergodic_block_logdet, ergodic_dpc_logdet
+from .ergodic import _mean_and_stderr, ergodic_block_logdet, ergodic_dpc_logdet
 from .errors import NumericalRankError, ValidationError
 from .mac import MacCovarianceSet, _objective, _slope_term
 
@@ -85,15 +88,14 @@ def waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     if budget <= 0 or not ascending:
         return np.zeros_like(gains)
     # water level with m active channels: mu_m = (budget + sum of the m
-    # smallest inverse gains) / m, valid while mu_m exceeds the m-th inverse
-    # gain; the level is that of the largest valid m, else that of m = 1
-    level = budget + ascending[0]
-    running = 0.0
-    for m, v in enumerate(ascending, 1):
+    # smallest inverse gains) / m; channel m joins while mu_{m-1} exceeds its
+    # inverse gain, and once one stays dry so do all after it
+    level, running = budget + ascending[0], ascending[0]
+    for m, v in enumerate(ascending[1:], 2):
+        if level <= v:
+            break
         running += v
-        candidate = (budget + running) / m
-        if candidate > v:
-            level = candidate
+        level = (budget + running) / m
     # np.maximum(0.0, level - v), which keeps a NaN
     powers = [0.0 if v is None or level - v <= 0.0 else level - v for v in inverse]
     return np.array(powers).reshape(gains.shape)
@@ -224,11 +226,11 @@ def dual_mac_sum_capacity(
 
 @dataclass(frozen=True)
 class CurvePoint:
-    """One transmit-power grid point of the ergodic rate curves."""
+    """One transmit-power grid point of the ergodic rate curves; its fields are the columns."""
 
-    power_db: float
-    dpc_sum_capacity: float
-    linear_bd_sum_rate: float
+    P_dB: float
+    dpc_exact: float
+    linear_exact: float
     dpc_affine: float
     linear_affine: float
     dpc_stderr: float
@@ -256,13 +258,12 @@ def generate_curves(
     counted per point, never silently dropped, next to the most iterations
     and the largest certified gap of the point's solves.  A draw on which the
     top grid power fails ``channel._check_received_power`` raises
-    ValidationError before its chunk is rated.
+    ValidationError, and a rank-deficient draw NumericalRankError, before
+    its chunk is rated.
     """
     grid = power_grid(power_grid_db, "power grid")
-    trials, seed = integer(trials, "trials"), integer(seed, "seed")
+    trials, seed = trial_count(trials), integer(seed, "seed")
     tolerance = positive_finite(tolerance, "tolerance")
-    if trials < 2:
-        raise ValidationError(f"need at least 2 trials, got {trials}")
 
     r = profile.total_antennas
     dpc_offset = ergodic_dpc_logdet(profile, correlation)
@@ -271,53 +272,49 @@ def generate_curves(
     )
 
     powers = [power_from_db(p) for p in grid]
-    dpc_values = np.zeros((len(grid), trials))
-    linear_values = np.zeros((len(grid), trials))
-    nonconverged = [0] * len(grid)
-    most_iterations = [0] * len(grid)
-    largest_gap = [0.0] * len(grid)
+    # one (power, trial) entry per solve and BD rate
+    dpc, linear, gaps = (np.zeros((len(grid), trials)) for _ in range(3))
+    iterations = np.zeros((len(grid), trials), dtype=int)
+    converged = np.zeros((len(grid), trials), dtype=bool)
 
     gains = np.divide(powers, r)
     for start in range(0, trials, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, trials)
         chunk = range(start, stop)
         realizations = [sample_channel(profile, correlation, derive_seed(seed, t)) for t in chunk]
-        channels = np.stack([channel.composite for channel in realizations])
-        factors = _factor_grams(channels, profile)
+        factors = _factor_grams(np.stack([c.composite for c in realizations]), profile)
         if not factors.full_rank.all():
-            # the realization's own check words the error; the chunk stops either way,
-            # since every later step needs a factor per trial
+            # every later step needs a factor per trial, so the chunk stops here
             bad = int(np.argmin(factors.full_rank))
-            try:
-                realizations[bad].require_full_rank()
-            except NumericalRankError as exc:
-                raise NumericalRankError(f"trial {chunk[bad]}: {exc}") from None
-            raise NumericalRankError(f"trial {chunk[bad]}: Gram matrix is rank deficient")
+            condition = realizations[bad].gram_condition
+            raise NumericalRankError(f"trial {chunk[bad]}: {_rank_message(condition)}")
         _check_received_power(max(powers), max(c.squared_norm for c in realizations))
-        linear_values[:, start:stop] = _bd_rates(profile, factors.inverse, gains).sum(axis=-1)
+        linear[:, start:stop] = _bd_rates(profile, factors.inverse, gains).sum(axis=-1)
         for t, channel in zip(chunk, realizations):
             for i, power in enumerate(powers):
                 result = dual_mac_sum_capacity(channel, power, tolerance)
-                nonconverged[i] += not result.converged
-                most_iterations[i] = max(most_iterations[i], result.iterations)
-                largest_gap[i] = max(largest_gap[i], result.optimality_gap_bits)
-                dpc_values[i, t] = result.sum_rate_bits
+                dpc[i, t] = result.sum_rate_bits
+                gaps[i, t] = result.optimality_gap_bits
+                iterations[i, t] = result.iterations
+                converged[i, t] = result.converged
 
     points = []
     for i, (p_db, power) in enumerate(zip(grid, powers)):
         slope_term = _slope_term(r, power)
+        dpc_mean, dpc_stderr = _mean_and_stderr(dpc[i])
+        linear_mean, linear_stderr = _mean_and_stderr(linear[i])
         points.append(
             CurvePoint(
-                power_db=p_db,
-                dpc_sum_capacity=float(np.mean(dpc_values[i])),
-                linear_bd_sum_rate=float(np.mean(linear_values[i])),
+                P_dB=p_db,
+                dpc_exact=dpc_mean,
+                linear_exact=linear_mean,
                 dpc_affine=slope_term + dpc_offset,
                 linear_affine=slope_term + linear_offset,
-                dpc_stderr=float(np.std(dpc_values[i], ddof=1) / np.sqrt(trials)),
-                linear_stderr=float(np.std(linear_values[i], ddof=1) / np.sqrt(trials)),
-                nonconverged=nonconverged[i],
-                max_iterations=most_iterations[i],
-                max_gap_bits=largest_gap[i],
+                dpc_stderr=dpc_stderr,
+                linear_stderr=linear_stderr,
+                nonconverged=int(np.count_nonzero(~converged[i])),
+                max_iterations=int(iterations[i].max()),
+                max_gap_bits=float(gaps[i].max()),
             )
         )
     return points

@@ -59,6 +59,11 @@ def _well_conditioned(eigenvalues: np.ndarray) -> np.ndarray:
         return (smallest > 0.0) & (eigenvalues[..., -1] <= COND_LIMIT * smallest)
 
 
+def _rank_message(condition: float) -> str:
+    """The rank gate's NumericalRankError message for a Gram matrix's condition number."""
+    return f"Gram matrix condition number {condition:.3e} exceeds limit {COND_LIMIT:.0e}"
+
+
 #: A Gram matrix with tr(G) tr(G^-1) at most this fraction of ``COND_LIMIT`` is
 #: full rank without its eigenvalues: the product bounds the condition number
 #: from above, and the margin absorbs the rounding of tr(G^-1).
@@ -409,10 +414,7 @@ class ChannelRealization:
         """
         factors = _factor_grams(self.composite[None], self.profile)
         if not factors.full_rank[0]:
-            raise NumericalRankError(
-                f"Gram matrix condition number {self.gram_condition:.3e} "
-                f"exceeds limit {COND_LIMIT:.0e}"
-            )
+            raise NumericalRankError(_rank_message(self.gram_condition))
         return factors
 
     @cached_property

@@ -15,13 +15,13 @@ import functools
 import io
 import json
 import sys
-from dataclasses import astuple
+from dataclasses import astuple, fields
 from math import isfinite
 
 import numpy as np
 
 from ._linalg import power_from_db
-from .baseline import generate_curves
+from .baseline import CurvePoint, generate_curves
 from .channel import _sample_blocks, derive_seed, make_profile
 from .config import (
     SCHEMA_VERSION,
@@ -153,19 +153,7 @@ def _run_curves(config: ExperimentConfig) -> int:
         seed=config.seed,
         tolerance=config.tolerance,
     )
-    header = [
-        "P_dB",
-        "dpc_exact",
-        "linear_exact",
-        "dpc_affine",
-        "linear_affine",
-        "dpc_stderr",
-        "linear_stderr",
-        "nonconverged",
-        "max_iterations",
-        "max_gap_bits",
-    ]
-    # CurvePoint declares its fields in column order
+    header = [f.name for f in fields(CurvePoint)]
     rows = [list(astuple(p)) for p in points]
     path = _write(config, "curves", header, rows)
     print(f"wrote {len(rows)} grid points to {path}")

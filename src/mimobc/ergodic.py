@@ -15,7 +15,7 @@ from math import fsum, log
 
 import numpy as np
 
-from ._linalg import LN2, finite, integer
+from ._linalg import LN2, finite, integer, trial_count
 from .channel import (
     CorrelationModel,
     SystemProfile,
@@ -193,6 +193,11 @@ class MonteCarloEstimate:
     discarded: int
 
 
+def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean of a 1-D Monte Carlo sample and its standard error (``ddof=1``)."""
+    return float(np.mean(values)), float(np.std(values, ddof=1) / np.sqrt(values.size))
+
+
 def monte_carlo_rate_loss(
     profile: SystemProfile,
     correlation: CorrelationModel | None = None,
@@ -211,10 +216,8 @@ def monte_carlo_rate_loss(
     ``derive_seed(seed, number_of_batches)``, capped at 0.1% of the trial
     count.
     """
-    trials = default_trials(profile) if trials is None else integer(trials, "trials")
+    trials = trial_count(default_trials(profile) if trials is None else trials)
     seed = integer(seed, "seed")
-    if trials < 2:
-        raise ValidationError(f"need at least 2 trials, got {trials}")
     max_discards = int(_DISCARD_FRACTION * trials)
     discarded = 0
     values = np.empty(trials, dtype=float)
@@ -245,9 +248,7 @@ def monte_carlo_rate_loss(
                     batch_values[i] = redrawn.rate_loss[0]
                     break
 
-    mean = float(np.mean(values))
-    stderr = float(np.std(values, ddof=1) / np.sqrt(trials))
-    return MonteCarloEstimate(mean, stderr, trials, discarded)
+    return MonteCarloEstimate(*_mean_and_stderr(values), trials, discarded)
 
 
 @dataclass(frozen=True)

@@ -120,11 +120,11 @@ def test_criterion_07_reference_curve_regime():
     for p in points:
         worst_affine = max(
             worst_affine,
-            abs(p.dpc_sum_capacity - p.dpc_affine),
-            abs(p.linear_bd_sum_rate - p.linear_affine),
+            abs(p.dpc_exact - p.dpc_affine),
+            abs(p.linear_exact - p.linear_affine),
         )
     assert worst_affine <= 0.15
-    gap = points[-1].dpc_sum_capacity - points[-1].linear_bd_sum_rate
+    gap = points[-1].dpc_exact - points[-1].linear_exact
     assert gap == pytest.approx(2.04, abs=0.15)
     offset = power_offset_db(gap, profile.total_antennas)
     assert offset == pytest.approx(1.54, abs=0.12)

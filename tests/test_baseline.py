@@ -96,6 +96,11 @@ class TestWaterfill:
     def test_nonpositive_budget_gives_zeros(self, budget):
         assert not waterfill(np.array([1.0, 2.0]), budget).any()
 
+    def test_a_dry_tail_does_not_overflow_the_level(self):
+        # the inverse gains past the active set sum to inf
+        powers = waterfill(np.array([1.0, 1e-308, 1e-308]), 1.0)
+        assert powers.tolist() == [1.0, 0.0, 0.0]
+
     def test_zero_gain_ignored(self):
         powers = waterfill(np.array([1.0, 0.0]), 3.0)
         np.testing.assert_allclose(powers, [3.0, 0.0])
@@ -153,8 +158,10 @@ def numpy_waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
     inverse = 1.0 / gains[usable]
     ascending = np.sort(inverse)
     levels = (budget + ascending.cumsum()) / np.arange(1, ascending.size + 1)
-    valid = (levels > ascending).nonzero()[0]
-    level = levels[valid[-1] if valid.size else 0]
+    # channel m joins while the level of the m - 1 wetter ones exceeds its
+    # inverse gain; the first dry one ends the active set
+    dry = (levels[:-1] <= ascending[1:]).nonzero()[0]
+    level = levels[dry[0] if dry.size else -1]
     powers[usable] = np.maximum(0.0, level - inverse)
     return powers
 
@@ -163,8 +170,10 @@ def numpy_waterfill(gains: np.ndarray, budget: float) -> np.ndarray:
 def wide_waterfill_cases(draw):
     gain = st.one_of(
         st.just(0.0),
-        # a subnormal gain's inverse overflows: the NaN power of inf - inf must match too
+        # a subnormal gain's inverse overflows to inf, and its channel stays dry
         st.just(5e-324),
+        # inverse gains near the float maximum, whose sum overflows past the active set
+        st.just(1e-308),
         st.floats(1e-12, 1e12),
         st.floats(-1e12, -1e-12),
         st.integers(-12, 12).map(lambda e: 10.0**e),
@@ -317,7 +326,7 @@ class TestGenerateCurves:
     def test_exact_slope_matches_multiplexing_gain(self, fig_setup):
         profile, correlation = fig_setup
         points = generate_curves(profile, correlation, [30.0, 40.0], trials=40, seed=2)
-        for attribute in ("dpc_sum_capacity", "linear_bd_sum_rate"):
+        for attribute in ("dpc_exact", "linear_exact"):
             slope = (getattr(points[1], attribute) - getattr(points[0], attribute)) / 10.0
             assert slope == pytest.approx(4 * np.log2(10.0) / 10.0, rel=0.05)
 
@@ -325,7 +334,7 @@ class TestGenerateCurves:
         profile, correlation = fig_setup
         points = generate_curves(profile, correlation, [-10.0, 0.0, 10.0, 20.0], trials=10, seed=3)
         for p in points:
-            assert p.dpc_sum_capacity >= p.linear_bd_sum_rate - 1e-9
+            assert p.dpc_exact >= p.linear_exact - 1e-9
 
     def test_reports_the_largest_gap_and_iteration_count_per_point(self, fig_setup):
         profile, correlation = fig_setup
@@ -339,6 +348,32 @@ class TestGenerateCurves:
             ]
             assert point.max_iterations == max(r.iterations for r in results)
             assert point.max_gap_bits == max(r.optimality_gap_bits for r in results)
+
+    def test_counts_the_unconverged_solves_per_point(self, fig_setup, monkeypatch):
+        monkeypatch.setattr(mimobc.baseline, "MAX_ITERATIONS", 2)
+        profile, correlation = fig_setup
+        grid = [-10.0, 20.0, 40.0]
+        points = generate_curves(profile, correlation, grid, trials=4, seed=7)
+        channels = [sample_channel(profile, correlation, derive_seed(7, t)) for t in range(4)]
+        expected = [
+            sum(not dual_mac_sum_capacity(c, power_from_db(db)).converged for c in channels)
+            for db in grid
+        ]
+        assert [point.nonconverged for point in points] == expected
+        assert any(expected)
+
+    def test_a_second_chunk_is_averaged_in_trial_order(self, fig_setup):
+        # 65 trials: trial 64 is alone in the second chunk of 64
+        profile, correlation = fig_setup
+        grid = [0.0, 30.0]
+        points = generate_curves(profile, correlation, grid, trials=65, seed=8)
+        channels = [sample_channel(profile, correlation, derive_seed(8, t)) for t in range(65)]
+        for point, db in zip(points, grid):
+            power = power_from_db(db)
+            dpc = np.mean([dual_mac_sum_capacity(c, power).sum_rate_bits for c in channels])
+            linear = np.mean([solve_bc(c, power).sum_rate for c in channels])
+            assert point.dpc_exact == dpc
+            assert point.linear_exact == pytest.approx(linear, rel=1e-12)
 
     def test_deterministic_given_seed(self, fig_setup):
         profile, correlation = fig_setup
@@ -383,9 +418,9 @@ class TestGenerateCurves:
         points = generate_curves(profile, correlation, grid, trials=trials, seed=2)
         channels = [sample_channel(profile, correlation, derive_seed(2, t)) for t in range(trials)]
         for point in points:
-            power = power_from_db(point.power_db)
+            power = power_from_db(point.P_dB)
             expected = np.mean([solve_bc(c, power).sum_rate for c in channels])
-            assert point.linear_bd_sum_rate == pytest.approx(expected, rel=1e-12)
+            assert point.linear_exact == pytest.approx(expected, rel=1e-12)
 
     def test_rank_deficient_trial_is_named(self, fig_setup, monkeypatch):
         profile, correlation = fig_setup
@@ -403,7 +438,10 @@ class TestGenerateCurves:
             generate_curves(profile, correlation, [10.0], trials=70, seed=4)
         # a flagged stack stops even when the trial alone passes the rank check
         monkeypatch.setattr(ChannelRealization, "require_full_rank", lambda channel: None)
-        with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix is rank deficient"):
+        with pytest.raises(
+            NumericalRankError,
+            match=r"^trial 66: Gram matrix condition number \S+ exceeds limit 1e\+12$",
+        ):
             generate_curves(profile, correlation, [10.0], trials=70, seed=4)
 
     def test_builds_no_transmit_covariance(self, fig_setup, monkeypatch):
@@ -440,8 +478,8 @@ class TestGenerateCurves:
             channels = [sample_channel(profile, model, derive_seed(1, t)) for t in range(3)]
             for point, db in zip(points, powers):
                 asymptote = np.mean([bd_asymptote(c, power_from_db(db)) for c in channels])
-                assert abs(point.linear_bd_sum_rate - asymptote) <= 1e-9
-                assert point.linear_bd_sum_rate <= point.dpc_sum_capacity
+                assert abs(point.linear_exact - asymptote) <= 1e-9
+                assert point.linear_exact <= point.dpc_exact
 
     def test_low_power_bd_rate_matches_mpmath(self):
         # the log2(1 + x) form, or the interference-aware log-det, is off by up to 1.7e-7 at -90 dB
@@ -453,7 +491,7 @@ class TestGenerateCurves:
             expected = np.mean(
                 [sum(mpmath_bd_rate(c, power_from_db(db), k) for k in range(2)) for c in channels]
             )
-            assert abs(point.linear_bd_sum_rate - expected) <= 1e-14 * expected
+            assert abs(point.linear_exact - expected) <= 1e-14 * expected
 
     def test_overflow_rule_on_the_top_grid_power(self, fig_setup, monkeypatch):
         # 2 P (1 + ||H||_F^2) overflows at 3,080 dB on every channel, and the chunk

@@ -230,3 +230,16 @@ def test_every_value_is_built_by_its_checked_constructor():
         )
     ]
     assert bypasses == []
+
+
+def test_the_cli_names_no_curves_column():
+    # CurvePoint's fields are the curves columns; a column name spelled out in
+    # the CLI would be a second declaration that can drift from the first
+    columns = {f.name for f in dataclasses.fields(mimobc.baseline.CurvePoint)}
+    strings = [
+        f"cli.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(ast.parse((SOURCE / "cli.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in columns
+    ]
+    assert len(columns) == 10
+    assert strings == []
