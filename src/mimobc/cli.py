@@ -180,11 +180,12 @@ def _run_validate(config: ExperimentConfig) -> int:
     return _EXIT_OK
 
 
-_RUNNERS = {
-    "table1": _run_table1,
-    "rate-loss": _run_rate_loss,
-    "curves": _run_curves,
-    "validate": _run_validate,
+#: Each subcommand's runner and help text, in the order ``--help`` lists them.
+_SUBCOMMANDS = {
+    "table1": (_run_table1, "ergodic rate-loss grid over the built-in antenna profiles"),
+    "rate-loss": (_run_rate_loss, "per-realization instantaneous rate loss and asymptotic rates"),
+    "curves": (_run_curves, "ergodic DPC and linear sum rates versus transmit power"),
+    "validate": (_run_validate, "run the library invariant suite and report pass/fail"),
 }
 
 
@@ -196,13 +197,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Broadcast-channel rate experiments: closed forms and Monte Carlo",
     )
     sub = parser.add_subparsers(dest="kind", required=True)
-    descriptions = {
-        "table1": "ergodic rate-loss grid over the built-in antenna profiles",
-        "rate-loss": "per-realization instantaneous rate loss and asymptotic rates",
-        "curves": "ergodic DPC and linear sum rates versus transmit power",
-        "validate": "run the library invariant suite and report pass/fail",
-    }
-    for kind, help_text in descriptions.items():
+    for kind, (_, help_text) in _SUBCOMMANDS.items():
         cmd = sub.add_parser(kind, help=help_text)
         cmd.add_argument("--config", help="JSON config file")
         cmd.add_argument("--seed", type=int, help="master seed")
@@ -225,7 +220,8 @@ def main(argv=None) -> int:
     }
     try:
         config = load_config(args.kind, args.config, overrides)
-        return _RUNNERS[args.kind](config)
+        runner, _ = _SUBCOMMANDS[args.kind]
+        return runner(config)
     except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return _EXIT_CONFIG_ERROR

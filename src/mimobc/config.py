@@ -18,8 +18,7 @@ from .errors import ValidationError
 
 SCHEMA_VERSION = "4"
 
-_KINDS = ("table1", "rate-loss", "curves", "validate")
-
+#: The experiment kinds, each with its default trial count.
 _DEFAULT_TRIALS = {"table1": 0, "rate-loss": 1000, "curves": 200, "validate": 2000}
 
 #: Largest master seed: seeds are unsigned 64-bit integers.
@@ -75,8 +74,10 @@ def parse_grid(spec) -> tuple[float, ...]:
 
 def load_config(kind: str, path: str | None = None, overrides: dict | None = None) -> ExperimentConfig:
     """Merge defaults, an optional JSON file, and flag overrides for one run."""
-    if kind not in _KINDS:
-        raise ValidationError(f"unknown experiment kind {kind!r}; expected one of {_KINDS}")
+    if kind not in _DEFAULT_TRIALS:
+        raise ValidationError(
+            f"unknown experiment kind {kind!r}; expected one of {tuple(_DEFAULT_TRIALS)}"
+        )
     merged: dict = {}
     if path is not None:
         try:

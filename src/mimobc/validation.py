@@ -1,18 +1,19 @@
 """Executable self-check suite covering every library invariant.
 
-Each check returns a named result with a normalized margin: 1.0 means the
-worst observed case sat at zero error, 0.0 means it sat exactly at the
-tolerance, negative means failure.  The `validate` CLI subcommand runs all
-checks and exits nonzero when any fails; the test suite asserts on the same
-results, so every invariant has this one implementation.  ``check_<name>``
-reports its result under ``<name>``.
+A check is a ``check_<name>`` function of this module, its one declaration:
+it returns ``(margin, detail)``, where the normalized margin is 1.0 when the
+worst observed case sat at zero error, 0.0 when it sat exactly at the
+tolerance, and negative on failure.  ``run_all_checks`` runs every one in
+definition order and reports each under ``<name>``.  The `validate` CLI
+subcommand runs them all and exits nonzero when any fails; the test suite
+asserts on the same results, so every invariant has this one implementation.
 """
 
 from __future__ import annotations
 
 import inspect
 from dataclasses import dataclass
-from math import log2, sqrt
+from math import inf, isnan, log2, sqrt
 
 import numpy as np
 
@@ -52,32 +53,32 @@ __all__ = ["run_all_checks"]
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    passed: bool
     margin: float
     detail: str
 
+    @property
+    def passed(self) -> bool:
+        return self.margin >= 0.0
+
 
 def _margin(tolerance: float, error: float) -> float:
-    """Normalized margin of an error against its bound; a zero bound admits no error."""
+    """Normalized margin of an error against its bound; a zero bound admits no error.
+
+    A NaN error fails at margin -inf, so a ``min`` over margins always reports it.
+    """
+    if isnan(error):
+        return -inf
     if tolerance == 0.0:
         return 1.0 if error <= 0.0 else -1.0
     return (tolerance - error) / tolerance
 
 
-def _tolerance_result(name: str, tolerance: float, worst: float, detail: str) -> CheckResult:
-    margin = _margin(tolerance, worst)
-    return CheckResult(name, margin >= 0.0, margin, detail)
-
-
-def _worst_facet(name: str, facets) -> CheckResult:
-    """Result of the facet with the smallest margin; facets are (label, tolerance, error, where)."""
+def _worst_facet(facets) -> tuple[float, str]:
+    """(margin, detail) of the worst facet; facets are (label, tolerance, error, where)."""
     margin, label, tolerance, error, where = min(
         (_margin(tol, err), label, tol, err, where) for label, tol, err, where in facets
     )
-    return CheckResult(
-        name, margin >= 0.0, float(margin),
-        f"{label} error {error:.3e} at tolerance {tolerance:.1e} ({where})",
-    )
+    return float(margin), f"{label} error {error:.3e} at tolerance {tolerance:.1e} ({where})"
 
 
 def random_profile(rng: np.random.Generator):
@@ -101,23 +102,22 @@ def _random_correlation(profile, rng: np.random.Generator) -> CorrelationModel:
     return CorrelationModel([random_hpd(rng, r) for r in profile.user_antennas])
 
 
-def check_channel_determinism(seed: int) -> CheckResult:
+def check_channel_determinism(seed: int) -> tuple[float, str]:
     profile = make_profile(5, [2, 2])
-    ok = True
+    violations = 0
     for correlation in (None, CorrelationModel.scalar(profile, [1.0, 2.0])):
         first = sample_channel(profile, correlation, seed)
         again = sample_channel(profile, correlation, seed)
         following = sample_channel(profile, correlation, seed + 1)
-        ok = ok and all(np.array_equal(a, b) for a, b in zip(first.blocks, again.blocks))
-        ok = ok and not np.array_equal(first.blocks[0], following.blocks[0])
-    return CheckResult(
-        "channel_determinism", ok, 1.0 if ok else -1.0,
+        violations += not all(np.array_equal(a, b) for a, b in zip(first.blocks, again.blocks))
+        violations += np.array_equal(first.blocks[0], following.blocks[0])
+    return _margin(0.0, violations), (
         "same seed reproduces bit-identical channel blocks and seed + 1 draws new ones, "
-        "with and without correlation",
+        "with and without correlation"
     )
 
 
-def check_channel_sqrt_roundtrip(seed: int) -> CheckResult:
+def check_channel_sqrt_roundtrip(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 101))
     roundtrip = hermitian = 0.0
     for _ in range(50):
@@ -128,7 +128,6 @@ def check_channel_sqrt_roundtrip(seed: int) -> CheckResult:
             hermitian = max(hermitian, float(np.linalg.norm(root - root.conj().T)))
     where = "Frobenius norm, 50 models of 1-3 blocks sized 1-4"
     return _worst_facet(
-        "channel_sqrt_roundtrip",
         [
             ("C^(1/2) C^(1/2) - C", 1e-10, roundtrip, where),
             ("C^(1/2) - C^(1/2)^H", 1e-12, hermitian, where),
@@ -136,22 +135,19 @@ def check_channel_sqrt_roundtrip(seed: int) -> CheckResult:
     )
 
 
-def check_channel_composite_assembly(seed: int) -> CheckResult:
+def check_channel_composite_assembly(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 102))
-    ok = True
+    mismatches = 0
     for _ in range(20):
         profile = random_profile(rng)
         channel = sample_channel(profile, None, int(rng.integers(0, 2**32)))
         for k in range(profile.num_users):
             sl = block_index_range(profile, k)
-            ok = ok and np.array_equal(channel.composite[:, sl], channel.blocks[k])
-    return CheckResult(
-        "channel_composite_assembly", ok, 1.0 if ok else -1.0,
-        "composite column blocks equal the per-user matrices exactly",
-    )
+            mismatches += not np.array_equal(channel.composite[:, sl], channel.blocks[k])
+    return _margin(0.0, mismatches), "composite column blocks equal the per-user matrices exactly"
 
 
-def check_channel_second_moment(seed: int) -> CheckResult:
+def check_channel_second_moment(seed: int) -> tuple[float, str]:
     profile = make_profile(6, [3, 3])
     correlation = CorrelationModel.scalar(profile, [4.0, 4.0])
     entries = []
@@ -160,9 +156,8 @@ def check_channel_second_moment(seed: int) -> CheckResult:
         entries.append(np.abs(channel.composite) ** 2)
     mean = float(np.mean(entries))
     deviation = abs(mean - 4.0) / 4.0
-    return _tolerance_result(
-        "channel_second_moment", 0.05, deviation,
-        f"mean |entry|^2 = {mean:.4f} for target 4.0 over {400 * 36} entries",
+    return _margin(0.05, deviation), (
+        f"mean |entry|^2 = {mean:.4f} for target 4.0 over {400 * 36} entries"
     )
 
 
@@ -181,7 +176,7 @@ def _direct_user_rate(channel, covariances, user: int) -> float:
     return max(0.0, logdet2_hpd(hermitize(full)) - logdet2_hpd(hermitize(other)))
 
 
-def check_mac_gram_form_equivalence(seed: int) -> CheckResult:
+def check_mac_gram_form_equivalence(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 103))
     worst = 0.0
     for _ in range(120):
@@ -193,13 +188,10 @@ def check_mac_gram_form_equivalence(seed: int) -> CheckResult:
         gram = exact_rate_report(channel, covariances).rates
         for k in range(profile.num_users):
             worst = max(worst, abs(_direct_user_rate(channel, covariances, k) - gram[k]))
-    return _tolerance_result(
-        "mac_gram_form_equivalence", 1e-10, worst,
-        f"worst |direct - Gram form| over 120 instances: {worst:.3e}",
-    )
+    return _margin(1e-10, worst), f"worst |direct - Gram form| over 120 instances: {worst:.3e}"
 
 
-def check_mac_rate_loss_nonnegative(seed: int) -> CheckResult:
+def check_mac_rate_loss_nonnegative(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 104))
     lowest = np.inf
     for _ in range(1000):
@@ -207,18 +199,12 @@ def check_mac_rate_loss_nonnegative(seed: int) -> CheckResult:
         channel = sample_channel(profile, None, int(rng.integers(0, 2**32)))
         lowest = min(lowest, instantaneous_rate_loss(channel))
     worst = max(0.0, -lowest)
-    return _tolerance_result(
-        "mac_rate_loss_nonnegative", 1e-10, worst,
-        f"lowest rate loss over 1000 channels: {lowest:.3e}",
-    )
+    return _margin(1e-10, worst), f"lowest rate loss over 1000 channels: {lowest:.3e}"
 
 
-def check_mac_correlation_invariance(seed: int) -> CheckResult:
+def check_mac_correlation_invariance(seed: int) -> tuple[float, str]:
     if list(inspect.signature(ergodic_rate_loss).parameters) != ["profile"]:
-        return CheckResult(
-            "mac_correlation_invariance", False, -1.0,
-            "the ergodic rate loss accepts a correlation input",
-        )
+        return -1.0, "the ergodic rate loss accepts a correlation input"
     rng = np.random.default_rng(derive_seed(seed, 105))
     worst = 0.0
     for _ in range(300):
@@ -235,13 +221,12 @@ def check_mac_correlation_invariance(seed: int) -> CheckResult:
                 profile, [h @ root for h, root in zip(plain.blocks, roots)]
             )
             worst = max(worst, abs(loss - instantaneous_rate_loss(shaped)))
-    return _tolerance_result(
-        "mac_correlation_invariance", 1e-9, worst,
-        f"worst per-realization shift of the rate loss under shaping: {worst:.3e}",
+    return _margin(1e-9, worst), (
+        f"worst per-realization shift of the rate loss under shaping: {worst:.3e}"
     )
 
 
-def check_mac_power_split_concavity(seed: int) -> CheckResult:
+def check_mac_power_split_concavity(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 106))
     profile = make_profile(6, [2, 1, 2], weights=[2.0, 1.0, 1.5])
     channel = sample_channel(profile, None, derive_seed(seed, 107))
@@ -268,17 +253,15 @@ def check_mac_power_split_concavity(seed: int) -> CheckResult:
         if tried == 100:
             break
     if tried < 100:
-        return CheckResult(
-            "mac_power_split_concavity", False, -1.0,
-            f"only {tried} of 200 perturbations kept every power level positive",
+        return _margin(0.0, 100 - tried), (
+            f"only {tried} of 200 perturbations kept every power level positive"
         )
-    return _tolerance_result(
-        "mac_power_split_concavity", 1e-9, max(0.0, worst),
-        f"best of 100 perturbed weighted sum rates is {worst:.3e} bits above the split",
+    return _margin(1e-9, max(0.0, worst)), (
+        f"best of 100 perturbed weighted sum rates is {worst:.3e} bits above the split"
     )
 
 
-def check_mac_eigenbasis_irrelevance(seed: int) -> CheckResult:
+def check_mac_eigenbasis_irrelevance(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 108))
     profile = make_profile(5, [2, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 109))
@@ -295,13 +278,12 @@ def check_mac_eigenbasis_irrelevance(seed: int) -> CheckResult:
             covs.append(hermitize(level * (v * spread) @ v.conj().T))
         rotated = MacCovarianceSet(covs)
         worst = max(worst, abs(exact_rate_report(channel, rotated).rates[k] - reference))
-    return _tolerance_result(
-        "mac_eigenbasis_irrelevance", 1e-3, worst,
-        f"worst exact-vs-asymptotic gap under rotated covariances at 1e6: {worst:.3e}",
+    return _margin(1e-3, worst), (
+        f"worst exact-vs-asymptotic gap under rotated covariances at 1e6: {worst:.3e}"
     )
 
 
-def check_bc_solution_invariants(seed: int) -> CheckResult:
+def check_bc_solution_invariants(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 110))
     facets = []
     for i in range(1000):
@@ -328,7 +310,7 @@ def check_bc_solution_invariants(seed: int) -> CheckResult:
             eigen = np.linalg.eigvalsh(s)
             r_k = profile.user_antennas[k]
             spectrum_err = max(
-                float(np.max(np.abs(eigen[-r_k:] - level))) if r_k else 0.0,
+                float(np.max(np.abs(eigen[-r_k:] - level))),
                 float(np.max(np.abs(eigen[: s.shape[0] - r_k]))) if s.shape[0] > r_k else 0.0,
             )
             projector = s / level
@@ -345,10 +327,10 @@ def check_bc_solution_invariants(seed: int) -> CheckResult:
             ("total_power", 1e-8 * max(1.0, total_power),
              abs(solution.total_transmit_power - total_power), where),
         ]
-    return _worst_facet("bc_solution_invariants", facets)
+    return _worst_facet(facets)
 
 
-def check_bc_duality_rate_preservation(seed: int) -> CheckResult:
+def check_bc_duality_rate_preservation(seed: int) -> tuple[float, str]:
     profile = make_profile(5, [2, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 111))
     gaps = []
@@ -359,10 +341,9 @@ def check_bc_duality_rate_preservation(seed: int) -> CheckResult:
         gaps.append(abs(bd_sum - mac_sum))
     decreasing = all(b < a for a, b in zip(gaps, gaps[1:]))
     worst = gaps[-1] if decreasing else np.inf
-    return _tolerance_result(
-        "bc_duality_rate_preservation", 5e-2, worst,
+    return _margin(5e-2, worst), (
         "uplink/downlink sum-rate gaps along the power grid, strictly decreasing: "
-        + ", ".join(f"{g:.2e}" for g in gaps),
+        + ", ".join(f"{g:.2e}" for g in gaps)
     )
 
 
@@ -388,20 +369,19 @@ def _eigenbasis_slack(channel: ChannelRealization, user: int, trials: int, seed:
     return worst
 
 
-def check_bc_eigenbasis_optimality(seed: int) -> CheckResult:
+def check_bc_eigenbasis_optimality(seed: int) -> tuple[float, str]:
     profile = make_profile(6, [3, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 112))
     worst = min(
         _eigenbasis_slack(channel, k, 100, seed=derive_seed(seed, 113 + k))
         for k in range(profile.num_users)
     )
-    return _tolerance_result(
-        "bc_eigenbasis_optimality", 1e-9, max(0.0, -worst),
-        f"minimum Hadamard slack over 100 random bases per user: {worst:.3e}",
+    return _margin(1e-9, max(0.0, -worst)), (
+        f"minimum Hadamard slack over 100 random bases per user: {worst:.3e}"
     )
 
 
-def check_bc_covariance_basis_invariance(seed: int) -> CheckResult:
+def check_bc_covariance_basis_invariance(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 114))
     profile = make_profile(6, [2, 3])
     channel = sample_channel(profile, None, derive_seed(seed, 115))
@@ -420,13 +400,12 @@ def check_bc_covariance_basis_invariance(seed: int) -> CheckResult:
                 directions = channel.pseudo_inverse[sl, :].conj().T @ permuted
                 p = column_norm * directions / np.linalg.norm(directions, axis=0)
                 worst = max(worst, float(np.linalg.norm(p @ p.conj().T - s)))
-    return _tolerance_result(
-        "bc_covariance_basis_invariance", 1e-9, worst,
-        f"worst |P P^H - S| over alternative diagonalizing bases: {worst:.3e}",
+    return _margin(1e-9, worst), (
+        f"worst |P P^H - S| over alternative diagonalizing bases: {worst:.3e}"
     )
 
 
-def check_ergodic_special_cases() -> CheckResult:
+def check_ergodic_special_cases() -> tuple[float, str]:
     worst = 0.0
     for num_users in range(1, 8):
         # up to three antennas each for four users, one antenna each up to seven
@@ -437,13 +416,12 @@ def check_ergodic_special_cases() -> CheckResult:
                 )
                 equal = ergodic_rate_loss_equal(num_users, antennas_each, base)
                 worst = max(worst, abs(general - equal))
-    return _tolerance_result(
-        "ergodic_special_cases", 1e-12, worst,
-        f"worst |general - equal-antenna| over the parameter box: {worst:.3e}",
+    return _margin(1e-12, worst), (
+        f"worst |general - equal-antenna| over the parameter box: {worst:.3e}"
     )
 
 
-def check_ergodic_correlation_cancellation(seed: int) -> CheckResult:
+def check_ergodic_correlation_cancellation(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 116))
     profile = make_profile(7, [2, 3])
     correlation = _random_correlation(profile, rng)
@@ -455,13 +433,10 @@ def check_ergodic_correlation_cancellation(seed: int) -> CheckResult:
         for k in range(profile.num_users)
     )
     worst = max(abs(dpc_shift - shift), abs(block_shift + shift))
-    return _tolerance_result(
-        "ergodic_correlation_cancellation", 1e-9, worst,
-        "correlation shifts the DPC and linear terms by identical amounts",
-    )
+    return _margin(1e-9, worst), "correlation shifts the DPC and linear terms by identical amounts"
 
 
-def check_ergodic_mc_agreement(trials: int, seed: int) -> CheckResult:
+def check_ergodic_mc_agreement(trials: int, seed: int) -> tuple[float, str]:
     worst_margin = np.inf
     worst_detail = ""
     index = 0
@@ -474,9 +449,8 @@ def check_ergodic_mc_agreement(trials: int, seed: int) -> CheckResult:
             profile, None, trials=cell_trials, seed=derive_seed(seed, 500 + index)
         )
         index += 1
-        band = 3.0 * estimate.stderr
         deviation = abs(estimate.mean - cell.rate_loss_bits)
-        margin = (band - deviation) / band
+        margin = _margin(3.0 * estimate.stderr, deviation)
         if margin < worst_margin:
             worst_margin = margin
             worst_detail = (
@@ -484,33 +458,27 @@ def check_ergodic_mc_agreement(trials: int, seed: int) -> CheckResult:
                 f"MC {estimate.mean:.4f} vs closed form {cell.rate_loss_bits:.4f} "
                 f"({deviation / estimate.stderr:.2f} standard errors, {cell_trials} trials)"
             )
-    return CheckResult(
-        "ergodic_mc_agreement", worst_margin >= 0.0, float(worst_margin), worst_detail
-    )
+    return float(worst_margin), worst_detail
 
 
-def check_ergodic_monotonic_in_base_antennas() -> CheckResult:
+def check_ergodic_monotonic_in_base_antennas() -> tuple[float, str]:
     rows: dict[tuple[int, ...], list[float]] = {}
     for cell in rate_loss_grid():
         if cell.rate_loss_bits is not None:
             rows.setdefault(cell.user_antennas, []).append(cell.rate_loss_bits)
-    ok = all(b < a for values in rows.values() for a, b in zip(values, values[1:]))
-    return CheckResult(
-        "ergodic_monotonic_in_base_antennas", ok, 1.0 if ok else -1.0,
-        "adding base antennas strictly reduces the ergodic rate loss",
-    )
+    violations = sum(not b < a for values in rows.values() for a, b in zip(values, values[1:]))
+    return _margin(0.0, violations), "adding base antennas strictly reduces the ergodic rate loss"
 
 
-def check_ergodic_qualitative_ratio() -> CheckResult:
+def check_ergodic_qualitative_ratio() -> tuple[float, str]:
     ratio = ergodic_rate_loss_equal(2, 3, 6) / ergodic_rate_loss_equal(3, 2, 6)
     deviation = abs(ratio - 0.65)
-    return _tolerance_result(
-        "ergodic_qualitative_ratio", 0.01, deviation,
-        f"two users with three antennas lose {ratio:.4f} of the three-user loss",
+    return _margin(0.01, deviation), (
+        f"two users with three antennas lose {ratio:.4f} of the three-user loss"
     )
 
 
-def check_baseline_single_user_waterfilling(seed: int) -> CheckResult:
+def check_baseline_single_user_waterfilling(seed: int) -> tuple[float, str]:
     profile = make_profile(4, [3])
     channel = sample_channel(profile, None, derive_seed(seed, 117))
     gains = np.linalg.eigvalsh(channel.gram)
@@ -518,19 +486,13 @@ def check_baseline_single_user_waterfilling(seed: int) -> CheckResult:
     for power in (0.3, 0.5, 3.0, 5.0, 30.0, 50.0):
         result = dual_mac_sum_capacity(channel, power)
         if not result.converged:
-            return CheckResult(
-                "baseline_single_user_waterfilling", False, -1.0,
-                f"solver did not converge at power {power}",
-            )
+            return -1.0, f"solver did not converge at power {power}"
         reference = float(np.sum(np.log2(1.0 + waterfill(gains, power) * gains)))
         worst = max(worst, abs(result.sum_rate_bits - reference))
-    return _tolerance_result(
-        "baseline_single_user_waterfilling", 1e-8, worst,
-        f"worst gap to closed-form single-user waterfilling: {worst:.3e}",
-    )
+    return _margin(1e-8, worst), f"worst gap to closed-form single-user waterfilling: {worst:.3e}"
 
 
-def check_baseline_monotone_and_bounds(seed: int) -> CheckResult:
+def check_baseline_monotone_and_bounds(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 118))
     facets = []
     for i in range(400):
@@ -556,30 +518,28 @@ def check_baseline_monotone_and_bounds(seed: int) -> CheckResult:
             ("uniform_lower_bound", 1e-8, max(0.0, uniform - result.sum_rate_bits), where),
             ("linear_not_above_dpc", 1e-9, max(0.0, linear - result.sum_rate_bits), where),
         ]
-    return _worst_facet("baseline_monotone_and_bounds", facets)
+    return _worst_facet(facets)
 
 
-def check_baseline_high_power_asymptote(seed: int) -> CheckResult:
+def check_baseline_high_power_asymptote(seed: int) -> tuple[float, str]:
     profile = make_profile(5, [2, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 119))
     result = dual_mac_sum_capacity(channel, 1e6, tolerance=1e-10)
     gap = abs(result.sum_rate_bits - dpc_asymptotic_sum_rate(channel, 1e6))
-    return _tolerance_result(
-        "baseline_high_power_asymptote", 1e-2, gap,
-        f"sum capacity sits {gap:.3e} bits from the affine DPC expression at 1e6",
+    return _margin(1e-2, gap), (
+        f"sum capacity sits {gap:.3e} bits from the affine DPC expression at 1e6"
     )
 
 
-def check_baseline_affine_parallel(seed: int) -> CheckResult:
+def check_baseline_affine_parallel(seed: int) -> tuple[float, str]:
     profile = make_profile(5, [2, 2])
     correlation = CorrelationModel.scalar(profile, [1.0, 2.0])
     points = generate_curves(profile, correlation, [0.0, 10.0, 20.0], trials=2, seed=seed)
     loss = ergodic_rate_loss(profile)
     worst = max(abs(p.dpc_affine - p.linear_affine - loss) for p in points)
-    return _tolerance_result(
-        "baseline_affine_parallel", 1e-9, worst,
+    return _margin(1e-9, worst), (
         "the affine curves are parallel with vertical distance equal to the "
-        f"closed-form rate loss (worst deviation {worst:.3e})",
+        f"closed-form rate loss (worst deviation {worst:.3e})"
     )
 
 
@@ -590,28 +550,17 @@ MIN_VALIDATE_TRIALS = 100
 
 
 def run_all_checks(trials: int = 2000, seed: int = 1) -> list[CheckResult]:
-    """Run every invariant check; `trials` scales the Monte Carlo workload."""
+    """Run every ``check_<name>`` of this module in definition order, reported under ``<name>``.
+
+    Each check receives the settings its signature names; `trials` scales the
+    Monte Carlo workload.
+    """
+    settings = {"trials": trials, "seed": seed}
     return [
-        check_channel_determinism(seed),
-        check_channel_sqrt_roundtrip(seed),
-        check_channel_composite_assembly(seed),
-        check_channel_second_moment(seed),
-        check_mac_gram_form_equivalence(seed),
-        check_mac_rate_loss_nonnegative(seed),
-        check_mac_correlation_invariance(seed),
-        check_mac_power_split_concavity(seed),
-        check_mac_eigenbasis_irrelevance(seed),
-        check_bc_solution_invariants(seed),
-        check_bc_duality_rate_preservation(seed),
-        check_bc_eigenbasis_optimality(seed),
-        check_bc_covariance_basis_invariance(seed),
-        check_ergodic_special_cases(),
-        check_ergodic_correlation_cancellation(seed),
-        check_ergodic_mc_agreement(trials, seed),
-        check_ergodic_monotonic_in_base_antennas(),
-        check_ergodic_qualitative_ratio(),
-        check_baseline_single_user_waterfilling(seed),
-        check_baseline_monotone_and_bounds(seed),
-        check_baseline_high_power_asymptote(seed),
-        check_baseline_affine_parallel(seed),
+        CheckResult(
+            name.removeprefix("check_"),
+            *check(**{p: settings[p] for p in inspect.signature(check).parameters}),
+        )
+        for name, check in globals().items()
+        if name.startswith("check_") and inspect.isfunction(check) and check.__module__ == __name__
     ]

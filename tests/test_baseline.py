@@ -434,10 +434,6 @@ class TestGenerateCurves:
 
         monkeypatch.setattr("mimobc.channel._sample_blocks", duplicate_a_column)
         # trial 66 falls in the second stack of trials
-        with pytest.raises(NumericalRankError, match="^trial 66: Gram matrix condition number"):
-            generate_curves(profile, correlation, [10.0], trials=70, seed=4)
-        # a flagged stack stops even when the trial alone passes the rank check
-        monkeypatch.setattr(ChannelRealization, "require_full_rank", lambda channel: None)
         with pytest.raises(
             NumericalRankError,
             match=r"^trial 66: Gram matrix condition number \S+ exceeds limit 1e\+12$",

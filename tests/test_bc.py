@@ -551,5 +551,5 @@ class TestBcSolutionInvariants:
         monkeypatch.setattr(
             "mimobc.bc._bd_rates", lambda *args: closed_form(*args) + 1e-8
         )
-        result = check_bc_solution_invariants(1)
-        assert not result.passed and result.detail.startswith("exact_rate error 1.0")
+        margin, detail = check_bc_solution_invariants(1)
+        assert margin < 0 and detail.startswith("exact_rate error 1.0")

@@ -443,8 +443,9 @@ class TestJsonOutput:
         assert [record["asym_rate_user2"] for record in payload["rows"]] == [None] * 3
 
     def test_validate_non_finite_margins_are_null(self, tmp_path, monkeypatch):
-        results = [CheckResult("a", False, float("-inf"), ""), CheckResult("b", True, float("nan"), ""),
-                   CheckResult("c", True, 0.5, "")]
+        results = [CheckResult("a", float("-inf"), ""), CheckResult("b", float("nan"), ""),
+                   CheckResult("c", 0.5, "")]
+        assert [r.passed for r in results] == [False, False, True]
         monkeypatch.setattr("mimobc.cli.run_all_checks", lambda trials, seed: results)
         out = tmp_path / "validate.json"
         assert main(["validate", "--out", str(out), "--trials", "300", "--format", "json"]) == 1

@@ -243,3 +243,20 @@ def test_the_cli_names_no_curves_column():
     ]
     assert len(columns) == 10
     assert strings == []
+
+
+def test_validation_names_no_check():
+    # check_<name> is the one declaration of the check reported as <name>; the
+    # name spelled out in the module would be a second one that can drift
+    checks = {
+        name.removeprefix("check_")
+        for name, value in vars(mimobc.validation).items()
+        if name.startswith("check_") and value.__module__ == "mimobc.validation"
+    }
+    strings = [
+        f"validation.py:{node.lineno}: {node.value!r}"
+        for node in ast.walk(ast.parse((SOURCE / "validation.py").read_text(encoding="utf-8")))
+        if isinstance(node, ast.Constant) and node.value in checks
+    ]
+    assert len(checks) >= 22
+    assert strings == []

@@ -10,6 +10,7 @@ import json
 import re
 import subprocess
 import sys
+from math import inf
 from pathlib import Path
 
 import pytest
@@ -30,6 +31,12 @@ def test_check_passes(checks, name):
 
 def test_run_all_checks_runs_every_check(checks):
     assert sorted(checks) == CHECK_NAMES
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["nan-last", "nan-first"])
+def test_a_nan_facet_fails_its_check(order):
+    facets = [("a", 1e-9, 0.0, "w"), ("b", 1e-9, float("nan"), "w")][::order]
+    assert validation._worst_facet(facets) == (-inf, "b error nan at tolerance 1.0e-09 (w)")
 
 
 def test_import_loads_no_test_framework():
