@@ -138,7 +138,7 @@ def bc_exact_user_rate(
     Evaluates log2 |I + (I + A_k)^{-1} S_k|, clamped at 0, with
     A_k = sum_{l != k} H_k^H P_l P_l^H H_k and S_k = H_k^H P_k P_k^H H_k,
     without assuming the interference terms vanish, so block diagonalization
-    is verified rather than presumed.
+    is verified rather than presumed; ValidationError if I + A_k + S_k overflows.
     """
     profile = channel.profile
     user = user_index(profile.num_users, user)
@@ -152,10 +152,12 @@ def bc_exact_user_rate(
             raise ValidationError(f"precoder {k} has {p.shape[0]} rows, expected "
                                   f"{profile.base_antennas}")
     own = np.repeat(np.arange(profile.num_users), [p.shape[1] for p in precoders]) == user
-    cross = channel.blocks[user].conj().T @ np.concatenate(precoders, axis=1)  # H_k^H P
-    interference, signal = cross[:, ~own], cross[:, own]
-    noise = np.eye(cross.shape[0]) + hermitize(interference @ interference.conj().T)
-    full = noise + hermitize(signal @ signal.conj().T)
+    # an overflowing product is reported by the finiteness check below, not by numpy's warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        cross = channel.blocks[user].conj().T @ np.concatenate(precoders, axis=1)  # H_k^H P
+        interference, signal = cross[:, ~own], cross[:, own]
+        noise = np.eye(cross.shape[0]) + hermitize(interference @ interference.conj().T)
+        full = finite_matrix(noise + hermitize(signal @ signal.conj().T), "downlink rate system")
     return max(0.0, logdet2_hpd(full) - logdet2_hpd(noise))
 
 

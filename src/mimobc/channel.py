@@ -202,7 +202,8 @@ class SystemProfile:
     """Base-station antenna count, per-user antenna counts, and rate weights.
 
     The base station must have at least as many antennas as all terminals
-    combined; every user runs one data stream per antenna.
+    combined; every user runs one data stream per antenna.  The counts are
+    kept as ``integer`` values and the weights as ``number`` values.
     """
 
     base_antennas: int
@@ -210,7 +211,11 @@ class SystemProfile:
     weights: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        antennas, weights = self.user_antennas, self.weights
+        antennas = tuple(integer(r, "antennas") for r in self.user_antennas)
+        weights = tuple(number(w, "weight") for w in self.weights)
+        object.__setattr__(self, "base_antennas", integer(self.base_antennas, "N"))
+        object.__setattr__(self, "user_antennas", antennas)
+        object.__setattr__(self, "weights", weights)
         if not antennas:
             raise ValidationError("at least one user is required")
         if min(antennas) < 1:
@@ -280,12 +285,11 @@ def make_profile(
     user_antennas,
     weights=None,
 ) -> SystemProfile:
-    """Validate and build a system profile; weights default to all ones."""
-    antennas = tuple(integer(r, "antennas") for r in user_antennas)
+    """A checked system profile; weights default to all ones."""
+    user_antennas = tuple(user_antennas)
     if weights is None:
-        weights = (1.0,) * len(antennas)
-    weights = tuple(number(w, "weight") for w in weights)
-    return SystemProfile(integer(base_antennas, "N"), antennas, weights)
+        weights = (1.0,) * len(user_antennas)
+    return SystemProfile(base_antennas, user_antennas, weights)
 
 
 def user_index(users: int, user: int) -> int:

@@ -210,17 +210,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    overrides = {
-        "seed": args.seed,
-        "trials": args.trials,
-        "out": args.out,
-        "format": args.format,
-        "ptx_grid_db": getattr(args, "ptx_grid_db", None),
-    }
+    # every flag but the subcommand and the config path is the config key of its name
+    overrides = vars(_build_parser().parse_args(argv))
+    kind, path = overrides.pop("kind"), overrides.pop("config")
     try:
-        config = load_config(args.kind, args.config, overrides)
-        runner, _ = _SUBCOMMANDS[args.kind]
+        config = load_config(kind, path, overrides)
+        runner, _ = _SUBCOMMANDS[kind]
         return runner(config)
     except ValidationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

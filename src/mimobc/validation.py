@@ -61,11 +61,17 @@ class CheckResult:
         return self.margin >= 0.0
 
 
-def _margin(tolerance: float, error: float) -> float:
-    """Normalized margin of an error against its bound; a zero bound admits no error.
+def _worst_error(errors) -> float:
+    """Largest of one error or a sequence, a negative one counted as none; NaN if any is NaN."""
+    return float(np.max(errors, initial=0.0))
+
+
+def _margin(tolerance: float, errors) -> float:
+    """Normalized margin of the ``_worst_error`` against its bound; a zero bound admits no error.
 
     A NaN error fails at margin -inf, so a ``min`` over margins always reports it.
     """
+    error = _worst_error(errors)
     if isnan(error):
         return -inf
     if tolerance == 0.0:
@@ -74,11 +80,12 @@ def _margin(tolerance: float, error: float) -> float:
 
 
 def _worst_facet(facets) -> tuple[float, str]:
-    """(margin, detail) of the worst facet; facets are (label, tolerance, error, where)."""
+    """(margin, detail) of the worst facet; facets are (label, tolerance, errors, where)."""
     margin, label, tolerance, error, where = min(
-        (_margin(tol, err), label, tol, err, where) for label, tol, err, where in facets
+        (_margin(tol, err), label, tol, _worst_error(err), where)
+        for label, tol, err, where in facets
     )
-    return float(margin), f"{label} error {error:.3e} at tolerance {tolerance:.1e} ({where})"
+    return margin, f"{label} error {error:.3e} at tolerance {tolerance:.1e} ({where})"
 
 
 def random_profile(rng: np.random.Generator):
@@ -119,13 +126,13 @@ def check_channel_determinism(seed: int) -> tuple[float, str]:
 
 def check_channel_sqrt_roundtrip(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 101))
-    roundtrip = hermitian = 0.0
+    roundtrip, hermitian = [], []
     for _ in range(50):
         sizes = rng.integers(1, 5, size=int(rng.integers(1, 4)))
         correlation = CorrelationModel([random_hpd(rng, int(r)) for r in sizes])
         for c, root in zip(correlation.blocks, correlation.sqrt_blocks):
-            roundtrip = max(roundtrip, float(np.linalg.norm(root @ root - c)))
-            hermitian = max(hermitian, float(np.linalg.norm(root - root.conj().T)))
+            roundtrip.append(np.linalg.norm(root @ root - c))
+            hermitian.append(np.linalg.norm(root - root.conj().T))
     where = "Frobenius norm, 50 models of 1-3 blocks sized 1-4"
     return _worst_facet(
         [
@@ -178,7 +185,7 @@ def _direct_user_rate(channel, covariances, user: int) -> float:
 
 def check_mac_gram_form_equivalence(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 103))
-    worst = 0.0
+    errors = []
     for _ in range(120):
         profile = random_profile(rng)
         channel = sample_channel(profile, None, int(rng.integers(0, 2**32)))
@@ -187,26 +194,29 @@ def check_mac_gram_form_equivalence(seed: int) -> tuple[float, str]:
         )
         gram = exact_rate_report(channel, covariances).rates
         for k in range(profile.num_users):
-            worst = max(worst, abs(_direct_user_rate(channel, covariances, k) - gram[k]))
-    return _margin(1e-10, worst), f"worst |direct - Gram form| over 120 instances: {worst:.3e}"
+            errors.append(abs(_direct_user_rate(channel, covariances, k) - gram[k]))
+    return _margin(1e-10, errors), (
+        f"worst |direct - Gram form| over 120 instances: {np.max(errors):.3e}"
+    )
 
 
 def check_mac_rate_loss_nonnegative(seed: int) -> tuple[float, str]:
     rng = np.random.default_rng(derive_seed(seed, 104))
-    lowest = np.inf
+    losses = []
     for _ in range(1000):
         profile = random_profile(rng)
         channel = sample_channel(profile, None, int(rng.integers(0, 2**32)))
-        lowest = min(lowest, instantaneous_rate_loss(channel))
-    worst = max(0.0, -lowest)
-    return _margin(1e-10, worst), f"lowest rate loss over 1000 channels: {lowest:.3e}"
+        losses.append(instantaneous_rate_loss(channel))
+    return _margin(1e-10, np.negative(losses)), (
+        f"lowest rate loss over 1000 channels: {np.min(losses):.3e}"
+    )
 
 
 def check_mac_correlation_invariance(seed: int) -> tuple[float, str]:
     if list(inspect.signature(ergodic_rate_loss).parameters) != ["profile"]:
         return -1.0, "the ergodic rate loss accepts a correlation input"
     rng = np.random.default_rng(derive_seed(seed, 105))
-    worst = 0.0
+    shifts = []
     for _ in range(300):
         profile = random_profile(rng)
         plain = sample_channel(profile, None, int(rng.integers(0, 2**32)))
@@ -220,9 +230,9 @@ def check_mac_correlation_invariance(seed: int) -> tuple[float, str]:
             shaped = ChannelRealization(
                 profile, [h @ root for h, root in zip(plain.blocks, roots)]
             )
-            worst = max(worst, abs(loss - instantaneous_rate_loss(shaped)))
-    return _margin(1e-9, worst), (
-        f"worst per-realization shift of the rate loss under shaping: {worst:.3e}"
+            shifts.append(abs(loss - instantaneous_rate_loss(shaped)))
+    return _margin(1e-9, shifts), (
+        f"worst per-realization shift of the rate loss under shaping: {np.max(shifts):.3e}"
     )
 
 
@@ -234,8 +244,7 @@ def check_mac_power_split_concavity(seed: int) -> tuple[float, str]:
     optimum = asymptotic_rate_report(channel, total_power).weighted_sum
     antennas = np.array(profile.user_antennas, dtype=float)
     base = np.array(optimal_power_split(profile, total_power))
-    worst = -np.inf
-    tried = 0
+    excess = []
     for _ in range(200):
         # random feasible perturbation keeping sum_k r_k lambda_k fixed
         direction = rng.standard_normal(profile.num_users)
@@ -248,16 +257,15 @@ def check_mac_power_split_concavity(seed: int) -> tuple[float, str]:
             w * asymptotic_user_rate(channel, lam, k)
             for k, (w, lam) in enumerate(zip(profile.weights, levels))
         )
-        worst = max(worst, value - optimum)
-        tried += 1
-        if tried == 100:
+        excess.append(value - optimum)
+        if len(excess) == 100:
             break
-    if tried < 100:
-        return _margin(0.0, 100 - tried), (
-            f"only {tried} of 200 perturbations kept every power level positive"
+    if len(excess) < 100:
+        return _margin(0.0, 100 - len(excess)), (
+            f"only {len(excess)} of 200 perturbations kept every power level positive"
         )
-    return _margin(1e-9, max(0.0, worst)), (
-        f"best of 100 perturbed weighted sum rates is {worst:.3e} bits above the split"
+    return _margin(1e-9, excess), (
+        f"best of 100 perturbed weighted sum rates is {np.max(excess):.3e} bits above the split"
     )
 
 
@@ -266,7 +274,7 @@ def check_mac_eigenbasis_irrelevance(seed: int) -> tuple[float, str]:
     profile = make_profile(5, [2, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 109))
     total_power = 1e6
-    worst = 0.0
+    gaps = []
     for k in range(profile.num_users):
         level = total_power / profile.total_antennas
         reference = asymptotic_user_rate(channel, level, k)
@@ -277,9 +285,9 @@ def check_mac_eigenbasis_irrelevance(seed: int) -> tuple[float, str]:
             v = haar_unitary(r, rng)
             covs.append(hermitize(level * (v * spread) @ v.conj().T))
         rotated = MacCovarianceSet(covs)
-        worst = max(worst, abs(exact_rate_report(channel, rotated).rates[k] - reference))
-    return _margin(1e-3, worst), (
-        f"worst exact-vs-asymptotic gap under rotated covariances at 1e6: {worst:.3e}"
+        gaps.append(abs(exact_rate_report(channel, rotated).rates[k] - reference))
+    return _margin(1e-3, gaps), (
+        f"worst exact-vs-asymptotic gap under rotated covariances at 1e6: {np.max(gaps):.3e}"
     )
 
 
@@ -294,36 +302,29 @@ def check_bc_solution_invariants(seed: int) -> tuple[float, str]:
         r = profile.total_antennas
         level = total_power / r
         where = f"channel {i}"
-        bd_worst = 0.0
+        residuals = []
         for k, (p, rate) in enumerate(zip(solution.precoders, solution.rates)):
-            for l, h in enumerate(channel.blocks):
-                if l != k:
-                    bd_worst = max(
-                        bd_worst,
-                        float(
-                            np.linalg.norm(h.conj().T @ p)
-                            / (np.linalg.norm(h) * np.linalg.norm(p))
-                        ),
-                    )
+            residuals += [
+                np.linalg.norm(h.conj().T @ p) / (np.linalg.norm(h) * np.linalg.norm(p))
+                for l, h in enumerate(channel.blocks)
+                if l != k
+            ]
             norms = np.linalg.norm(p, axis=0)
             s = solution.covariances[k]
-            eigen = np.linalg.eigvalsh(s)
             r_k = profile.user_antennas[k]
-            spectrum_err = max(
-                float(np.max(np.abs(eigen[-r_k:] - level))),
-                float(np.max(np.abs(eigen[: s.shape[0] - r_k]))) if s.shape[0] > r_k else 0.0,
-            )
+            # ascending: N - r_k zeros, then r_k eigenvalues at the level
+            spectrum = np.linalg.eigvalsh(s) - np.repeat([0.0, level], [s.shape[0] - r_k, r_k])
             projector = s / level
             facets += [
-                ("column_norm", 1e-10, float(np.max(np.abs(norms - np.sqrt(level)))), where),
-                ("spectrum", 1e-8 * max(1.0, level), spectrum_err, where),
+                ("column_norm", 1e-10, np.abs(norms - np.sqrt(level)), where),
+                ("spectrum", 1e-8 * max(1.0, level), np.abs(spectrum), where),
                 ("idempotent", 1e-9,
                  float(np.linalg.norm(projector @ projector - projector)), where),
                 ("exact_rate", 1e-9,
                  abs(rate - bc_exact_user_rate(channel, solution.precoders, k)), where),
             ]
         facets += [
-            ("bd_residual", 1e-9, bd_worst, where),
+            ("bd_residual", 1e-9, residuals, where),
             ("total_power", 1e-8 * max(1.0, total_power),
              abs(solution.total_transmit_power - total_power), where),
         ]
@@ -347,37 +348,35 @@ def check_bc_duality_rate_preservation(seed: int) -> tuple[float, str]:
     )
 
 
-def _eigenbasis_slack(channel: ChannelRealization, user: int, trials: int, seed: int) -> float:
-    """Minimum Hadamard slack of the decorrelation eigenbasis against random bases.
+def _eigenbasis_slack(channel: ChannelRealization, user: int, trials: int, seed: int) -> list:
+    """Hadamard slack of the decorrelation eigenbasis and of ``trials`` random bases.
 
     For random unitary bases W, the log2-determinant of the diagonal squared
     scales satisfies sum_i log2 d_i^2(W) >= log2 |block| (Hadamard inequality
     on the positive-definite block), with equality exactly when W
     diagonalizes the block, so the downlink rate is largest on the
-    eigenbasis.  Returns the minimum slack; the eigenbasis itself is trial
-    zero.
+    eigenbasis.  Returns the slack of every basis, the eigenbasis first.
     """
     block = channel.gram_inverse_block(user)
     reference = channel.inverse_block_logdet2[user]
     rng = np.random.default_rng(seed)
     bases = [solve_bc(channel, 1.0).bases[user]]
     bases.extend(haar_unitary(block.shape[0], rng) for _ in range(trials))
-    worst = float("inf")
-    for w in bases:
-        squares = np.diagonal(hermitize(w.conj().T @ block @ w)).real
-        worst = min(worst, float(np.sum(np.log2(squares))) - reference)
-    return worst
+    return [
+        float(np.sum(np.log2(np.diagonal(hermitize(w.conj().T @ block @ w)).real))) - reference
+        for w in bases
+    ]
 
 
 def check_bc_eigenbasis_optimality(seed: int) -> tuple[float, str]:
     profile = make_profile(6, [3, 2])
     channel = sample_channel(profile, None, derive_seed(seed, 112))
-    worst = min(
+    slacks = np.concatenate([
         _eigenbasis_slack(channel, k, 100, seed=derive_seed(seed, 113 + k))
         for k in range(profile.num_users)
-    )
-    return _margin(1e-9, max(0.0, -worst)), (
-        f"minimum Hadamard slack over 100 random bases per user: {worst:.3e}"
+    ])
+    return _margin(1e-9, -slacks), (
+        f"minimum Hadamard slack over 100 random bases per user: {np.min(slacks):.3e}"
     )
 
 
@@ -386,7 +385,7 @@ def check_bc_covariance_basis_invariance(seed: int) -> tuple[float, str]:
     profile = make_profile(6, [2, 3])
     channel = sample_channel(profile, None, derive_seed(seed, 115))
     bases = solve_bc(channel, 1.0).bases
-    worst = 0.0
+    errors = []
     for total_power in (12.0, 13.0):
         column_norm = sqrt(total_power / profile.total_antennas)
         for k, (sl, basis) in enumerate(zip(profile.block_slices, bases)):
@@ -399,14 +398,14 @@ def check_bc_covariance_basis_invariance(seed: int) -> tuple[float, str]:
                 )
                 directions = channel.pseudo_inverse[sl, :].conj().T @ permuted
                 p = column_norm * directions / np.linalg.norm(directions, axis=0)
-                worst = max(worst, float(np.linalg.norm(p @ p.conj().T - s)))
-    return _margin(1e-9, worst), (
-        f"worst |P P^H - S| over alternative diagonalizing bases: {worst:.3e}"
+                errors.append(np.linalg.norm(p @ p.conj().T - s))
+    return _margin(1e-9, errors), (
+        f"worst |P P^H - S| over alternative diagonalizing bases: {np.max(errors):.3e}"
     )
 
 
 def check_ergodic_special_cases() -> tuple[float, str]:
-    worst = 0.0
+    errors = []
     for num_users in range(1, 8):
         # up to three antennas each for four users, one antenna each up to seven
         for antennas_each in range(1, 4 if num_users <= 4 else 2):
@@ -415,9 +414,9 @@ def check_ergodic_special_cases() -> tuple[float, str]:
                     make_profile(base, [antennas_each] * num_users)
                 )
                 equal = ergodic_rate_loss_equal(num_users, antennas_each, base)
-                worst = max(worst, abs(general - equal))
-    return _margin(1e-12, worst), (
-        f"worst |general - equal-antenna| over the parameter box: {worst:.3e}"
+                errors.append(abs(general - equal))
+    return _margin(1e-12, errors), (
+        f"worst |general - equal-antenna| over the parameter box: {np.max(errors):.3e}"
     )
 
 
@@ -432,13 +431,12 @@ def check_ergodic_correlation_cancellation(seed: int) -> tuple[float, str]:
         - ergodic_block_logdet(profile, None, k)
         for k in range(profile.num_users)
     )
-    worst = max(abs(dpc_shift - shift), abs(block_shift + shift))
-    return _margin(1e-9, worst), "correlation shifts the DPC and linear terms by identical amounts"
+    errors = [abs(dpc_shift - shift), abs(block_shift + shift)]
+    return _margin(1e-9, errors), "correlation shifts the DPC and linear terms by identical amounts"
 
 
 def check_ergodic_mc_agreement(trials: int, seed: int) -> tuple[float, str]:
-    worst_margin = np.inf
-    worst_detail = ""
+    facets = []
     index = 0
     for cell in rate_loss_grid():
         if cell.rate_loss_bits is None:
@@ -450,15 +448,12 @@ def check_ergodic_mc_agreement(trials: int, seed: int) -> tuple[float, str]:
         )
         index += 1
         deviation = abs(estimate.mean - cell.rate_loss_bits)
-        margin = _margin(3.0 * estimate.stderr, deviation)
-        if margin < worst_margin:
-            worst_margin = margin
-            worst_detail = (
-                f"profile {cell.label} N={cell.base_antennas}: "
-                f"MC {estimate.mean:.4f} vs closed form {cell.rate_loss_bits:.4f} "
-                f"({deviation / estimate.stderr:.2f} standard errors, {cell_trials} trials)"
-            )
-    return float(worst_margin), worst_detail
+        facets.append((
+            f"profile {cell.label} N={cell.base_antennas}", 3.0 * estimate.stderr, deviation,
+            f"MC {estimate.mean:.4f} vs closed form {cell.rate_loss_bits:.4f}, "
+            f"{deviation / estimate.stderr:.2f} standard errors, {cell_trials} trials",
+        ))
+    return _worst_facet(facets)
 
 
 def check_ergodic_monotonic_in_base_antennas() -> tuple[float, str]:
@@ -482,14 +477,16 @@ def check_baseline_single_user_waterfilling(seed: int) -> tuple[float, str]:
     profile = make_profile(4, [3])
     channel = sample_channel(profile, None, derive_seed(seed, 117))
     gains = np.linalg.eigvalsh(channel.gram)
-    worst = 0.0
+    gaps = []
     for power in (0.3, 0.5, 3.0, 5.0, 30.0, 50.0):
         result = dual_mac_sum_capacity(channel, power)
         if not result.converged:
             return -1.0, f"solver did not converge at power {power}"
         reference = float(np.sum(np.log2(1.0 + waterfill(gains, power) * gains)))
-        worst = max(worst, abs(result.sum_rate_bits - reference))
-    return _margin(1e-8, worst), f"worst gap to closed-form single-user waterfilling: {worst:.3e}"
+        gaps.append(abs(result.sum_rate_bits - reference))
+    return _margin(1e-8, gaps), (
+        f"worst gap to closed-form single-user waterfilling: {np.max(gaps):.3e}"
+    )
 
 
 def check_baseline_monotone_and_bounds(seed: int) -> tuple[float, str]:
@@ -501,7 +498,6 @@ def check_baseline_monotone_and_bounds(seed: int) -> tuple[float, str]:
         power = float(10.0 ** rng.uniform(-1, 4))
         result = dual_mac_sum_capacity(channel, power)
         history = np.array(result.objective_history)
-        dip = float(np.max(np.maximum(0.0, history[:-1] - history[1:]))) if history.size > 1 else 0.0
         uniform = log2(
             np.abs(
                 np.linalg.det(
@@ -514,9 +510,9 @@ def check_baseline_monotone_and_bounds(seed: int) -> tuple[float, str]:
         linear = solve_bc(channel, power).sum_rate
         where = f"channel {i}, power {power:.2f}"
         facets += [
-            ("objective_dip", 0.0, dip, where),
-            ("uniform_lower_bound", 1e-8, max(0.0, uniform - result.sum_rate_bits), where),
-            ("linear_not_above_dpc", 1e-9, max(0.0, linear - result.sum_rate_bits), where),
+            ("objective_dip", 0.0, history[:-1] - history[1:], where),
+            ("uniform_lower_bound", 1e-8, uniform - result.sum_rate_bits, where),
+            ("linear_not_above_dpc", 1e-9, linear - result.sum_rate_bits, where),
         ]
     return _worst_facet(facets)
 
@@ -536,10 +532,10 @@ def check_baseline_affine_parallel(seed: int) -> tuple[float, str]:
     correlation = CorrelationModel.scalar(profile, [1.0, 2.0])
     points = generate_curves(profile, correlation, [0.0, 10.0, 20.0], trials=2, seed=seed)
     loss = ergodic_rate_loss(profile)
-    worst = max(abs(p.dpc_affine - p.linear_affine - loss) for p in points)
-    return _margin(1e-9, worst), (
+    deviations = [abs(p.dpc_affine - p.linear_affine - loss) for p in points]
+    return _margin(1e-9, deviations), (
         "the affine curves are parallel with vertical distance equal to the "
-        f"closed-form rate loss (worst deviation {worst:.3e})"
+        f"closed-form rate loss (worst deviation {np.max(deviations):.3e})"
     )
 
 

@@ -1,4 +1,5 @@
 import csv
+import re
 
 import mpmath as mp
 import numpy as np
@@ -20,6 +21,7 @@ from mimobc import (
 )
 from mimobc._linalg import SUBSTITUTION_MAX_SIZE, haar_unitary, hermitize, invert_lower
 from mimobc.channel import (
+    SystemProfile,
     _draw,
     _factor_grams,
     _sample_blocks,
@@ -97,6 +99,20 @@ class TestMakeProfile:
         for bad in (float("nan"), float("inf")):
             with pytest.raises(ValidationError, match="finite"):
                 make_profile(4, [2, 2], weights=[1.0, bad])
+
+    @pytest.mark.parametrize(
+        "base, antennas, weights, message",
+        [
+            (5.5, (2, 2), (1.0, 1.0), "N must be an integer, got 5.5"),
+            ("5", (2, 2), (1.0, 1.0), "N must be an integer, got '5'"),
+            (5, (2, 2), (True, 1.0), "weight must be a number, got True"),
+        ],
+        ids=["fractional-N", "string-N", "boolean-weight"],
+    )
+    def test_direct_construction_checks_like_make_profile(self, base, antennas, weights, message):
+        for build in (SystemProfile, make_profile):
+            with pytest.raises(ValidationError, match=re.escape(message)):
+                build(base, antennas, weights)
 
 
 class TestBlockIndexRange:

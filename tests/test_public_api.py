@@ -260,3 +260,38 @@ def test_validation_names_no_check():
     ]
     assert len(checks) >= 22
     assert strings == []
+
+
+def extremum_calls(node) -> list:
+    """Every call of the builtin ``max`` or ``min`` under ``node``."""
+    return [
+        call for call in ast.walk(node)
+        if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        and call.func.id in ("max", "min")
+    ]
+
+
+def test_no_check_reduces_or_clamps_its_own_errors():
+    # _margin takes the worst error with np.max, which keeps a NaN; a check's own
+    # running worst = max(worst, err) or max(0.0, err) clamp would drop one
+    checks = [
+        node for node in ast.parse((SOURCE / "validation.py").read_text(encoding="utf-8")).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")
+    ]
+    found = []
+    for check in checks:
+        running = [
+            call
+            for assign in ast.walk(check) if isinstance(assign, ast.Assign)
+            for call in extremum_calls(assign.value)
+            if {a.id for a in call.args if isinstance(a, ast.Name)}
+            & {t.id for target in assign.targets for t in ast.walk(target) if isinstance(t, ast.Name)}
+        ]
+        clamps = [
+            call for call in extremum_calls(check)
+            if any(isinstance(a, ast.Constant) and type(a.value) in (int, float) and a.value == 0
+                   for a in call.args)
+        ]
+        found += [f"{check.name}:{call.lineno}: {ast.unparse(call)}" for call in running + clamps]
+    assert len(checks) >= 22
+    assert found == []

@@ -6,6 +6,7 @@ same checks on the same data.
 """
 
 import ast
+import dataclasses
 import json
 import re
 import subprocess
@@ -37,6 +38,45 @@ def test_run_all_checks_runs_every_check(checks):
 def test_a_nan_facet_fails_its_check(order):
     facets = [("a", 1e-9, 0.0, "w"), ("b", 1e-9, float("nan"), "w")][::order]
     assert validation._worst_facet(facets) == (-inf, "b error nan at tolerance 1.0e-09 (w)")
+
+
+def _nan(result):
+    return float("nan")
+
+
+def _nan_rates(result):
+    return dataclasses.replace(result, rates=(float("nan"),) * len(result.rates))
+
+
+def _nan_second_linear_affine(points):
+    return [p if i != 1 else dataclasses.replace(p, linear_affine=float("nan"))
+            for i, p in enumerate(points)]
+
+
+@pytest.mark.parametrize(
+    "name, function, call, poison",
+    [
+        ("mac_rate_loss_nonnegative", "instantaneous_rate_loss", 5, _nan),
+        ("mac_correlation_invariance", "instantaneous_rate_loss", 7, _nan),
+        ("mac_gram_form_equivalence", "exact_rate_report", 3, _nan_rates),
+        ("baseline_monotone_and_bounds", "solve_bc", 5, _nan_rates),
+        ("baseline_affine_parallel", "generate_curves", 1, _nan_second_linear_affine),
+    ],
+)
+def test_a_nan_after_the_first_call_fails_its_check(monkeypatch, name, function, call, poison):
+    # the check's worst error must keep a NaN wherever it arrives
+    original = getattr(validation, function)
+    calls = []
+
+    def poisoned(*args, **kwargs):
+        calls.append(None)
+        result = original(*args, **kwargs)
+        return poison(result) if len(calls) == call else result
+
+    monkeypatch.setattr(validation, function, poisoned)
+    margin, _ = getattr(validation, f"check_{name}")(1)
+    assert len(calls) >= call
+    assert margin == -inf
 
 
 def test_import_loads_no_test_framework():
